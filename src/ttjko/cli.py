@@ -58,20 +58,19 @@ def _cached_target(cfg: RunConfig) -> CachedDensity:
     return CachedDensity(cfg.target.density, cfg.grid, capacity=cfg.cache_capacity)
 
 
-def _fit_model(cfg: RunConfig, out: Path, threads: int):
+def _fit_model(cfg: RunConfig, out: Path):
     rho_inf = _cached_target(cfg)
     emit, fh = _telemetry_writer(out / "telemetry.jsonl")
     try:
         model = run(cfg.initial, rho_inf, cfg.grid, cfg.schedule, cfg.fixed_point,
-                    rng=np.random.default_rng(cfg.seeds["model"]), telemetry=emit,
-                    threads=threads)
+                    rng=np.random.default_rng(cfg.seeds["model"]), telemetry=emit)
     finally:
         fh.close()
     return model, rho_inf
 
 
-def cmd_fit(cfg: RunConfig, out: Path, threads: int, plot: bool) -> int:
-    model, rho_inf = _fit_model(cfg, out, threads)
+def cmd_fit(cfg: RunConfig, out: Path, plot: bool) -> int:
+    model, rho_inf = _fit_model(cfg, out)
     model.save(out / "model")
     if isinstance(cfg.target, PosteriorTarget):
         save_measurements(out / "measurements.csv", cfg.target.t_meas,
@@ -94,7 +93,7 @@ def cmd_fit(cfg: RunConfig, out: Path, threads: int, plot: bool) -> int:
     return 0
 
 
-def cmd_sample(cfg: RunConfig, out: Path, threads: int, model_dir, n: int) -> int:
+def cmd_sample(cfg: RunConfig, out: Path, model_dir, n: int) -> int:
     model_dir = Path(model_dir) if model_dir else out / "model"
     model = FlowModel.load(model_dir)
     ens = sample(model, n, cfg.sampler, seed=cfg.seeds["sampling"])
@@ -139,10 +138,10 @@ def _reference_samples(cfg: RunConfig, n_sets: int, n: int):
     return result.states(n_sets, result.tau), result
 
 
-def cmd_benchmark(cfg: RunConfig, out: Path, threads: int) -> int:
+def cmd_benchmark(cfg: RunConfig, out: Path) -> int:
     n_sets = cfg.diagnostics["n_sample_sets"]
     n = cfg.diagnostics["sample_size"]
-    model, rho_inf = _fit_model(cfg, out, threads)
+    model, rho_inf = _fit_model(cfg, out)
     if not model.converged:
         raise RuntimeError("fit did not converge; benchmark aborted")
     ens = sample(model, n * n_sets, cfg.sampler, seed=cfg.seeds["sampling"])
@@ -196,10 +195,10 @@ def _mcmc_marginal_hdi(samples: np.ndarray, nodes: np.ndarray, mass: float = 0.8
     return dg.map_and_hdi(dens, nodes, mass)
 
 
-def cmd_invert(cfg: RunConfig, out: Path, threads: int, plot: bool) -> int:
+def cmd_invert(cfg: RunConfig, out: Path, plot: bool) -> int:
     if not isinstance(cfg.target, PosteriorTarget):
         raise ConfigError("invert requires a hyperbolic or parabolic target")
-    model, rho_inf = _fit_model(cfg, out, threads)
+    model, rho_inf = _fit_model(cfg, out)
     model.save(out / "model")
     refs, _ = _reference_samples(cfg, 8, cfg.diagnostics["sample_size"])
     pool = np.concatenate(refs, axis=0)
@@ -228,8 +227,8 @@ def cmd_invert(cfg: RunConfig, out: Path, threads: int, plot: bool) -> int:
     return 0
 
 
-def cmd_importance(cfg: RunConfig, out: Path, threads: int, plot: bool) -> int:
-    model, rho_inf = _fit_model(cfg, out, threads)
+def cmd_importance(cfg: RunConfig, out: Path, plot: bool) -> int:
+    model, rho_inf = _fit_model(cfg, out)
     if not model.converged:
         raise RuntimeError("posterior fit did not converge")
     qoi = sum_of_parameters()
@@ -256,7 +255,7 @@ def cmd_importance(cfg: RunConfig, out: Path, threads: int, plot: bool) -> int:
     return 0
 
 
-def cmd_verify(cfg: RunConfig, out: Path, threads: int) -> int:
+def cmd_verify(cfg: RunConfig, out: Path) -> int:
     betas = cfg.verify.get("betas", [1e-1, 1e-2, 1e-3, 1e-4])
     Ts = cfg.verify.get("Ts", [1e2, 1e3, 1e4, 1e5])
     max_iters = int(cfg.verify.get("max_iters", cfg.fixed_point.max_iters))
@@ -270,7 +269,7 @@ def cmd_verify(cfg: RunConfig, out: Path, threads: int) -> int:
             cross=cfg.fixed_point.cross)
         from .driver import Schedule
         model = run(cfg.initial, rho_inf, cfg.grid, Schedule([(float(T), float(beta))]),
-                    fp, rng=np.random.default_rng(cfg.seeds["model"]), threads=threads)
+                    fp, rng=np.random.default_rng(cfg.seeds["model"]))
         state = model.steps[0]
         kl = model.kl_history[-1]
         rows.append([f"{beta:g}", f"{T:g}", state.converged, state.iters,
@@ -328,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="override the config's base seeds")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--threads", type=int, default=1)
         if name in ("fit", "invert", "importance"):
             p.add_argument("--plot", action="store_true")
         if name == "sample":
@@ -351,17 +349,17 @@ def main(argv=None) -> int:
     out.mkdir(parents=True, exist_ok=True)
     try:
         if args.command == "fit":
-            return cmd_fit(cfg, out, args.threads, getattr(args, "plot", False))
+            return cmd_fit(cfg, out, getattr(args, "plot", False))
         if args.command == "sample":
-            return cmd_sample(cfg, out, args.threads, args.model, args.n)
+            return cmd_sample(cfg, out, args.model, args.n)
         if args.command == "benchmark":
-            return cmd_benchmark(cfg, out, args.threads)
+            return cmd_benchmark(cfg, out)
         if args.command == "invert":
-            return cmd_invert(cfg, out, args.threads, getattr(args, "plot", False))
+            return cmd_invert(cfg, out, getattr(args, "plot", False))
         if args.command == "importance":
-            return cmd_importance(cfg, out, args.threads, getattr(args, "plot", False))
+            return cmd_importance(cfg, out, getattr(args, "plot", False))
         if args.command == "verify":
-            return cmd_verify(cfg, out, args.threads)
+            return cmd_verify(cfg, out)
         raise AssertionError(args.command)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -1,21 +1,30 @@
 """Cross approximation: build a TT from pointwise evaluations of an index oracle.
 
-The oracle is a callable ``f(indices) -> values`` taking an ``(M, d)``
-integer array and returning ``(M,)`` floats; it must return a finite
-value for every multi-index and tolerate concurrent calls when
-``threads > 1``.  Pivots are chosen by maxvol row selection on
-orthogonalized unfoldings; ranks can grow DMRG-style when progress on a
-fixed validation index set stalls.
+The oracle is a callable ``f(indices, *factor_values) -> values``.
+``indices`` is an ``(M, d)`` integer array and the result holds ``(M,)``
+floats, finite at every multi-index.  ``factor_values`` carries one
+``(M,)`` array per TT in the ``factors`` argument of :func:`tt_cross`:
+that TT's elements at ``indices``.  An oracle composed from TTs thus
+never evaluates them itself.  Cross blocks are Cartesian products
+``prefixes x (all of mode n) x suffixes``, so there a factor is
+contracted through its interface matrices on the prefixes and suffixes
+(:func:`~ttjko.tt.tt_block_eval`) instead of element by element; on
+validation sets it is evaluated by :func:`~ttjko.tt.tt_eval`.  With no
+factors the oracle is called as ``f(indices)``.
+
+Pivots are chosen by maxvol row selection on orthogonalized unfoldings;
+ranks can grow DMRG-style when progress on a fixed validation index set
+stalls.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.lapack import dgetrf
 
-from .tt import TTTensor, tt_eval
+from .tt import TTTensor, tt_block_eval, tt_chain_step, tt_eval, tt_right_interface
 
 # block singular values below this relative threshold are discarded so that
 # maxvol always sees a full-column-rank matrix
@@ -66,18 +75,15 @@ def maxvol(a: np.ndarray, tol: float = 1.05, max_iters: int = 200) -> np.ndarray
         raise ValueError(f"need n >= r, got {a.shape}")
     if n == r:
         return np.arange(n)
-    import scipy.linalg
-
-    lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
+    _, piv, _ = dgetrf(a)
     ind = np.arange(n)
-    for k in range(r):
-        p = piv[k]
+    for k, p in enumerate(piv[:r].tolist()):
         if p != k:
-            ind[[k, p]] = ind[[p, k]]
+            ind[k], ind[p] = ind[p], ind[k]
     ind = ind[:r].copy()
     try:
-        b = scipy.linalg.solve(a[ind].T, a.T, check_finite=False).T
-    except scipy.linalg.LinAlgError:
+        b = np.linalg.solve(a[ind].T, a.T).T
+    except np.linalg.LinAlgError:
         b = np.linalg.lstsq(a[ind].T, a.T, rcond=None)[0].T
     for _ in range(max_iters):
         flat = np.argmax(np.abs(b))
@@ -114,13 +120,8 @@ def _block_indices(left: np.ndarray, n_mode: int, right: np.ndarray) -> np.ndarr
     return out.reshape(-1, d)
 
 
-def _eval_oracle(f, idx: np.ndarray, info: CrossInfo, pool) -> np.ndarray:
-    if pool is None or idx.shape[0] < 256:
-        vals = np.asarray(f(idx), dtype=float).reshape(-1)
-    else:
-        chunks = np.array_split(idx, pool._max_workers)
-        parts = list(pool.map(lambda c: np.asarray(f(c), dtype=float).reshape(-1), chunks))
-        vals = np.concatenate(parts)
+def _eval_oracle(f, idx: np.ndarray, info: CrossInfo, factor_values) -> np.ndarray:
+    vals = np.asarray(f(idx, *factor_values), dtype=float).reshape(-1)
     info.n_calls += idx.shape[0]
     if not np.all(np.isfinite(vals)):
         bad = int(np.nonzero(~np.isfinite(vals))[0][0])
@@ -168,11 +169,26 @@ def _right_sets_from_guess(guess: TTTensor, max_rank: int, maxvol_tol: float) ->
     return right
 
 
+def validation_indices(shape, cross_cfg: CrossConfig,
+                       rng: np.random.Generator) -> np.ndarray:
+    """Uniform random multi-indices on which a cross measures its error."""
+    shape = [int(n) for n in shape]
+    # capped so validation probes never dominate the O(d N r^2) sweep cost
+    n_val = int(min(
+        cross_cfg.validation_size,
+        4 * len(shape) * max(shape) * cross_cfg.max_rank**2,
+        np.prod([float(m) for m in shape]),
+    ))
+    return np.stack(
+        [rng.integers(0, n, size=n_val) for n in shape], axis=1
+    ).astype(np.intp)
+
+
 def tt_cross(f, mode_sizes, config: CrossConfig,
              initial_guess: TTTensor | None = None,
              rng: np.random.Generator | None = None,
-             threads: int = 1,
-             validation: np.ndarray | None = None) -> tuple[TTTensor, CrossInfo]:
+             validation: np.ndarray | None = None,
+             factors=()) -> tuple[TTTensor, CrossInfo]:
     """Reconstruct a TT from an index oracle.
 
     Returns the approximation together with a :class:`CrossInfo` holding
@@ -181,24 +197,27 @@ def tt_cross(f, mode_sizes, config: CrossConfig,
     evaluated once per call; a caller running many related crosses can
     pass a fixed ``validation`` set so those probes stay cacheable.
     Sweeps stop early once the error stalls with no rank growth left.
+    ``factors`` are TTs whose elements are passed to the oracle after
+    the indices (see the module docstring).
     """
     shape = [int(n) for n in mode_sizes]
     d = len(shape)
     if rng is None:
         rng = np.random.default_rng(0)
     info = CrossInfo()
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
+    factors = tuple(factors)
+    for t in factors:
+        if tuple(t.shape) != tuple(shape):
+            raise ValueError("factor shape does not match mode_sizes")
 
     if d == 1:
         idx = np.arange(shape[0], dtype=np.intp)[:, None]
-        vals = _eval_oracle(f, idx, info, pool)
+        vals = _eval_oracle(f, idx, info, [tt_eval(t, idx) for t in factors])
         info.converged = True
         info.sweeps = 1
         info.rel_error = 0.0
         tt = TTTensor([vals.reshape(1, -1, 1)], copy=False)
         info.ranks = tt.ranks
-        if pool is not None:
-            pool.shutdown()
         return tt, info
 
     start_rank = 2 if config.rank_adaptive else config.max_rank
@@ -223,95 +242,103 @@ def tt_cross(f, mode_sizes, config: CrossConfig,
             right[n] = _random_suffixes(shape, n, cap, rng)
 
     if validation is None:
-        # capped so validation probes never dominate the O(d N r^2) sweep cost
-        n_val = int(min(
-            config.validation_size,
-            4 * d * max(shape) * config.max_rank**2,
-            np.prod([float(m) for m in shape]),
-        ))
-        validation = np.stack(
-            [rng.integers(0, shape[k], size=n_val) for k in range(d)], axis=1
-        ).astype(np.intp)
+        validation = validation_indices(shape, config, rng)
     else:
         validation = np.asarray(validation, dtype=np.intp)
-    val_truth = _eval_oracle(f, validation, info, pool)
+    val_truth = _eval_oracle(f, validation, info,
+                             [tt_eval(t, validation) for t in factors])
     val_scale = np.linalg.norm(val_truth)
 
     left = [None] * (d + 1)
     left[0] = np.zeros((1, 0), dtype=np.intp)
+    one = np.ones((1, 1))
+    # interface matrices of factor k on the index sets, both (set size,
+    # factors[k].ranks[n]): lface[k][n] on the prefixes left[n], rface[k][n]
+    # on the suffixes right[n]; each new set extends them by one chain step
+    lface = [[one] + [None] * d for _ in factors]
+    rface = [[None] * d + [one] for _ in factors]
+    for k, t in enumerate(factors):
+        for n in range(1, d):
+            rface[k][n] = tt_right_interface(t, right[n])
+
+    def block_values(n):
+        idx = _block_indices(left[n], shape[n], right[n + 1])
+        fvals = [tt_block_eval(t, n, lface[k][n], rface[k][n + 1])
+                 for k, t in enumerate(factors)]
+        return _eval_oracle(f, idx, info, fvals)
+
     cores: list = [None] * d
     prev_error = np.inf
 
-    try:
-        for sweep in range(config.max_sweeps):
-            # left-to-right: rebuild left sets, interpolative cores
-            for n in range(d - 1):
-                idx = _block_indices(left[n], shape[n], right[n + 1])
-                vals = _eval_oracle(f, idx, info, pool)
-                block = vals.reshape(left[n].shape[0] * shape[n], right[n + 1].shape[0])
-                q = _orth_columns(block, config.max_rank)
-                rows = maxvol(q, tol=config.maxvol_tol)
-                core = np.linalg.solve(q[rows].T, q.T).T
-                cores[n] = core.reshape(left[n].shape[0], shape[n], q.shape[1])
-                a_sel, i_sel = np.divmod(rows, shape[n])
-                left[n + 1] = np.concatenate(
-                    [left[n][a_sel], i_sel[:, None].astype(np.intp)], axis=1
-                )
-            idx = _block_indices(left[d - 1], shape[d - 1], right[d])
-            vals = _eval_oracle(f, idx, info, pool)
-            cores[d - 1] = vals.reshape(left[d - 1].shape[0], shape[d - 1], 1)
+    for sweep in range(config.max_sweeps):
+        # left-to-right: rebuild left sets, interpolative cores
+        for n in range(d - 1):
+            vals = block_values(n)
+            block = vals.reshape(left[n].shape[0] * shape[n], right[n + 1].shape[0])
+            q = _orth_columns(block, config.max_rank)
+            rows = maxvol(q, tol=config.maxvol_tol)
+            core = np.linalg.solve(q[rows].T, q.T).T
+            cores[n] = core.reshape(left[n].shape[0], shape[n], q.shape[1])
+            a_sel, i_sel = np.divmod(rows, shape[n])
+            left[n + 1] = np.concatenate(
+                [left[n][a_sel], i_sel[:, None].astype(np.intp)], axis=1
+            )
+            for k, t in enumerate(factors):
+                lface[k][n + 1] = tt_chain_step(lface[k][n][a_sel], t.cores[n], i_sel)
+        vals = block_values(d - 1)
+        cores[d - 1] = vals.reshape(left[d - 1].shape[0], shape[d - 1], 1)
 
-            # right-to-left: rebuild right sets
-            for n in range(d - 1, 0, -1):
-                idx = _block_indices(left[n], shape[n], right[n + 1])
-                vals = _eval_oracle(f, idx, info, pool)
-                block = vals.reshape(left[n].shape[0], shape[n] * right[n + 1].shape[0])
-                q = _orth_columns(block.T, config.max_rank)
-                rows = maxvol(q, tol=config.maxvol_tol)
-                core = np.linalg.solve(q[rows].T, q.T)   # (r_sel, N*nr)
-                cores[n] = core.reshape(q.shape[1], shape[n], right[n + 1].shape[0])
-                i_sel, b_sel = np.divmod(rows, right[n + 1].shape[0])
-                right[n] = np.concatenate(
-                    [i_sel[:, None].astype(np.intp), right[n + 1][b_sel]], axis=1
-                )
-            idx = _block_indices(left[0], shape[0], right[1])
-            vals = _eval_oracle(f, idx, info, pool)
-            cores[0] = vals.reshape(1, shape[0], right[1].shape[0])
+        # right-to-left: rebuild right sets
+        for n in range(d - 1, 0, -1):
+            vals = block_values(n)
+            block = vals.reshape(left[n].shape[0], shape[n] * right[n + 1].shape[0])
+            q = _orth_columns(block.T, config.max_rank)
+            rows = maxvol(q, tol=config.maxvol_tol)
+            core = np.linalg.solve(q[rows].T, q.T)   # (r_sel, N*nr)
+            cores[n] = core.reshape(q.shape[1], shape[n], right[n + 1].shape[0])
+            i_sel, b_sel = np.divmod(rows, right[n + 1].shape[0])
+            right[n] = np.concatenate(
+                [i_sel[:, None].astype(np.intp), right[n + 1][b_sel]], axis=1
+            )
+            for k, t in enumerate(factors):
+                rface[k][n] = tt_chain_step(rface[k][n + 1][b_sel],
+                                            t.cores[n].transpose(2, 1, 0), i_sel)
+        vals = block_values(0)
+        cores[0] = vals.reshape(1, shape[0], right[1].shape[0])
 
-            tt = TTTensor(cores)
-            info.sweeps = sweep + 1
-            val_now = tt_eval(tt, validation)
-            with np.errstate(invalid="ignore", over="ignore"):
-                error = np.linalg.norm(val_now - val_truth) / (val_scale if val_scale > 0 else 1.0)
-            if not np.isfinite(error):
-                error = np.inf
-            info.rel_error = error
-            info.history.append(error)
-            if error < config.tolerance:
-                info.converged = True
-                break
-            stalled = error > 0.7 * prev_error
-            prev_error = min(prev_error, error)
-            if stalled:
-                grown = False
-                if config.rank_adaptive:
-                    for n in range(1, d):
-                        cap = int(min(
-                            config.max_rank,
-                            np.prod([float(m) for m in shape[n:]]),
-                            np.prod([float(m) for m in shape[:n]]),
-                        ))
-                        grow = cap - right[n].shape[0]
-                        if grow > 0:
-                            right[n] = _random_suffixes(
-                                shape, n, min(2, grow), rng, existing=right[n]
-                            )
-                            grown = True
-                if not grown:
-                    break        # stable at the rank cap: return best effort
-    finally:
-        if pool is not None:
-            pool.shutdown()
+        tt = TTTensor(cores)
+        info.sweeps = sweep + 1
+        val_now = tt_eval(tt, validation)
+        with np.errstate(invalid="ignore", over="ignore"):
+            error = np.linalg.norm(val_now - val_truth) / (val_scale if val_scale > 0 else 1.0)
+        if not np.isfinite(error):
+            error = np.inf
+        info.rel_error = error
+        info.history.append(error)
+        if error < config.tolerance:
+            info.converged = True
+            break
+        stalled = error > 0.7 * prev_error
+        prev_error = min(prev_error, error)
+        if stalled:
+            grown = False
+            if config.rank_adaptive:
+                for n in range(1, d):
+                    cap = int(min(
+                        config.max_rank,
+                        np.prod([float(m) for m in shape[n:]]),
+                        np.prod([float(m) for m in shape[:n]]),
+                    ))
+                    grow = cap - right[n].shape[0]
+                    if grow > 0:
+                        right[n] = _random_suffixes(
+                            shape, n, min(2, grow), rng, existing=right[n]
+                        )
+                        for k, t in enumerate(factors):
+                            rface[k][n] = tt_right_interface(t, right[n])
+                        grown = True
+            if not grown:
+                break        # stable at the rank cap: return best effort
 
     info.ranks = tt.ranks
     return tt, info

@@ -19,8 +19,9 @@ from scipy.special import ndtr, ndtri
 from .cross import CrossConfig, tt_cross
 from .fixed_point import FixedPointConfig, StepState, solve_step
 from .grid import Grid, all_quadrature_weights
-from .tt import (TTTensor, tt_contract_all, tt_eval, tt_load, tt_marginal,
-                 tt_rank_one, tt_round, tt_save, tt_scale)
+from .tt import (TTTensor, tt_contract_all, tt_load, tt_marginal, tt_rank_one,
+                 tt_round, tt_save, tt_scale)
+from .tt import tt_eval  # noqa: F401  (kept as driver.tt_eval; perfbench/layers.py wraps it)
 
 _MODEL_META = "model.json"
 
@@ -156,18 +157,17 @@ def product_density(state: StepState, grid: Grid, cross_cfg: CrossConfig,
     has been smoothed twice), so its mass marks where the product lives.
     """
 
-    def oracle(idx):
-        return tt_eval(state.eta_T, idx) * tt_eval(state.eta_hat_T, idx)
+    def oracle(idx, eta_T_vals, eta_hat_T_vals):
+        return eta_T_vals * eta_hat_T_vals
 
-    dens, _ = tt_cross(oracle, grid.shape, cross_cfg,
-                       initial_guess=state.eta_T, rng=rng)
+    dens, _ = tt_cross(oracle, grid.shape, cross_cfg, initial_guess=state.eta_T,
+                       rng=rng, factors=(state.eta_T, state.eta_hat_T))
     return tt_round(dens, trunc_tol, max_rank)
 
 
 def run(rho0: TTTensor | GaussianInitial, rho_inf, grid: Grid, schedule: Schedule,
         config: FixedPointConfig, initial: GaussianInitial | None = None,
-        rng: np.random.Generator | None = None, telemetry=None,
-        threads: int = 1) -> FlowModel:
+        rng: np.random.Generator | None = None, telemetry=None) -> FlowModel:
     """Sequentially solve every proximal step of the schedule.
 
     Warm-starts each step's fixed point from the previous step's
@@ -200,7 +200,6 @@ def run(rho0: TTTensor | GaussianInitial, rho_inf, grid: Grid, schedule: Schedul
         state = solve_step(
             rho_k, rho_inf, grid, T, beta, config, eta_init=eta_warm,
             rng=rng, telemetry=None if telemetry is None else emit,
-            threads=threads,
         )
         steps.append(state)
         rho_k = product_density(state, grid, config.cross, config.trunc_tol,
@@ -244,10 +243,9 @@ def kl_estimate(model: FlowModel, cross_tol: float = 1e-10) -> float:
     cfg = CrossConfig(max_rank=rank_cap, tolerance=cross_tol, max_sweeps=12)
     rng = np.random.default_rng(7)
 
-    def log_eta(idx, rho_vals):
+    def log_eta(idx, vals, rho_vals):
         """log eta_T where the density carries mass; sign flips from rounding
         noise at negligible-mass points contribute (essentially) zero."""
-        vals = tt_eval(state.eta_T, idx)
         bad = vals <= 0
         if np.any(bad):
             peak = float(np.max(rho_vals)) if rho_vals.size else 0.0
@@ -260,16 +258,17 @@ def kl_estimate(model: FlowModel, cross_tol: float = 1e-10) -> float:
                 )
         return np.log(np.maximum(vals, np.finfo(float).tiny))
 
-    def weighted_log(idx):
-        rho_vals = tt_eval(rho, idx)
-        return log_eta(idx, rho_vals) * rho_vals
+    def weighted_log(idx, eta_vals, rho_vals):
+        return log_eta(idx, eta_vals, rho_vals) * rho_vals
 
-    def weighted_ratio(idx):
-        rho_vals = tt_eval(rho, idx)
-        return np.exp(2.0 * beta * log_eta(idx, rho_vals)) * rho_vals
+    def weighted_ratio(idx, eta_vals, rho_vals):
+        return np.exp(2.0 * beta * log_eta(idx, eta_vals, rho_vals)) * rho_vals
 
-    num, _ = tt_cross(weighted_log, grid.shape, cfg, initial_guess=rho, rng=rng)
-    mass_target, _ = tt_cross(weighted_ratio, grid.shape, cfg, initial_guess=rho, rng=rng)
+    factors = (state.eta_T, rho)
+    num, _ = tt_cross(weighted_log, grid.shape, cfg, initial_guess=rho, rng=rng,
+                      factors=factors)
+    mass_target, _ = tt_cross(weighted_ratio, grid.shape, cfg, initial_guess=rho,
+                              rng=rng, factors=factors)
     z_rho = tt_contract_all(rho, weights)
     z_inf = tt_contract_all(mass_target, weights)
     mean_log_eta = tt_contract_all(num, weights) / z_rho

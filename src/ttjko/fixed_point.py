@@ -16,11 +16,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cross import CrossConfig, tt_cross
+from .cross import CrossConfig, tt_cross, validation_indices
 from .grid import Grid, all_quadrature_weights
 from .heat import HeatPropagator
-from .tt import (TTTensor, tt_axpy, tt_contract_all, tt_eval, tt_inner,
-                 tt_marginal, tt_norm, tt_ones, tt_round, tt_scale)
+from .tt import (TTTensor, tt_axpy, tt_eval, tt_inner, tt_marginal, tt_norm,
+                 tt_ones, tt_round, tt_scale)
 
 #: hard floor for guarded divisions (spec'd; negatives fall below it too)
 DIVISION_FLOOR = 1e-300
@@ -131,7 +131,7 @@ class CycleResult:
 def cycle(eta: TTTensor, rho_prev: TTTensor, rho_inf, grid: Grid, T: float,
           beta: float, cross_cfg: CrossConfig, trunc_tol: float, max_rank: int,
           warm: CycleResult | None = None, rng: np.random.Generator | None = None,
-          threads: int = 1, validation: np.ndarray | None = None) -> CycleResult:
+          validation: np.ndarray | None = None) -> CycleResult:
     """One pass around the four-stage fixed-point cycle.
 
     ``rho_inf`` is anything with an ``eval_batch(indices)`` method (the
@@ -140,32 +140,32 @@ def cycle(eta: TTTensor, rho_prev: TTTensor, rho_inf, grid: Grid, T: float,
     ``validation`` set keeps the cross convergence probes cacheable
     across iterations.
     """
-    prop = HeatPropagator.build(grid, beta * T)
+    prop = HeatPropagator(grid, beta * T)
     eta_0 = prop.apply(eta)
 
-    def initial_oracle(idx):
-        return guarded_ratio(tt_eval(rho_prev, idx), tt_eval(eta_0, idx), idx)
+    def initial_oracle(idx, rho_vals, eta_0_vals):
+        return guarded_ratio(rho_vals, eta_0_vals, idx)
 
     # cold starts seed the pivot sets from the current density so the first
     # sweeps explore index regions that actually carry mass
     eta_hat_0, info1 = tt_cross(
         initial_oracle, grid.shape, cross_cfg,
         initial_guess=rho_prev if warm is None else warm.eta_hat_0,
-        rng=rng, threads=threads, validation=validation,
+        rng=rng, validation=validation, factors=(rho_prev, eta_0),
     )
     eta_hat_0 = tt_round(eta_hat_0, trunc_tol, max_rank)
     eta_hat_T = prop.apply(eta_hat_0)
 
     gamma = 1.0 / (1.0 + 2.0 * beta)
 
-    def terminal_oracle(idx):
-        ratio = guarded_ratio(rho_inf.eval_batch(idx), tt_eval(eta_hat_T, idx), idx)
+    def terminal_oracle(idx, eta_hat_T_vals):
+        ratio = guarded_ratio(rho_inf.eval_batch(idx), eta_hat_T_vals, idx)
         return ratio**gamma
 
     eta_new, info2 = tt_cross(
         terminal_oracle, grid.shape, cross_cfg,
         initial_guess=eta_hat_T if warm is None else warm.eta_new,
-        rng=rng, threads=threads, validation=validation,
+        rng=rng, validation=validation, factors=(eta_hat_T,),
     )
     eta_new = tt_round(eta_new, trunc_tol, max_rank)
     return CycleResult(
@@ -177,8 +177,7 @@ def cycle(eta: TTTensor, rho_prev: TTTensor, rho_inf, grid: Grid, T: float,
 
 def solve_step(rho_prev: TTTensor, rho_inf, grid: Grid, T: float, beta: float,
                config: FixedPointConfig, eta_init: TTTensor | None = None,
-               rng: np.random.Generator | None = None, telemetry=None,
-               threads: int = 1) -> StepState:
+               rng: np.random.Generator | None = None, telemetry=None) -> StepState:
     """Iterate the cycle to the fixed point of one proximal step.
 
     Residuals are relative Frobenius norms computed by TT inner
@@ -195,14 +194,7 @@ def solve_step(rho_prev: TTTensor, rho_inf, grid: Grid, T: float, beta: float,
     q = config.q
 
     # one validation set per solve so cross probes hit the density cache
-    n_val = int(min(
-        config.cross.validation_size,
-        4 * grid.d * max(grid.shape) * config.cross.max_rank**2,
-        np.prod([float(m) for m in grid.shape]),
-    ))
-    validation = np.stack(
-        [rng.integers(0, grid.shape[k], size=n_val) for k in range(grid.d)], axis=1
-    ).astype(np.intp)
+    validation = validation_indices(grid.shape, config.cross, rng)
 
     history: list[float] = []
     converged = False
@@ -215,7 +207,7 @@ def solve_step(rho_prev: TTTensor, rho_inf, grid: Grid, T: float, beta: float,
         result = cycle(
             x, rho_prev, rho_inf, grid, T, beta, config.cross,
             config.trunc_tol, config.max_rank, warm=result, rng=rng,
-            threads=threads, validation=validation,
+            validation=validation,
         )
         g = result.eta_new
         with np.errstate(over="ignore", invalid="ignore"):
@@ -295,18 +287,3 @@ def terminal_identity_error(state: StepState, rho_inf, indices: np.ndarray) -> f
     ref = np.maximum(np.abs(rhs), np.finfo(float).tiny)
     return float(np.max(np.abs(lhs - rhs) / ref))
 
-
-def step_mass(state: StepState, grid: Grid) -> float:
-    """Quadrature mass of the implied next density eta_T * eta_hat_T.
-
-    Cheap surrogate using the rank-product tensor; the driver builds the
-    properly rounded product density via cross.
-    """
-    cores = []
-    for a, b in zip(state.eta_T.cores, state.eta_hat_T.cores):
-        r1a, n, r2a = a.shape
-        r1b, _, r2b = b.shape
-        prod = np.einsum("anb,cnd->acnbd", a, b, optimize=True)
-        cores.append(prod.reshape(r1a * r1b, n, r2a * r2b))
-    dens = TTTensor(cores, copy=False)
-    return tt_contract_all(dens, all_quadrature_weights(grid))

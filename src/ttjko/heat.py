@@ -9,39 +9,23 @@ unchanged; there is no time stepping.
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 import scipy.linalg
 
-from .grid import Grid
+from .grid import Grid, laplacian_1d
 from .tt import TTTensor
 
-_cache_lock = threading.Lock()
 _factor_cache: dict = {}
 
 
-def clear_cache() -> None:
-    with _cache_lock:
-        _factor_cache.clear()
-
-
-def _axis_factor(s: float, n: int, h: float) -> np.ndarray:
-    key = (float(s), int(n), float(h))
-    with _cache_lock:
-        cached = _factor_cache.get(key)
-    if cached is not None:
-        return cached
-    d_mat = np.zeros((n, n))
-    idx = np.arange(n)
-    d_mat[idx, idx] = -2.0
-    d_mat[idx[:-1], idx[:-1] + 1] = 1.0
-    d_mat[idx[1:], idx[1:] - 1] = 1.0
-    d_mat[0, 0] = d_mat[-1, -1] = -1.0
-    d_mat /= h**2
-    factor = scipy.linalg.expm(s * d_mat)
-    factor.flags.writeable = False
-    with _cache_lock:
+def _axis_factor(s: float, grid: Grid, axis: int) -> np.ndarray:
+    """``exp(s * D)`` for the axis' second-difference matrix, cached by
+    (s, nodes, spacing)."""
+    key = (float(s), int(grid.nodes[axis]), float(grid.spacings[axis]))
+    factor = _factor_cache.get(key)
+    if factor is None:
+        factor = scipy.linalg.expm(s * laplacian_1d(grid, axis))
+        factor.flags.writeable = False
         _factor_cache[key] = factor
     return factor
 
@@ -62,14 +46,7 @@ class HeatPropagator:
             )
         self.grid = grid
         self.s = float(s)
-        self.factors = [
-            _axis_factor(self.s, int(grid.nodes[k]), float(grid.spacings[k]))
-            for k in range(grid.d)
-        ]
-
-    @classmethod
-    def build(cls, grid: Grid, s: float) -> "HeatPropagator":
-        return cls(grid, s)
+        self.factors = [_axis_factor(self.s, grid, k) for k in range(grid.d)]
 
     def apply(self, t: TTTensor) -> TTTensor:
         if tuple(t.shape) != self.grid.shape:

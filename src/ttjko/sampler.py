@@ -127,9 +127,9 @@ class StepDynamics:
         eta_nodes = []
         hat_nodes = []
         for t in self.tau:
-            eta_nodes.append(HeatPropagator.build(grid, self.beta * (self.T - t))
+            eta_nodes.append(HeatPropagator(grid, self.beta * (self.T - t))
                              .apply(state.eta_T))
-            hat_nodes.append(HeatPropagator.build(grid, self.beta * t)
+            hat_nodes.append(HeatPropagator(grid, self.beta * t)
                              .apply(state.eta_hat_0))
         self._eta = self._stack(eta_nodes, diff)
         self._hat = self._stack(hat_nodes, diff)

@@ -167,6 +167,24 @@ def tt_to_full(t: TTTensor, size_cap: int = DENSE_SIZE_CAP) -> np.ndarray:
     return out.reshape(t.shape)
 
 
+def tt_chain_step(v: np.ndarray, core: np.ndarray, col: np.ndarray) -> np.ndarray:
+    """Row-wise ``v[m] @ core[:, col[m], :]``, shape ``(M, r1) -> (M, r2)``."""
+    slab = core[:, col, :].transpose(1, 0, 2)   # (M, r1, r2)
+    return np.matmul(v[:, None, :], slab)[:, 0, :]
+
+
+def _partial_products(cores: Sequence[np.ndarray], idx: np.ndarray) -> np.ndarray:
+    """Row-wise products of core slices, ``(M, k)`` indices -> ``(M, r_k)``.
+
+    ``cores`` is a nonempty chain with leading rank 1; row ``m`` of the
+    result is ``G_0[0, idx[m, 0], :] @ G_1[:, idx[m, 1], :] @ ...``.
+    """
+    v = cores[0][0, idx[:, 0], :]
+    for n in range(1, len(cores)):
+        v = tt_chain_step(v, cores[n], idx[:, n])
+    return v
+
+
 def tt_eval(t: TTTensor, indices: np.ndarray) -> np.ndarray:
     """Evaluate elements at a batch of multi-indices, shape (M, d) -> (M,)."""
     idx = np.asarray(indices, dtype=np.intp)
@@ -174,11 +192,33 @@ def tt_eval(t: TTTensor, indices: np.ndarray) -> np.ndarray:
         idx = idx[None, :]
     if idx.shape[1] != t.d:
         raise ValueError(f"expected multi-indices of length {t.d}, got {idx.shape[1]}")
-    v = t.cores[0][0, idx[:, 0], :]
-    for n in range(1, t.d):
-        slab = t.cores[n][:, idx[:, n], :].transpose(1, 0, 2)   # (M, r1, r2)
-        v = np.matmul(v[:, None, :], slab)[:, 0, :]
-    return v[:, 0]
+    return _partial_products(t.cores, idx)[:, 0]
+
+
+def tt_right_interface(t: TTTensor, suffixes: np.ndarray) -> np.ndarray:
+    """Products of the last k >= 1 cores at ``(M, k)`` suffixes, shape ``(M, r_{d-k})``.
+
+    The chain runs from the last core inward over the transposed cores
+    ``G.transpose(2, 1, 0)``; prepending mode value ``i`` to a suffix is
+    one :func:`tt_chain_step` with core ``d-k-1`` transposed that way.
+    """
+    suffixes = np.asarray(suffixes, dtype=np.intp)
+    k = suffixes.shape[1]
+    mirrored = [c.transpose(2, 1, 0) for c in t.cores[::-1][:k]]
+    return _partial_products(mirrored, suffixes[:, ::-1])
+
+
+def tt_block_eval(t: TTTensor, n: int, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Elements on the block ``prefixes x (all of mode n) x suffixes``.
+
+    ``left`` holds the products of the first n cores at the ``nl``
+    prefixes, shape ``(nl, r_n)``, built from ``np.ones((nl, 1))`` by one
+    :func:`tt_chain_step` per core; ``right`` is :func:`tt_right_interface`
+    on the ``nr`` suffixes.  The ``nl * N_n * nr`` values are ordered with
+    the suffix fastest.
+    """
+    r1, N, r2 = t.cores[n].shape
+    return ((left @ t.cores[n].reshape(r1, N * r2)).reshape(-1, r2) @ right.T).reshape(-1)
 
 
 def tt_axpy(a: float, x: TTTensor, y: TTTensor) -> TTTensor:

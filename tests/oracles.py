@@ -2,14 +2,47 @@
 
 Nothing here touches the production TT/cross code paths: heat steps use
 dense eigendecompositions, transport uses assignment enumeration, and
-KL values come from quadrature or closed forms.
+KL values come from quadrature or closed forms.  ``reference_maxvol``
+is the original maxvol built on the validating ``scipy.linalg``
+wrappers, kept to pin the pivots of the production version.
 """
 
 import itertools
 
 import numpy as np
+import scipy.linalg
 
 SIZE_CAP = 10**7
+
+
+def reference_maxvol(a: np.ndarray, tol: float = 1.05, max_iters: int = 200) -> np.ndarray:
+    """Rows of a quasi-dominant r x r submatrix of a tall n x r matrix."""
+    a = np.asarray(a, dtype=float)
+    n, r = a.shape
+    if n == r:
+        return np.arange(n)
+    _, piv = scipy.linalg.lu_factor(a, check_finite=False)
+    ind = np.arange(n)
+    for k in range(r):
+        p = piv[k]
+        if p != k:
+            ind[[k, p]] = ind[[p, k]]
+    ind = ind[:r].copy()
+    try:
+        b = scipy.linalg.solve(a[ind].T, a.T, check_finite=False).T
+    except scipy.linalg.LinAlgError:
+        b = np.linalg.lstsq(a[ind].T, a.T, rcond=None)[0].T
+    for _ in range(max_iters):
+        flat = np.argmax(np.abs(b))
+        i, j = np.unravel_index(flat, b.shape)
+        if abs(b[i, j]) <= tol:
+            break
+        bj = b[:, j].copy()
+        bi = b[i, :].copy()
+        bi[j] -= 1.0
+        b -= np.outer(bj, bi) / b[i, j]
+        ind[j] = i
+    return ind
 
 
 def dense_heat_factor(n: int, h: float, s: float) -> np.ndarray:

@@ -1,7 +1,5 @@
 """Cross approximation: exact-rank recovery, adaptivity, call accounting."""
 
-import threading
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -143,21 +141,6 @@ class TestCrossBehavior:
                            rng=np.random.default_rng(10))
         assert_allclose(tt_to_full(t), vals)
         assert info.converged
-
-    def test_threaded_oracle(self):
-        rng = np.random.default_rng(11)
-        g = tt_random((8, 8, 8), 3, rng)
-        seen_threads = set()
-
-        def f(idx):
-            seen_threads.add(threading.get_ident())
-            return tt_eval(g, idx)
-
-        cfg = CrossConfig(max_rank=4, tolerance=1e-9)
-        t_seq, _ = tt_cross(f, (8, 8, 8), cfg, rng=np.random.default_rng(12))
-        t_par, _ = tt_cross(f, (8, 8, 8), cfg, rng=np.random.default_rng(12),
-                            threads=3)
-        assert_allclose(tt_to_full(t_seq), tt_to_full(t_par), rtol=1e-12, atol=1e-12)
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="max_rank"):

@@ -1,0 +1,203 @@
+"""Fit hot-path kernels: block evaluation through TT interfaces, the
+array-keyed density cache and maxvol, each against a plain reference."""
+
+import numpy as np
+import pytest
+from numpy.testing import assert_allclose, assert_array_equal
+
+import oracles as oc
+from ttjko.cross import (CrossConfig, _block_indices, maxvol, tt_cross,
+                         validation_indices)
+from ttjko.grid import Grid
+from ttjko.targets import CachedDensity, DensityEvalError
+from ttjko.tt import (tt_block_eval, tt_chain_step, tt_eval, tt_random,
+                      tt_right_interface)
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
+
+def _left_interface(t, prefixes):
+    """Products of the first k cores at (M, k) prefixes, one chain step per core."""
+    v = np.ones((prefixes.shape[0], 1))
+    for k in range(prefixes.shape[1]):
+        v = tt_chain_step(v, t.cores[k], prefixes[:, k])
+    return v
+
+
+def _right_interface(t, suffixes):
+    """tt_right_interface, with the empty suffix set as the rank-1 ones."""
+    return tt_right_interface(t, suffixes) if suffixes.shape[1] else np.ones((1, 1))
+
+
+def _random_sets(shape, n, rng, nl=3, nr=4):
+    left = np.stack([rng.integers(0, m, nl) for m in shape[:n]], axis=1) \
+        if n else np.zeros((1, 0), dtype=np.intp)
+    right = np.stack([rng.integers(0, m, nr) for m in shape[n + 1:]], axis=1) \
+        if n < len(shape) - 1 else np.zeros((1, 0), dtype=np.intp)
+    return left.astype(np.intp), right.astype(np.intp)
+
+
+class TestBlockEval:
+    @pytest.mark.parametrize("d", [2, 6])
+    @pytest.mark.parametrize("rank", [1, 3])
+    def test_matches_pointwise_eval_on_every_block(self, d, rank):
+        rng = np.random.default_rng(10 * d + rank)
+        shape = (5, 7, 4, 6, 5, 3)[:d]
+        t = tt_random(shape, rank, rng)
+        for n in range(d):           # includes the edge blocks n = 0 and n = d-1
+            left, right = _random_sets(shape, n, rng)
+            got = tt_block_eval(t, n, _left_interface(t, left),
+                                _right_interface(t, right))
+            ref = tt_eval(t, _block_indices(left, shape[n], right))
+            assert got.shape == ref.shape
+            assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref)))
+
+    def test_right_interface_extends_by_one_chain_step(self):
+        rng = np.random.default_rng(3)
+        shape = (4, 5, 6, 3)
+        t = tt_random(shape, 3, rng)
+        suffixes = np.stack([rng.integers(0, m, 5) for m in shape[2:]], axis=1)
+        mode = rng.integers(0, shape[1], 5)
+        grown = tt_chain_step(tt_right_interface(t, suffixes),
+                              t.cores[1].transpose(2, 1, 0), mode)
+        ref = tt_right_interface(t, np.concatenate([mode[:, None], suffixes], axis=1))
+        assert_allclose(grown, ref, rtol=1e-14)
+        full = np.concatenate([rng.integers(0, 4, 5)[:, None], mode[:, None], suffixes], axis=1)
+        assert_allclose(tt_chain_step(grown, t.cores[0].transpose(2, 1, 0), full[:, 0])[:, 0],
+                        tt_eval(t, full), rtol=1e-13)
+
+
+class TestCrossFactors:
+    def test_factor_oracle_matches_pointwise_oracle(self):
+        rng = np.random.default_rng(4)
+        shape = (6, 5, 7, 4)
+        a = tt_random(shape, 2, rng)
+        b = tt_random(shape, 2, rng)
+        cfg = CrossConfig(max_rank=6, tolerance=1e-10)
+
+        def pointwise(idx):
+            return tt_eval(a, idx) * tt_eval(b, idx)
+
+        def composed(idx, a_vals, b_vals):
+            assert a_vals.shape == b_vals.shape == (idx.shape[0],)
+            return a_vals * b_vals
+
+        t1, info1 = tt_cross(pointwise, shape, cfg, rng=np.random.default_rng(5))
+        t2, info2 = tt_cross(composed, shape, cfg, rng=np.random.default_rng(5),
+                             factors=(a, b))
+        probe = validation_indices(shape, cfg, np.random.default_rng(6))
+        ref = pointwise(probe)
+        assert info2.converged
+        assert info2.n_calls == info1.n_calls
+        assert_allclose(tt_eval(t2, probe), ref, rtol=1e-8, atol=1e-8 * np.abs(ref).max())
+
+    def test_single_axis_with_factor(self):
+        a = tt_random((6,), 1, np.random.default_rng(7))
+        t, info = tt_cross(lambda idx, v: 2.0 * v, (6,), CrossConfig(),
+                           factors=(a,))
+        assert_allclose(tt_eval(t, np.arange(6)[:, None]),
+                        2.0 * tt_eval(a, np.arange(6)[:, None]), rtol=1e-14)
+
+    def test_factor_shape_checked(self):
+        a = tt_random((5, 5), 1, np.random.default_rng(8))
+        with pytest.raises(ValueError, match="factor shape"):
+            tt_cross(lambda idx, v: v, (5, 6), CrossConfig(), factors=(a,))
+
+    def test_validation_indices_draws_like_inline_sampling(self):
+        shape = (9, 7, 8)
+        cfg = CrossConfig(max_rank=3, validation_size=500)
+        got = validation_indices(shape, cfg, np.random.default_rng(11))
+        rng = np.random.default_rng(11)
+        n_val = min(500, 4 * 3 * 9 * 3**2, 9 * 7 * 8)
+        ref = np.stack([rng.integers(0, m, size=n_val) for m in shape], axis=1)
+        assert_array_equal(got, ref)
+
+
+def _density(x):
+    return 1.0 + np.sum(x * np.arange(1, x.shape[1] + 1), axis=1)
+
+
+class TestArrayKeyedCache:
+    def make(self, grid, capacity=None):
+        seen = []
+
+        def fn(x):
+            seen.append(x.copy())
+            return _density(x)
+
+        return CachedDensity(fn, grid, capacity=capacity), seen
+
+    def test_duplicates_inside_a_batch(self):
+        grid = Grid.regular(0.0, 4.0, 5, d=3)
+        cd, seen = self.make(grid)
+        idx = np.array([[1, 2, 3], [0, 0, 0], [1, 2, 3], [4, 4, 4], [0, 0, 0], [1, 2, 3]])
+        vals = cd.eval_batch(idx)
+        assert cd.unique_calls == 3
+        assert cd.total_calls == 6
+        assert_array_equal(seen[0], grid.points(idx[[0, 1, 3]]))   # first occurrences
+        assert_array_equal(vals, _density(grid.points(idx)))
+        cd.eval_batch(idx[::-1])
+        assert cd.unique_calls == 3
+        assert cd.total_calls == 12
+        assert len(seen) == 1
+
+    def test_capacity_keeps_first_distinct_in_occurrence_order(self):
+        grid = Grid.regular(0.0, 4.0, 5, d=2)
+        cd, _ = self.make(grid, capacity=2)
+        cd.eval_batch(np.array([[3, 3], [1, 0], [3, 3], [2, 4], [0, 1]]))
+        assert cd.unique_calls == 4
+        assert cd.cache_size == 2
+        cd.eval_batch(np.array([[1, 0], [3, 3]]))      # stored: free
+        assert cd.unique_calls == 4
+        cd.eval_batch(np.array([[2, 4], [0, 1]]))      # past capacity: paid again
+        assert cd.unique_calls == 6
+        assert cd.total_calls == 9
+
+    def test_disabled_cache_counts_every_row(self):
+        grid = Grid.regular(0.0, 4.0, 5, d=2)
+        cd, _ = self.make(grid)
+        cd.enabled = False
+        idx = np.array([[1, 1], [1, 1], [2, 3]])
+        vals = cd.eval_batch(idx)
+        cd.eval_batch(idx)
+        assert cd.unique_calls == 6
+        assert cd.total_calls == 6
+        assert cd.cache_size == 0
+        assert_array_equal(vals, _density(grid.points(idx)))
+
+    def test_wrapped_key_collision_is_a_miss(self):
+        # axis k has weight 2^k, so axis 64 has weight 2^64 = 0 (mod 2^64)
+        grid = Grid.regular(0.0, 1.0, 2, d=65)
+        cd, _ = self.make(grid)
+        idx = np.zeros((2, 65), dtype=np.intp)
+        idx[1, 64] = 1
+        first = cd.eval_batch(idx)
+        assert first[0] != first[1]
+        assert cd.unique_calls == 2
+        again = cd.eval_batch(idx[::-1])
+        assert_array_equal(again, first[::-1])
+        assert cd.cache_size == 1
+        assert cd.unique_calls == 3       # the colliding index is never stored
+
+    def test_bounds_and_bad_values_rejected(self):
+        grid = Grid.regular(0.0, 1.0, 4, d=2)
+        cd, _ = self.make(grid)
+        with pytest.raises(ValueError, match="outside"):
+            cd.eval_batch(np.array([[0, -1]]))
+        with pytest.raises(ValueError, match="outside"):
+            cd.eval_batch(np.array([[4, 0]]))
+        bad = CachedDensity(lambda x: np.full(x.shape[0], np.nan), grid)
+        with pytest.raises(DensityEvalError):
+            bad.eval_batch(np.array([[1, 2]]))
+
+
+class TestMaxvol:
+    def test_pivots_match_reference(self):
+        rng = np.random.default_rng(12)
+        for trial in range(300):
+            r = int(rng.integers(1, 9))
+            n = int(rng.integers(r + 1, 12 * r + 2))
+            a = rng.standard_normal((n, r))
+            if trial % 2:                   # orthonormal columns, as the cross feeds
+                a = np.linalg.svd(a, full_matrices=False)[0]
+            assert_array_equal(maxvol(a), oc.reference_maxvol(a))
