@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 import traceback
@@ -20,7 +21,6 @@ import numpy as np
 from . import diagnostics as dg
 from .config import ConfigError, RunConfig, load_config
 from .driver import FlowModel, kl_estimate, marginal_1d, run
-from .fixed_point import FixedPointConfig
 from .importance import compare_estimators, fit_importance, sum_of_parameters
 from .sampler import SamplerConfig, sample
 from .targets import CachedDensity, GaussianMixture, PosteriorTarget, save_measurements
@@ -262,11 +262,7 @@ def cmd_verify(cfg: RunConfig, out: Path) -> int:
     rows = []
     for beta, T in zip(betas, Ts):
         rho_inf = _cached_target(cfg)
-        fp = FixedPointConfig(
-            tolerance=cfg.fixed_point.tolerance, max_iters=max_iters,
-            method=cfg.fixed_point.method, q=cfg.fixed_point.q,
-            trunc_tol=cfg.fixed_point.trunc_tol, max_rank=cfg.fixed_point.max_rank,
-            cross=cfg.fixed_point.cross)
+        fp = dataclasses.replace(cfg.fixed_point, max_iters=max_iters)
         from .driver import Schedule
         model = run(cfg.initial, rho_inf, cfg.grid, Schedule([(float(T), float(beta))]),
                     fp, rng=np.random.default_rng(cfg.seeds["model"]))

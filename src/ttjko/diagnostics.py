@@ -388,16 +388,18 @@ def metropolis_hastings(density, d: int, config: MHConfig,
     keep_from = int(cfg.burn_in * cfg.n_steps)
     kept = []
     accepted = 0
-    for step in range(cfg.n_steps):
-        prop = x + cfg.proposal_std * rng.standard_normal((cfg.n_chains, d))
-        logp_prop = np.asarray(log_density(prop), dtype=float)
-        logu = np.log(rng.uniform(size=cfg.n_chains))
-        accept = logu < (logp_prop - logp)
-        x = np.where(accept[:, None], prop, x)
-        logp = np.where(accept, logp_prop, logp)
-        accepted += int(accept.sum())
-        if step >= keep_from and (step - keep_from) % cfg.thin == 0:
-            kept.append(x.copy())
+    # a chain outside the support compares -inf - -inf = NaN: a reject
+    with np.errstate(invalid="ignore"):
+        for step in range(cfg.n_steps):
+            prop = x + cfg.proposal_std * rng.standard_normal((cfg.n_chains, d))
+            logp_prop = np.asarray(log_density(prop), dtype=float)
+            logu = np.log(rng.uniform(size=cfg.n_chains))
+            accept = logu < (logp_prop - logp)
+            x = np.where(accept[:, None], prop, x)
+            logp = np.where(accept, logp_prop, logp)
+            accepted += int(accept.sum())
+            if step >= keep_from and (step - keep_from) % cfg.thin == 0:
+                kept.append(x.copy())
     chains = np.stack(kept, axis=1)
     # tau from the thinned trace, rescaled to unthinned step units
     taus = [cfg.thin * integrated_autocorr(chains[:, :, j]) for j in range(d)]

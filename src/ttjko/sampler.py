@@ -10,10 +10,20 @@ pure drift would leave stuck in low-probability regions.
 The time-dependent potentials are materialized on a geometric time
 sub-grid (one semigroup application per node, rank-preserving) and
 linearly interpolated in time; off-grid space evaluation is multilinear
-through the TT cores.  Particles are fully independent: per-particle
-adaptive step control and per-particle RNG streams derived from the
-master seed by counter splitting, so results are bitwise reproducible
-and independent of batch composition.
+through the TT cores.  Both potentials, their gradients and all time
+nodes live in one node table per axis, so a drift evaluation is a
+single pass over the axes that contracts both potentials at both
+neighbouring time nodes at once (``StepDynamics``).  The Dormand-Prince
+integrator reuses the last stage of an accepted step, and the first
+stage of a rejected one, as the next step's first stage.
+
+Particles are fully independent: per-particle adaptive step control and
+per-particle RNG streams derived from the master seed by counter
+splitting, and every reduction of the drift kernel runs over a rank axis
+of one row, so results are bitwise reproducible and independent of
+batch composition.  ``sample`` records per proximal step the ODE rounds,
+accepted and rejected steps, drift rows evaluated, the smallest proposed
+step and the rescued and unfinished counts in ``Ensemble.meta["trace"]``.
 """
 
 from __future__ import annotations
@@ -45,6 +55,10 @@ _DOPRI_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
                       -92097 / 339200, 187 / 2100, 1 / 40])
 
 _VALUE_FLOOR = 1e-300
+
+# per-step ODE counters of the sampler trace, before any round
+_NO_ODE_TRACE = {"ode_rounds": 0, "accepted": 0, "rejected": 0, "drift_rows": 0,
+                 "min_step": 0.0}
 
 
 @dataclass
@@ -110,11 +124,23 @@ def _time_fractions(n_nodes: int, edge: float = 1e-4) -> np.ndarray:
 class StepDynamics:
     """Drift evaluator for one proximal step.
 
-    Precomputes, on the time sub-grid, the forward-propagated terminal
-    potential and the propagated initial dual potential together with
-    their finite-difference gradients (one differentiated core per
-    axis), then evaluates values and log-gradients at arbitrary
-    (t, position) batches.
+    Materializes, on the time sub-grid, the forward-propagated terminal
+    potential ``eta`` and the propagated initial dual potential
+    ``eta_hat`` with their finite-difference gradients (one
+    differentiated core per axis), and keeps them as one node table per
+    axis of shape ``(2 value/grad, r1, r2, 2 potentials, K*N)``: the
+    potential of smaller rank is zero-padded to the common rank, and
+    column ``k*N + i`` holds time node k at grid node i.
+
+    A drift evaluation is one pass over the axes.  Each axis gathers the
+    two grid corners of both neighbouring time nodes with one ``take`` on
+    the last table axis and interpolates them in space; prefix, suffix
+    and gradient contractions then run on arrays with the ranks leading
+    and the batch last, for both potentials and both time nodes at once.  The two node
+    fields are interpolated in time only after the contraction (a
+    product of time-interpolated cores would not be the time-interpolated
+    product).  Every reduction runs over a rank axis in order, so each
+    row's result depends on nothing but that row.
     """
 
     def __init__(self, state: StepState, grid: Grid, config: SamplerConfig):
@@ -123,26 +149,33 @@ class StepDynamics:
         self.beta = state.beta
         self.T = state.T
         self.tau = _time_fractions(config.n_time_nodes) * state.T
-        diff = [gradient_matrix(grid, k) for k in range(grid.d)]
-        eta_nodes = []
-        hat_nodes = []
-        for t in self.tau:
-            eta_nodes.append(HeatPropagator(grid, self.beta * (self.T - t))
-                             .apply(state.eta_T))
-            hat_nodes.append(HeatPropagator(grid, self.beta * t)
-                             .apply(state.eta_hat_0))
-        self._eta = self._stack(eta_nodes, diff)
-        self._hat = self._stack(hat_nodes, diff)
+        eta_nodes = [HeatPropagator(grid, self.beta * (self.T - t)).apply(state.eta_T)
+                     for t in self.tau]
+        hat_nodes = [HeatPropagator(grid, self.beta * t).apply(state.eta_hat_0)
+                     for t in self.tau]
+        self._tables = [self._node_table(n, eta_nodes, hat_nodes)
+                        for n in range(grid.d)]
+        self._offsets = np.array([[[0, 1], [size, size + 1]]
+                                  for size in grid.nodes])[..., None]     # (d, 2, 2, 1)
+        # exact-rank views of one potential each, for the single-field drifts
+        self._eta = [tab[:, :a.shape[0], :a.shape[2], :1]
+                     for tab, a in zip(self._tables, state.eta_T.cores)]
+        self._hat = [tab[:, :a.shape[0], :a.shape[2], 1:]
+                     for tab, a in zip(self._tables, state.eta_hat_0.cores)]
 
-    @staticmethod
-    def _stack(tensors, diff):
-        d = tensors[0].d
-        vals, grads = [], []
-        for n in range(d):
-            stack = np.stack([t.cores[n] for t in tensors])        # (K, r1, N, r2)
-            vals.append(stack)
-            grads.append(np.einsum("ij,kajb->kaib", diff[n], stack, optimize=True))
-        return vals, grads
+    def _node_table(self, n, eta_nodes, hat_nodes):
+        diff = gradient_matrix(self.grid, n)
+        potentials = [np.stack([t.cores[n] for t in nodes])          # (K, r1, N, r2)
+                      for nodes in (eta_nodes, hat_nodes)]
+        r1 = max(p.shape[1] for p in potentials)
+        r2 = max(p.shape[3] for p in potentials)
+        table = np.zeros((2, r1, r2, 2, self.tau.size * int(self.grid.nodes[n])))
+        for j, stack in enumerate(potentials):
+            grad = np.einsum("ij,kajb->kaib", diff, stack, optimize=True)
+            _, a, _, b = stack.shape
+            for v, cores in enumerate((stack, grad)):
+                table[v, :a, :b, j] = cores.transpose(1, 3, 0, 2).reshape(a, b, -1)
+        return table
 
     def _cells(self, x):
         g = self.grid
@@ -151,54 +184,57 @@ class StepDynamics:
         cell = np.minimum(pos.astype(np.intp), np.asarray(g.nodes) - 2)
         return cell, pos - cell
 
-    def _field_at_node(self, stacks, node_idx, cell, w):
-        """Value and gradient of one potential at one time node per particle."""
-        val_cores, grad_cores = stacks
-        d = len(val_cores)
-        m = node_idx.shape[0]
-        slabs_v, slabs_g = [], []
-        for n in range(d):
-            lo = val_cores[n][node_idx, :, cell[:, n], :]
-            hi = val_cores[n][node_idx, :, cell[:, n] + 1, :]
-            slabs_v.append(lo + w[:, n][:, None, None] * (hi - lo))
-            lo = grad_cores[n][node_idx, :, cell[:, n], :]
-            hi = grad_cores[n][node_idx, :, cell[:, n] + 1, :]
-            slabs_g.append(lo + w[:, n][:, None, None] * (hi - lo))
-        # multiply+sum (not matmul): the reduction pattern then depends only
-        # on the rank axis, so results are bitwise independent of batch size
-        prefix = [np.ones((m, 1))]
-        for n in range(d):
-            prefix.append(np.sum(prefix[-1][:, :, None] * slabs_v[n], axis=1))
-        suffix = [np.ones((m, 1))]
-        for n in range(d - 1, -1, -1):
-            suffix.append(np.sum(slabs_v[n] * suffix[-1][:, None, :], axis=2))
-        suffix = suffix[::-1]
-        value = prefix[d][:, 0]
-        grad = np.empty((m, d))
-        for n in range(d):
-            mid = np.sum(prefix[n][:, :, None] * slabs_g[n], axis=1)
-            grad[:, n] = np.sum(mid * suffix[n + 1], axis=1)
-        return value, grad
+    @staticmethod
+    def _slabs(table, corners, w):
+        """Value and gradient cores at the points, each (r1, r2, P, 2 nodes, m):
+        ``lo + w (hi - lo)`` of the two corners gathered with one take.
+        (A function of its own so the gathered corners are freed before the
+        next axis gathers, which keeps the sampler's peak memory down.)"""
+        c = table.take(corners, axis=-1)                       # (2, r1, r2, P, 2, 2, m)
+        out = []
+        for part in c:
+            slab = np.subtract(part[..., 1, :], part[..., 0, :])
+            slab *= w
+            slab += part[..., 0, :]
+            out.append(slab)
+        return out
 
-    def _log_grad(self, stacks, t, x):
+    def _log_grad(self, tables, t, x):
+        """grad log of each potential in ``tables`` at (t, x): (d, P, m)."""
         t = np.minimum(np.maximum(t, 0.0), self.T)
         k = np.searchsorted(self.tau, t, side="right") - 1
         k = np.clip(k, 0, self.tau.size - 2)
         lam = (t - self.tau[k]) / (self.tau[k + 1] - self.tau[k])
         cell, w = self._cells(x)
-        v0, g0 = self._field_at_node(stacks, k, cell, w)
-        v1, g1 = self._field_at_node(stacks, k + 1, cell, w)
-        value = v0 + lam * (v1 - v0)
-        grad = g0 + lam[:, None] * (g1 - g0)
-        return grad / np.maximum(value, _VALUE_FLOOR)[:, None]
+        m, d = x.shape
+        # table columns of the lower/upper grid corner at nodes k and k+1
+        corners = (k[:, None] * self.grid.nodes + cell).T[:, None, None, :] + self._offsets
+        w = w.T.copy()
+        p = tables[0].shape[3]
+        prefix = np.ones((1, p, 2, m))
+        slabs, mids = [], []          # value slabs and prefix . gradient slab per axis
+        for n, table in enumerate(tables):
+            v, g = self._slabs(table, corners[n], w[n])
+            mids.append((prefix[:, None] * g).sum(axis=0))
+            prefix = (prefix[:, None] * v).sum(axis=0)
+            slabs.append(v)
+        value = prefix[0]                                      # (P, 2, m)
+        grad = np.empty((d, p, 2, m))
+        suffix = np.ones((1, p, 2, m))
+        for n in range(d - 1, -1, -1):
+            grad[n] = (mids[n] * suffix).sum(axis=0)
+            suffix = (slabs[n] * suffix).sum(axis=1)
+        value = value[:, 0] + lam * (value[:, 1] - value[:, 0])
+        grad = grad[:, :, 0] + lam * (grad[:, :, 1] - grad[:, :, 0])
+        return grad / np.maximum(value, _VALUE_FLOOR)
 
     def grad_log_eta(self, t, x):
         return self._log_grad(self._eta, np.asarray(t, dtype=float),
-                              np.atleast_2d(x))
+                              np.atleast_2d(x))[:, 0].T.copy()
 
     def grad_log_eta_hat(self, t, x):
         return self._log_grad(self._hat, np.asarray(t, dtype=float),
-                              np.atleast_2d(x))
+                              np.atleast_2d(x))[:, 0].T.copy()
 
     def ode_drift(self, t, x) -> np.ndarray:
         """Deterministic transport velocity beta * grad(log eta - log eta_hat)."""
@@ -206,8 +242,8 @@ class StepDynamics:
         x = np.atleast_2d(x)
         if t.ndim == 0:
             t = np.full(x.shape[0], float(t))
-        return self.beta * (self._log_grad(self._eta, t, x)
-                            - self._log_grad(self._hat, t, x))
+        g = self._log_grad(self._tables, t, x)
+        return (self.beta * (g[:, 0] - g[:, 1])).T.copy()
 
     def sde_drift(self, t, x) -> np.ndarray:
         """Drift of the stochastic dynamics, 2 beta * grad log eta."""
@@ -215,7 +251,7 @@ class StepDynamics:
         x = np.atleast_2d(x)
         if t.ndim == 0:
             t = np.full(x.shape[0], float(t))
-        return 2.0 * self.beta * self._log_grad(self._eta, t, x)
+        return (2.0 * self.beta * self._log_grad(self._eta, t, x)[:, 0]).T.copy()
 
     @property
     def diffusion(self) -> float:
@@ -238,17 +274,31 @@ def _integrate_ode(dyn: StepDynamics, x: np.ndarray, t0: float, t1: float,
     Euler-Maruyama fallback on the remaining window) and flagged.
     Particles still short of ``t1`` when the round budget runs out are
     left where they are and flagged unfinished.
+
+    The first stage of a round reuses a drift already evaluated at the
+    same point (first same as last): after an accepted step the seventh
+    stage, whose point ``(t + h, x5)`` is the new position bit for bit,
+    and after a rejected step the round's own first stage.  Only the
+    first round evaluates all seven stages.
+
+    Returns the rescued and unfinished flags and the step's trace: ODE
+    rounds, accepted and rejected steps, drift rows evaluated, and the
+    smallest step size the controller proposed to a particle that still
+    had time left (0.0 when the window is empty).
     """
     m, d = x.shape
     span = t1 - t0
+    trace = dict(_NO_ODE_TRACE)
     if span <= 0:
-        return np.zeros(m, dtype=bool), np.zeros(m, dtype=bool)
+        return np.zeros(m, dtype=bool), np.zeros(m, dtype=bool), trace
     t = np.full(m, t0)
     h = np.full(m, span / 16.0)
     active = np.ones(m, dtype=bool)
     rescued = np.zeros(m, dtype=bool)
+    k_first = np.empty((m, d))          # drift at each particle's (t, x), once known
+    min_step = span / 16.0
 
-    for _ in range(config.max_ode_rounds):
+    for rnd in range(config.max_ode_rounds):
         if not np.any(active):
             break
         ids = np.nonzero(active)[0]
@@ -264,10 +314,12 @@ def _integrate_ode(dyn: StepDynamics, x: np.ndarray, t0: float, t1: float,
                     acc = acc + c * ks
             return acc
 
-        for s in range(7):
-            xi = xs.copy()
-            if s > 0:
-                xi = xs + hs[:, None] * combine(_DOPRI_A[s], k[:s])
+        if rnd == 0:
+            k[0] = dyn.ode_drift(ts + _DOPRI_C[0] * hs, xs)
+        else:
+            k[0] = k_first[ids]
+        for s in range(1, 7):
+            xi = xs + hs[:, None] * combine(_DOPRI_A[s], k[:s])
             k[s] = dyn.ode_drift(ts + _DOPRI_C[s] * hs, xi)
         x5 = xs + hs[:, None] * combine(_DOPRI_B5, k)
         x4 = xs + hs[:, None] * combine(_DOPRI_B4, k)
@@ -276,6 +328,7 @@ def _integrate_ode(dyn: StepDynamics, x: np.ndarray, t0: float, t1: float,
         accept = err <= 1.0
         ts_new = np.where(accept, ts + hs, ts)
         xs = np.where(accept[:, None], x5, xs)
+        k_first[ids] = np.where(accept[:, None], k[6], k[0])
         with np.errstate(divide="ignore"):
             factor = 0.9 * err ** (-0.2)
         factor = np.clip(np.where(np.isfinite(factor), factor, 5.0), 0.2, 5.0)
@@ -292,7 +345,16 @@ def _integrate_ode(dyn: StepDynamics, x: np.ndarray, t0: float, t1: float,
                                 rescue_noise(pid))
             rescued[pid] = True
         active[ids] = ~(done | under)
-    return rescued, active.copy()
+
+        n_accepted = int(np.count_nonzero(accept))
+        trace["ode_rounds"] += 1
+        trace["accepted"] += n_accepted
+        trace["rejected"] += ids.size - n_accepted
+        trace["drift_rows"] += (7 if rnd == 0 else 6) * ids.size
+        if not np.all(done):
+            min_step = min(min_step, float(np.min(hs_next[~done])))
+    trace["min_step"] = min_step
+    return rescued, active.copy(), trace
 
 
 def _em_single(dyn: StepDynamics, x: np.ndarray, t0: float, t1: float,
@@ -346,16 +408,22 @@ def sample(model: FlowModel, n: int, config: SamplerConfig | None = None,
     x = model.initial.sample_from_uniforms(uniforms, grid) if n else np.zeros((0, d))
     rescued = np.zeros(n, dtype=bool)
     unfinished = np.zeros(n, dtype=bool)
+    trace = []
     for k, state in enumerate(model.steps):
         dyn = StepDynamics(state, grid, config)
         t_switch = (1.0 - config.epsilon_sde) * state.T
+        step_trace = {**_NO_ODE_TRACE, "rescued": 0, "unfinished": 0}
         if t_switch > 0 and n:
             def rescue_noise(pid):
                 return gens[pid].standard_normal((config.n_em_steps, d))
 
-            resc, unfin = _integrate_ode(dyn, x, 0.0, t_switch, config, rescue_noise)
+            resc, unfin, ode_trace = _integrate_ode(dyn, x, 0.0, t_switch, config,
+                                                    rescue_noise)
             rescued |= resc
             unfinished |= unfin
+            step_trace.update(ode_trace, rescued=int(resc.sum()),
+                              unfinished=int(unfin.sum()))
+        trace.append(step_trace)
         if config.epsilon_sde > 0 and n:
             x = _integrate_em(dyn, x, t_switch, state.T, config.n_em_steps,
                               em_noise[:, k])
@@ -366,5 +434,5 @@ def sample(model: FlowModel, n: int, config: SamplerConfig | None = None,
         positions=x, clamped=clamped, rescued=rescued, unfinished=unfinished,
         meta={"n": n, "seed": seed, "epsilon_sde": config.epsilon_sde,
               "n_em_steps": config.n_em_steps, "rel_tol": config.rel_tol,
-              "abs_tol": config.abs_tol, "steps": n_steps},
+              "abs_tol": config.abs_tol, "steps": n_steps, "trace": trace},
     )

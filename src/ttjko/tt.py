@@ -57,6 +57,10 @@ class TTTensor:
     def __setattr__(self, name, value):
         raise AttributeError("TTTensor is immutable")
 
+    def __reduce__(self):
+        # rebuild through __init__, which copies the cores and marks them read-only
+        return (TTTensor, (self.cores,))
+
     @property
     def d(self) -> int:
         return len(self.cores)

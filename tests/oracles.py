@@ -5,6 +5,12 @@ dense eigendecompositions, transport uses assignment enumeration, and
 KL values come from quadrature or closed forms.  ``reference_maxvol``
 is the original maxvol built on the validating ``scipy.linalg``
 wrappers, kept to pin the pivots of the production version.
+``reference_log_grad`` is the original per-node sampler drift kernel
+(one gather and one reduction per axis, time node and potential), kept
+to pin the drift of the production single-pass kernel, and
+``reference_integrate_ode`` the Dormand-Prince loop that evaluates all
+seven stages every round, kept to pin the positions of the production
+loop that reuses its first stage.
 """
 
 import itertools
@@ -43,6 +49,126 @@ def reference_maxvol(a: np.ndarray, tol: float = 1.05, max_iters: int = 200) -> 
         b -= np.outer(bj, bi) / b[i, j]
         ind[j] = i
     return ind
+
+
+def reference_stacks(tensors, grid):
+    """Per-axis value and finite-difference gradient cores of the time-node
+    tensors of one potential, stacked over the nodes: (K, r1, N, r2)."""
+    from ttjko.grid import gradient_matrix
+    vals, grads = [], []
+    for n in range(tensors[0].d):
+        stack = np.stack([t.cores[n] for t in tensors])
+        vals.append(stack)
+        grads.append(np.einsum("ij,kajb->kaib", gradient_matrix(grid, n), stack,
+                               optimize=True))
+    return vals, grads
+
+
+def _reference_field_at_node(stacks, node_idx, cell, w):
+    """Value and gradient of one potential at one time node per particle."""
+    val_cores, grad_cores = stacks
+    d = len(val_cores)
+    m = node_idx.shape[0]
+    slabs_v, slabs_g = [], []
+    for n in range(d):
+        lo = val_cores[n][node_idx, :, cell[:, n], :]
+        hi = val_cores[n][node_idx, :, cell[:, n] + 1, :]
+        slabs_v.append(lo + w[:, n][:, None, None] * (hi - lo))
+        lo = grad_cores[n][node_idx, :, cell[:, n], :]
+        hi = grad_cores[n][node_idx, :, cell[:, n] + 1, :]
+        slabs_g.append(lo + w[:, n][:, None, None] * (hi - lo))
+    # multiply+sum (not matmul): the reduction pattern then depends only
+    # on the rank axis, so results are bitwise independent of batch size
+    prefix = [np.ones((m, 1))]
+    for n in range(d):
+        prefix.append(np.sum(prefix[-1][:, :, None] * slabs_v[n], axis=1))
+    suffix = [np.ones((m, 1))]
+    for n in range(d - 1, -1, -1):
+        suffix.append(np.sum(slabs_v[n] * suffix[-1][:, None, :], axis=2))
+    suffix = suffix[::-1]
+    value = prefix[d][:, 0]
+    grad = np.empty((m, d))
+    for n in range(d):
+        mid = np.sum(prefix[n][:, :, None] * slabs_g[n], axis=1)
+        grad[:, n] = np.sum(mid * suffix[n + 1], axis=1)
+    return value, grad
+
+
+def reference_log_grad(stacks, tau, T, grid, t, x, floor=1e-300):
+    """grad log of one potential at (t, x), linear in time between the
+    nodes ``tau`` and multilinear in space; ``stacks`` from
+    ``reference_stacks``."""
+    t = np.minimum(np.maximum(t, 0.0), T)
+    k = np.searchsorted(tau, t, side="right") - 1
+    k = np.clip(k, 0, tau.size - 2)
+    lam = (t - tau[k]) / (tau[k + 1] - tau[k])
+    xc = np.clip(x, grid.lower, grid.upper)
+    pos = (xc - grid.lower) / grid.spacings
+    cell = np.minimum(pos.astype(np.intp), np.asarray(grid.nodes) - 2)
+    w = pos - cell
+    v0, g0 = _reference_field_at_node(stacks, k, cell, w)
+    v1, g1 = _reference_field_at_node(stacks, k + 1, cell, w)
+    value = v0 + lam * (v1 - v0)
+    grad = g0 + lam[:, None] * (g1 - g0)
+    return grad / np.maximum(value, floor)[:, None]
+
+
+def reference_integrate_ode(dyn, x, t0, t1, config, rescue_noise):
+    """Per-particle adaptive Dormand-Prince integration of ``dyn.ode_drift``,
+    seven drift evaluations per round; returns (rescued, unfinished)."""
+    from ttjko.sampler import _DOPRI_A, _DOPRI_B4, _DOPRI_B5, _DOPRI_C, _em_single
+    m, d = x.shape
+    span = t1 - t0
+    if span <= 0:
+        return np.zeros(m, dtype=bool), np.zeros(m, dtype=bool)
+    t = np.full(m, t0)
+    h = np.full(m, span / 16.0)
+    active = np.ones(m, dtype=bool)
+    rescued = np.zeros(m, dtype=bool)
+    for _ in range(config.max_ode_rounds):
+        if not np.any(active):
+            break
+        ids = np.nonzero(active)[0]
+        xs = x[ids]
+        ts = t[ids]
+        hs = np.minimum(h[ids], t1 - ts)
+        k = np.empty((7, ids.size, d))
+
+        def combine(coeffs, stages):
+            acc = np.zeros((ids.size, d))
+            for c, ks in zip(coeffs, stages):
+                if c != 0.0:
+                    acc = acc + c * ks
+            return acc
+
+        for s in range(7):
+            xi = xs.copy()
+            if s > 0:
+                xi = xs + hs[:, None] * combine(_DOPRI_A[s], k[:s])
+            k[s] = dyn.ode_drift(ts + _DOPRI_C[s] * hs, xi)
+        x5 = xs + hs[:, None] * combine(_DOPRI_B5, k)
+        x4 = xs + hs[:, None] * combine(_DOPRI_B4, k)
+        scale = config.abs_tol + config.rel_tol * np.maximum(np.abs(xs), np.abs(x5))
+        err = np.sqrt(np.mean(((x5 - x4) / scale) ** 2, axis=1))
+        accept = err <= 1.0
+        ts_new = np.where(accept, ts + hs, ts)
+        xs = np.where(accept[:, None], x5, xs)
+        with np.errstate(divide="ignore"):
+            factor = 0.9 * err ** (-0.2)
+        factor = np.clip(np.where(np.isfinite(factor), factor, 5.0), 0.2, 5.0)
+        hs_next = hs * factor
+        x[ids] = xs
+        t[ids] = ts_new
+        h[ids] = hs_next
+        done = ts_new >= t1 * (1.0 - 1e-14) - 1e-300
+        under = hs_next < config.min_step_fraction * span
+        for j in np.nonzero(under & ~done)[0]:
+            pid = ids[j]
+            x[pid] = _em_single(dyn, x[pid], t[pid], t1, config.n_em_steps,
+                                rescue_noise(pid))
+            rescued[pid] = True
+        active[ids] = ~(done | under)
+    return rescued, active.copy()
 
 
 def dense_heat_factor(n: int, h: float, s: float) -> np.ndarray:

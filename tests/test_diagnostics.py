@@ -189,6 +189,7 @@ class TestMetropolisHastings:
         assert 0.13 <= res.acceptance_rate <= 0.38
         assert res.proposal_std < 40.0
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_detailed_balance_three_states(self):
         # random walk over a 3-level stepped density: stationary transition
         # counts between levels must be symmetric

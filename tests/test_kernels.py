@@ -1,5 +1,6 @@
-"""Fit hot-path kernels: block evaluation through TT interfaces, the
-array-keyed density cache and maxvol, each against a plain reference."""
+"""Hot-path kernels: block evaluation through TT interfaces, the
+array-keyed density cache, maxvol and the sampler's single-pass drift,
+each against a plain reference."""
 
 import numpy as np
 import pytest
@@ -8,9 +9,12 @@ from numpy.testing import assert_allclose, assert_array_equal
 import oracles as oc
 from ttjko.cross import (CrossConfig, _block_indices, maxvol, tt_cross,
                          validation_indices)
+from ttjko.fixed_point import StepState
 from ttjko.grid import Grid
+from ttjko.heat import HeatPropagator
+from ttjko.sampler import SamplerConfig, StepDynamics
 from ttjko.targets import CachedDensity, DensityEvalError
-from ttjko.tt import (tt_block_eval, tt_chain_step, tt_eval, tt_random,
+from ttjko.tt import (TTTensor, tt_block_eval, tt_chain_step, tt_eval, tt_random,
                       tt_right_interface)
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -201,3 +205,77 @@ class TestMaxvol:
             if trial % 2:                   # orthonormal columns, as the cross feeds
                 a = np.linalg.svd(a, full_matrices=False)[0]
             assert_array_equal(maxvol(a), oc.reference_maxvol(a))
+
+
+def _positive_tt(shape, rank, rng):
+    return TTTensor([np.abs(c) + 0.05 for c in tt_random(shape, rank, rng).cores])
+
+
+def _drift_case(d, eta_rank, hat_rank, seed):
+    """StepDynamics on a random positive TT pair, with the per-node reference
+    stacks of both potentials."""
+    rng = np.random.default_rng(seed)
+    grid = Grid.regular(-2.0, [3.0, 2.5, 4.0, 3.0, 2.0, 3.5][:d],
+                        [5, 7, 6, 4, 8, 5][:d])
+    state = StepState(eta_T=_positive_tt(grid.shape, eta_rank, rng), eta_0=None,
+                      eta_hat_0=_positive_tt(grid.shape, hat_rank, rng), eta_hat_T=None,
+                      T=1.5, beta=0.3, converged=True, iters=1)
+    dyn = StepDynamics(state, grid, SamplerConfig(n_time_nodes=8))
+    eta = oc.reference_stacks([HeatPropagator(grid, state.beta * (state.T - t))
+                               .apply(state.eta_T) for t in dyn.tau], grid)
+    hat = oc.reference_stacks([HeatPropagator(grid, state.beta * t)
+                               .apply(state.eta_hat_0) for t in dyn.tau], grid)
+    return dyn, eta, hat, rng
+
+
+def _drift_points(dyn, m, rng):
+    """m >= 5 points and times that hit every edge case the kernel guards:
+    points clamped from outside the box, points on the upper and lower
+    faces, and t = 0, T, an interior node and values outside [0, T]."""
+    g = dyn.grid
+    width = g.upper - g.lower
+    x = rng.uniform(g.lower - 0.2 * width, g.upper + 0.2 * width, (m, g.d))
+    x[1::5] = np.where(rng.random((len(x[1::5]), g.d)) < 0.5, g.upper, x[1::5])
+    x[2::5, -1] = g.lower[-1]
+    t = rng.uniform(0.0, dyn.T, m)
+    t[:5] = [0.0, dyn.T, dyn.tau[3], -0.4, dyn.T + 0.7]
+    return t, x
+
+
+def _reference_drifts(dyn, eta, hat, t, x):
+    ref_eta = oc.reference_log_grad(eta, dyn.tau, dyn.T, dyn.grid, t, x)
+    ref_hat = oc.reference_log_grad(hat, dyn.tau, dyn.T, dyn.grid, t, x)
+    return {"ode_drift": dyn.beta * (ref_eta - ref_hat),
+            "sde_drift": 2.0 * dyn.beta * ref_eta,
+            "grad_log_eta": ref_eta, "grad_log_eta_hat": ref_hat}
+
+
+class TestDriftKernel:
+    @pytest.mark.parametrize("d", [1, 2, 6])
+    @pytest.mark.parametrize("ranks", [(3, 2), (1, 1), (2, 3)])
+    @pytest.mark.parametrize("m", [1, 257])
+    def test_bitwise_equal_to_per_node_reference(self, d, ranks, m):
+        dyn, eta, hat, rng = _drift_case(d, *ranks, seed=100 * d + 10 * ranks[0] + m)
+        t, x = _drift_points(dyn, max(m, 5), rng)
+        batches = [(t[i:i + 1], x[i:i + 1]) for i in range(5)] if m == 1 else [(t, x)]
+        for t, x in batches:
+            for name, ref in _reference_drifts(dyn, eta, hat, t, x).items():
+                got = getattr(dyn, name)(t, x)
+                assert got.shape == (m, d) and got.flags.c_contiguous
+                assert_array_equal(got, ref, err_msg=name)
+
+    def test_rows_independent_of_batch(self):
+        dyn, _, _, rng = _drift_case(6, 3, 2, seed=7)
+        t, x = _drift_points(dyn, 257, rng)
+        full = dyn.ode_drift(t, x)
+        rows = np.concatenate([dyn.ode_drift(t[i:i + 1], x[i:i + 1]) for i in range(257)])
+        assert_array_equal(full, rows)
+
+    def test_rank_nine_within_summation_order(self):
+        # numpy sums rank axes of 8 or more pairwise in the reference, in
+        # order here: equal up to the reordering of the sums
+        dyn, eta, hat, rng = _drift_case(3, 9, 4, seed=9)
+        t, x = _drift_points(dyn, 257, rng)
+        for name, ref in _reference_drifts(dyn, eta, hat, t, x).items():
+            assert_allclose(getattr(dyn, name)(t, x), ref, rtol=1e-13,
+                            atol=1e-13 * np.max(np.abs(ref)), err_msg=name)

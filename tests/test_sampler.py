@@ -1,15 +1,20 @@
 """Hybrid ODE/SDE sampling of fitted models."""
 
+import json
+
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
+
+import oracles as oc
+from ttjko import sampler as sampler_module
 
 from ttjko.driver import FlowModel, GaussianInitial, Schedule, run
 from ttjko.fixed_point import FixedPointConfig, StepState
 from ttjko.cross import CrossConfig
 from ttjko.grid import Grid
 from ttjko.sampler import (Ensemble, SamplerConfig, StepDynamics, _em_single,
-                           _reflect, sample)
+                           _integrate_ode, _reflect, sample)
 from ttjko.targets import CachedDensity, Gaussian
 from ttjko.tt import tt_rank_one, tt_ones
 
@@ -188,3 +193,71 @@ class TestRescue:
         assert out.shape == (2,)
         assert np.all(np.isfinite(out))
         assert np.all(out >= grid.lower) and np.all(out <= grid.upper)
+
+
+class TestTrace:
+    """The per-step sampler trace, and first-same-as-last stage reuse."""
+
+    @staticmethod
+    def _integrate(integrate, m=37):
+        grid = Grid.regular(-3.0, 3.0, 30, d=2)
+        state = gaussian_state(grid, 0.4, 0.5, -0.3, 0.9, T=2.0, beta=0.2)
+        dyn = StepDynamics(state, grid, SamplerConfig())
+        calls = []
+        drift = dyn.ode_drift
+
+        def counted(t, x):
+            calls.append(x.shape[0])
+            return drift(t, x)
+
+        dyn.ode_drift = counted
+        x = np.random.default_rng(3).uniform(-2.5, 2.5, (m, 2))
+        out = integrate(dyn, x, 0.0, 1.5, SamplerConfig(rel_tol=1e-8),
+                        lambda pid: np.zeros((20, 2)))
+        return x, out, calls
+
+    def test_positions_match_seven_stage_reference(self):
+        x_ref, (resc_ref, unfin_ref), calls_ref = self._integrate(oc.reference_integrate_ode)
+        x, (resc, unfin, trace), calls = self._integrate(_integrate_ode)
+        assert_array_equal(x, x_ref)
+        assert_array_equal(resc, resc_ref)
+        assert_array_equal(unfin, unfin_ref)
+        assert trace["rejected"] > 0          # both FSAL branches are exercised
+        assert sum(calls) < sum(calls_ref)
+
+    def test_counters_follow_fsal(self):
+        m = 37
+        _, (_, _, trace), calls = self._integrate(_integrate_ode, m)
+        # round 1 evaluates 7 stages of every particle, later rounds 6 of the
+        # particles still active
+        assert calls[:7] == [m] * 7
+        later = calls[7:]
+        assert len(later) % 6 == 0
+        rounds = [later[i:i + 6] for i in range(0, len(later), 6)]
+        assert all(len(set(r)) == 1 for r in rounds)
+        active = [m] + [r[0] for r in rounds]
+        assert trace["ode_rounds"] == len(active)
+        assert trace["drift_rows"] == sum(calls) == 7 * m + 6 * sum(active[1:])
+        assert trace["accepted"] + trace["rejected"] == sum(active)
+        assert trace["accepted"] >= m
+        assert all(type(trace[k]) is int
+                   for k in ("ode_rounds", "accepted", "rejected", "drift_rows"))
+        assert type(trace["min_step"]) is float and 0.0 < trace["min_step"] <= 1.5 / 16
+
+    def test_sample_positions_unchanged_by_trace(self, fitted, monkeypatch, tmp_path):
+        ens = sample(fitted, 40, SamplerConfig(), seed=5)
+        trace = ens.meta["trace"]
+        assert len(trace) == len(fitted.steps)
+        assert set(trace[0]) == {"ode_rounds", "accepted", "rejected", "drift_rows",
+                                 "min_step", "rescued", "unfinished"}
+        assert trace[0]["rescued"] == int(ens.rescued.sum())
+        assert trace[0]["unfinished"] == int(ens.unfinished.sum())
+        ens.save(tmp_path / "ens.csv")
+        assert json.loads((tmp_path / "ens.csv.json").read_text())["trace"] == trace
+
+        def untraced(*args):
+            return (*oc.reference_integrate_ode(*args), {})
+
+        monkeypatch.setattr(sampler_module, "_integrate_ode", untraced)
+        ref = sample(fitted, 40, SamplerConfig(), seed=5)
+        assert_array_equal(ens.positions, ref.positions)

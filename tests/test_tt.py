@@ -1,5 +1,8 @@
 """Tensor-train algebra against dense materializations."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -246,6 +249,39 @@ class TestSerialization:
         path.write_bytes(b"NOPE" + b"\x00" * 64)
         with pytest.raises(ValueError, match="magic"):
             tt_load(path)
+
+
+def _model_tensors(model):
+    return [model.rho_tt] + [getattr(s, name) for s in model.steps
+                             for name in ("eta_T", "eta_0", "eta_hat_0", "eta_hat_T")]
+
+
+class TestCopy:
+    @pytest.mark.parametrize("clone", [lambda x: pickle.loads(pickle.dumps(x)),
+                                       copy.deepcopy], ids=["pickle", "deepcopy"])
+    def test_tensor(self, clone):
+        t = tt_random((3, 4, 5), 2, np.random.default_rng(0))
+        c = clone(t)
+        assert isinstance(c, TTTensor) and c is not t
+        for a, b in zip(t.cores, c.cores):
+            np.testing.assert_array_equal(a, b)
+            assert not b.flags.writeable
+        with pytest.raises(AttributeError, match="immutable"):
+            c.cores = ()
+
+    @pytest.mark.parametrize("clone", [lambda x: pickle.loads(pickle.dumps(x)),
+                                       copy.deepcopy], ids=["pickle", "deepcopy"])
+    def test_fitted_model(self, gauss2, clone):
+        model = gauss2["model"]
+        c = clone(model)
+        pairs = list(zip(_model_tensors(model), _model_tensors(c)))
+        assert len(pairs) == 1 + 4 * len(model.steps)
+        for t, u in pairs:
+            assert u is not t and len(u.cores) == len(t.cores)
+            for a, b in zip(t.cores, u.cores):
+                np.testing.assert_array_equal(a, b)
+                assert a.tobytes() == b.tobytes()
+                assert not b.flags.writeable
 
 
 @settings(max_examples=25, deadline=None)
