@@ -20,9 +20,9 @@ import numpy as np
 
 from . import diagnostics as dg
 from .config import ConfigError, RunConfig, load_config
-from .driver import FlowModel, kl_estimate, marginal_1d, run
+from .driver import FlowModel, Schedule, marginal_1d, run
 from .importance import compare_estimators, fit_importance, sum_of_parameters
-from .sampler import SamplerConfig, sample
+from .sampler import sample
 from .targets import CachedDensity, GaussianMixture, PosteriorTarget, save_measurements
 
 
@@ -69,7 +69,7 @@ def _fit_model(cfg: RunConfig, out: Path):
     return model, rho_inf
 
 
-def cmd_fit(cfg: RunConfig, out: Path, plot: bool) -> int:
+def cmd_fit(cfg: RunConfig, out: Path) -> int:
     model, rho_inf = _fit_model(cfg, out)
     model.save(out / "model")
     if isinstance(cfg.target, PosteriorTarget):
@@ -86,8 +86,6 @@ def cmd_fit(cfg: RunConfig, out: Path, plot: bool) -> int:
     with open(out / "fit.json", "w") as fh:
         json.dump({"config": cfg.echo, "summary": summary}, fh, indent=2,
                   sort_keys=True, default=str)
-    if plot:
-        _plot_marginals(model, out / "marginals.png")
     print(f"fit: converged={model.converged} KL={model.kl_history} "
           f"unique={rho_inf.unique_calls} total={rho_inf.total_calls}")
     return 0
@@ -103,6 +101,14 @@ def cmd_sample(cfg: RunConfig, out: Path, model_dir, n: int) -> int:
     return 0
 
 
+def _log_density(target):
+    """MH log-density override: minus the potential of an unordered
+    posterior (no underflow for concentrated targets), else None."""
+    if isinstance(target, PosteriorTarget) and not target.ordered:
+        return lambda x: -target.potential(x)
+    return None
+
+
 def _reference_samples(cfg: RunConfig, n_sets: int, n: int):
     """Reference ensembles: exact draws for mixtures, a long MH chain
     (states spaced by the autocorrelation time) otherwise."""
@@ -111,25 +117,16 @@ def _reference_samples(cfg: RunConfig, n_sets: int, n: int):
     if isinstance(target, GaussianMixture):
         return [target.sample(n, rng) for _ in range(n_sets)], None
     mh_cfg = cfg.diagnostics["mh"]
-    log_density = None
-    if isinstance(target, PosteriorTarget) and not target.ordered:
-        def log_density(x):
-            return -target.potential(x)
-    cfg_long = dg.MHConfig(
-        n_chains=n, n_steps=mh_cfg.n_steps, proposal_std=mh_cfg.proposal_std,
-        burn_in=mh_cfg.burn_in, thin=max(mh_cfg.thin, 1), init_std=mh_cfg.init_std,
-        auto_tune=mh_cfg.auto_tune,
-    )
+    cfg_long = dataclasses.replace(mh_cfg, n_chains=n, thin=max(mh_cfg.thin, 1))
+    log_density = _log_density(target)
     result = None
     for _ in range(3):
         result = dg.metropolis_hastings(target.density, target.dim, cfg_long, rng,
                                         log_density=log_density)
         if cfg_long.n_steps > 50 * result.tau:
             break
-        cfg_long = dg.MHConfig(**{**cfg_long.__dict__,
-                                  "n_steps": int(np.ceil(60 * result.tau)),
-                                  "auto_tune": False,
-                                  "proposal_std": result.proposal_std})
+        cfg_long = dataclasses.replace(cfg_long, n_steps=int(np.ceil(60 * result.tau)),
+                                       auto_tune=False, proposal_std=result.proposal_std)
     else:
         raise RuntimeError(
             f"reference chain never exceeded 50 autocorrelation times "
@@ -154,16 +151,10 @@ def cmd_benchmark(cfg: RunConfig, out: Path) -> int:
     mh_cfg = cfg.diagnostics["mh"]
     short_steps = max(rho_inf.unique_calls // n, 2)
     target = cfg.target
-    log_density = None
-    if isinstance(target, PosteriorTarget) and not target.ordered:
-        def log_density(x):
-            return -target.potential(x)
     short = dg.metropolis_hastings(
         target.density, target.dim,
-        dg.MHConfig(n_chains=n, n_steps=short_steps, proposal_std=mh_cfg.proposal_std,
-                    burn_in=0.0, thin=1, init_std=mh_cfg.init_std,
-                    auto_tune=mh_cfg.auto_tune),
-        rng, log_density=log_density)
+        dataclasses.replace(mh_cfg, n_chains=n, n_steps=short_steps, burn_in=0.0, thin=1),
+        rng, log_density=_log_density(target))
     stride = max(short.chains.shape[1] // n_sets, 1)
     mcmc_sets = [short.chains[:, -(1 + i * stride), :] for i in range(n_sets)][::-1]
 
@@ -195,7 +186,7 @@ def _mcmc_marginal_hdi(samples: np.ndarray, nodes: np.ndarray, mass: float = 0.8
     return dg.map_and_hdi(dens, nodes, mass)
 
 
-def cmd_invert(cfg: RunConfig, out: Path, plot: bool) -> int:
+def cmd_invert(cfg: RunConfig, out: Path) -> int:
     if not isinstance(cfg.target, PosteriorTarget):
         raise ConfigError("invert requires a hyperbolic or parabolic target")
     model, rho_inf = _fit_model(cfg, out)
@@ -220,14 +211,12 @@ def cmd_invert(cfg: RunConfig, out: Path, plot: bool) -> int:
                ["param", "theta_star", "mcmc_min", "mcmc_map", "mcmc_max",
                 "tt_min", "tt_map", "tt_max", "eps_rel"], rows)
     _write_sidecar(out / "invert.csv", cfg)
-    if plot:
-        _plot_marginals(model, out / "marginals.png")
     for row in rows:
         print("invert:", row)
     return 0
 
 
-def cmd_importance(cfg: RunConfig, out: Path, plot: bool) -> int:
+def cmd_importance(cfg: RunConfig, out: Path) -> int:
     model, rho_inf = _fit_model(cfg, out)
     if not model.converged:
         raise RuntimeError("posterior fit did not converge")
@@ -249,8 +238,6 @@ def cmd_importance(cfg: RunConfig, out: Path, plot: bool) -> int:
         "plain_std": comp.plain_std, "weighted_std": comp.weighted_std,
         "posterior_calls_during_importance_fit": rho_inf.unique_calls - calls_before,
     })
-    if plot:
-        _plot_estimates(comp, out / "importance.png")
     print(f"importance: plain std={comp.plain_std:.4g} weighted std={comp.weighted_std:.4g}")
     return 0
 
@@ -263,7 +250,6 @@ def cmd_verify(cfg: RunConfig, out: Path) -> int:
     for beta, T in zip(betas, Ts):
         rho_inf = _cached_target(cfg)
         fp = dataclasses.replace(cfg.fixed_point, max_iters=max_iters)
-        from .driver import Schedule
         model = run(cfg.initial, rho_inf, cfg.grid, Schedule([(float(T), float(beta))]),
                     fp, rng=np.random.default_rng(cfg.seeds["model"]))
         state = model.steps[0]
@@ -277,43 +263,6 @@ def cmd_verify(cfg: RunConfig, out: Path) -> int:
     return 0
 
 
-def _plot_marginals(model: FlowModel, path):
-    try:
-        import matplotlib
-        matplotlib.use("Agg")
-        import matplotlib.pyplot as plt
-    except ImportError:
-        return
-    d = model.grid.d
-    cols = min(d, 5)
-    rows = (d + cols - 1) // cols
-    fig, axes = plt.subplots(rows, cols, figsize=(3 * cols, 2.2 * rows), squeeze=False)
-    for k in range(d):
-        ax = axes[k // cols][k % cols]
-        ax.plot(model.grid.axis_nodes(k), marginal_1d(model, k))
-        ax.set_title(f"x{k}")
-    fig.tight_layout()
-    fig.savefig(path, dpi=110)
-    plt.close(fig)
-
-
-def _plot_estimates(comp, path):
-    try:
-        import matplotlib
-        matplotlib.use("Agg")
-        import matplotlib.pyplot as plt
-    except ImportError:
-        return
-    fig, ax = plt.subplots(figsize=(5, 3))
-    bins = np.histogram_bin_edges(np.concatenate([comp.plain, comp.weighted]), bins=12)
-    ax.hist(comp.plain, bins=bins, alpha=0.6, label="plain mean")
-    ax.hist(comp.weighted, bins=bins, alpha=0.6, label="importance")
-    ax.legend()
-    fig.tight_layout()
-    fig.savefig(path, dpi=110)
-    plt.close(fig)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ttjko")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -323,8 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="override the config's base seeds")
         p.add_argument("--out", default=None, help="output directory")
-        if name in ("fit", "invert", "importance"):
-            p.add_argument("--plot", action="store_true")
         if name == "sample":
             p.add_argument("-n", type=int, default=400)
             p.add_argument("--model", default=None, help="fitted model directory")
@@ -345,15 +292,15 @@ def main(argv=None) -> int:
     out.mkdir(parents=True, exist_ok=True)
     try:
         if args.command == "fit":
-            return cmd_fit(cfg, out, getattr(args, "plot", False))
+            return cmd_fit(cfg, out)
         if args.command == "sample":
             return cmd_sample(cfg, out, args.model, args.n)
         if args.command == "benchmark":
             return cmd_benchmark(cfg, out)
         if args.command == "invert":
-            return cmd_invert(cfg, out, getattr(args, "plot", False))
+            return cmd_invert(cfg, out)
         if args.command == "importance":
-            return cmd_importance(cfg, out, getattr(args, "plot", False))
+            return cmd_importance(cfg, out)
         if args.command == "verify":
             return cmd_verify(cfg, out)
         raise AssertionError(args.command)

@@ -134,7 +134,7 @@ def build_sampler(spec: dict) -> SamplerConfig:
 
 
 def build_diagnostics(spec: dict) -> dict:
-    allowed = {"sinkhorn", "mh", "n_sample_sets", "sample_size", "n_projections"}
+    allowed = {"sinkhorn", "mh", "n_sample_sets", "sample_size"}
     _require_keys(spec, allowed, set(), "diagnostics")
     sink_spec = spec.get("sinkhorn", {})
     _require_keys(sink_spec, {"epsilon", "max_iters", "threshold"}, set(),
@@ -159,7 +159,6 @@ def build_diagnostics(spec: dict) -> dict:
         ),
         "n_sample_sets": int(spec.get("n_sample_sets", 20)),
         "sample_size": int(spec.get("sample_size", 400)),
-        "n_projections": int(spec.get("n_projections", 100)),
     }
 
 

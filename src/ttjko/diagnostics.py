@@ -9,7 +9,7 @@ separates genuine model error from the finite-sample noise floor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -435,5 +435,4 @@ def _tune_proposal(density, d: int, config: MHConfig, rng: np.random.Generator,
         else:
             hi = std
             std = std * 0.5 if lo is None else 0.5 * (std + lo)
-    out = MHConfig(**{**config.__dict__, "proposal_std": std, "auto_tune": False})
-    return out
+    return replace(config, proposal_std=std, auto_tune=False)

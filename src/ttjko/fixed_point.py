@@ -42,7 +42,6 @@ class FixedPointConfig:
     max_iters: int = 1000
     method: str = "anderson"          # "picard" or "anderson"
     q: float | None = None            # relaxation; defaults 1.0 / 0.85 by method
-    window: int = 2                   # Anderson residual window (closed form needs 2)
     trunc_tol: float = 1e-8
     max_rank: int = 10
     cross: CrossConfig | None = None
@@ -54,8 +53,6 @@ class FixedPointConfig:
             self.q = 1.0 if self.method == "picard" else 0.85
         if not 0.0 < self.q <= 1.0:
             raise ValueError("relaxation q must be in (0, 1]")
-        if self.method == "anderson" and self.window != 2:
-            raise ValueError("only the window-2 Anderson variant is implemented")
         if self.tolerance <= 0:
             raise ValueError("tolerance must be > 0")
         if self.cross is None:

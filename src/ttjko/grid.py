@@ -3,6 +3,14 @@
 Axis ``k`` carries ``N_k`` nodes including both endpoints, so the
 spacing is ``h_k = (R_k - L_k) / (N_k - 1)`` and node ``i`` sits at
 ``L_k + i * h_k``.
+
+Off-grid points are evaluated by one kernel, ``multilinear``: each
+axis gathers the two corners of every point's cell (``Grid.cells``,
+after clamping into the box) with one ``take``, interpolates them
+linearly, and contracts the resulting cores with the ranks leading and
+the points last, for the value and, from derivative cores, the
+gradient.  ``interpolate_batch`` and the sampler drift both use it;
+``tt.tt_eval`` stays the kernel for grid indices.
 """
 
 from __future__ import annotations
@@ -71,6 +79,17 @@ class Grid:
 
     def clamp(self, x: np.ndarray) -> np.ndarray:
         return np.clip(x, self.lower, self.upper)
+
+    def outside(self, x: np.ndarray) -> np.ndarray:
+        """Rows of the points (M, d) that lie outside the box."""
+        return np.any((x < self.lower) | (x > self.upper), axis=1)
+
+    def cells(self, x: np.ndarray):
+        """Lower-corner cell (M, d) and barycentric weight (M, d) of the
+        points (M, d), clamped into the box first."""
+        pos = (self.clamp(x) - self.lower) / self.spacings
+        cell = np.minimum(pos.astype(np.intp), self.nodes - 2)
+        return cell, pos - cell
 
     def to_dict(self) -> dict:
         return {
@@ -143,42 +162,74 @@ def gradient_tensors(t: TTTensor, grid: Grid) -> list:
     return out
 
 
-def _cell_weights(grid: Grid, x: np.ndarray):
-    """Cell indices and barycentric weights of (possibly clamped) points."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    clamped = np.any((x < grid.lower) | (x > grid.upper), axis=1)
-    xc = grid.clamp(x)
-    h = grid.spacings
-    pos = (xc - grid.lower) / h
-    cell = np.minimum(pos.astype(np.intp), np.asarray(grid.nodes) - 2)
-    w = pos - cell
-    return cell, w, clamped
+def _slabs(table, cols, w):
+    """Cores at the points, one per leading table entry (value, gradient):
+    ``lo + w (hi - lo)`` of the two corners gathered with one take.
+    (A function of its own so the gathered corners are freed before the
+    next axis gathers, which keeps the sampler's peak memory down.)"""
+    c = table.take(cols, axis=-1)
+    out = []
+    for part in c:
+        slab = np.subtract(part[..., 1, :], part[..., 0, :])
+        slab *= w
+        slab += part[..., 0, :]
+        out.append(slab)
+    return out
+
+
+def multilinear(tables, cols, w):
+    """Multilinear TT contraction at off-grid points, batch last.
+
+    ``tables[n]`` holds axis n's cores with the ranks leading and the
+    grid columns last, ``(V, r1, r2, *F, C)``: ``V = 1`` for values only,
+    ``V = 2`` for values and derivative cores, and ``F`` any batch of
+    fields contracted alike.  ``cols[n]`` holds the columns of each
+    point's lower and upper corner, ``(*G, 2, m)``, where ``G`` adds
+    further field axes, and ``w[n]`` the barycentric weights, ``(m,)``.
+
+    Returns ``(value, grad)`` of shapes ``(*F, *G, m)`` and
+    ``(d, *F, *G, m)``; ``grad`` is None for a value-only table.  Every
+    reduction runs over one rank axis in order, so each point's result
+    depends on nothing but that point.
+    """
+    prefix = np.ones(1)
+    slabs, mids = [], []          # value slabs and prefix . derivative slab per axis
+    for n, table in enumerate(tables):
+        v, *g = _slabs(table, cols[n], w[n])
+        if g:
+            mids.append((prefix[:, None] * g[0]).sum(axis=0))
+            slabs.append(v)
+        prefix = (prefix[:, None] * v).sum(axis=0)
+    value = prefix[0]
+    if not mids:
+        return value, None
+    grad = np.empty((len(tables),) + value.shape)
+    suffix = np.ones(1)
+    for n in range(len(tables) - 1, -1, -1):
+        grad[n] = (mids[n] * suffix).sum(axis=0)
+        suffix = (slabs[n] * suffix).sum(axis=1)
+    return value, grad
 
 
 def interpolate_batch(t: TTTensor, grid: Grid, x: np.ndarray):
     """Multilinear interpolation at points (M, d).
 
     Returns ``(values, clamped)`` where ``clamped`` flags points that
-    fell outside the box and were evaluated at its surface.  Works as a
-    single contraction pass per axis (cost O(M d r^2)), which covers the
-    high-dimensional case as well.
+    fell outside the box and were evaluated at its surface.  One
+    ``multilinear`` pass over the axes (cost O(M d r^2)), which covers
+    the high-dimensional case as well.
     """
     if tuple(t.shape) != grid.shape:
         raise ValueError(f"tensor shape {t.shape} does not match grid {grid.shape}")
     for core in t.cores:
         if not np.all(np.isfinite(core)):
             raise ValueError("tensor cores contain non-finite values")
-    cell, w, clamped = _cell_weights(grid, x)
-    v = None
-    for n, core in enumerate(t.cores):
-        lo = core[:, cell[:, n], :]
-        hi = core[:, cell[:, n] + 1, :]
-        slab = lo + w[:, n][None, :, None] * (hi - lo)
-        if v is None:
-            v = slab[0].copy()          # (M, r)
-        else:
-            v = np.matmul(v[:, None, :], slab.transpose(1, 0, 2))[:, 0, :]
-    return v[:, 0], clamped
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    cell, w = grid.cells(x)
+    tables = [core.transpose(0, 2, 1)[None] for core in t.cores]     # (1, r1, r2, N)
+    corners = cell.T[:, None, :] + np.array([[0], [1]])               # (d, 2, M)
+    values, _ = multilinear(tables, corners, w.T)
+    return values, grid.outside(x)
 
 
 def interpolate(t: TTTensor, grid: Grid, point) -> float:

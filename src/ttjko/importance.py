@@ -16,7 +16,7 @@ import numpy as np
 
 from .driver import FlowModel, kl_estimate, product_density
 from .fixed_point import FixedPointConfig, solve_step
-from .grid import Grid
+from .grid import Grid, interpolate_batch
 from .sampler import SamplerConfig, sample
 from .tt import tt_eval
 
@@ -109,8 +109,6 @@ def importance_estimate(samples: np.ndarray, qoi: QuantityOfInterest,
     elif weight_mode == "true":
         if rho_inf_fn is None or importance_model is None:
             raise ValueError("true weights need the target oracle and the fitted model")
-        from .grid import interpolate_batch
-
         rho_f, _ = interpolate_batch(importance_model.rho_tt, importance_model.grid, x)
         w = np.asarray(rho_inf_fn(x), dtype=float) / np.maximum(rho_f, np.finfo(float).tiny)
     else:

@@ -13,7 +13,8 @@ linearly interpolated in time; off-grid space evaluation is multilinear
 through the TT cores.  Both potentials, their gradients and all time
 nodes live in one node table per axis, so a drift evaluation is a
 single pass over the axes that contracts both potentials at both
-neighbouring time nodes at once (``StepDynamics``).  The Dormand-Prince
+neighbouring time nodes at once (``StepDynamics``); the contraction is
+the grid module's off-grid kernel, ``grid.multilinear``.  The Dormand-Prince
 integrator reuses the last stage of an accepted step, and the first
 stage of a rejected one, as the next step's first stage.
 
@@ -37,7 +38,7 @@ import numpy as np
 
 from .driver import FlowModel
 from .fixed_point import StepState
-from .grid import Grid, gradient_matrix
+from .grid import Grid, gradient_matrix, multilinear
 from .heat import HeatPropagator
 
 _DOPRI_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
@@ -132,15 +133,17 @@ class StepDynamics:
     potential of smaller rank is zero-padded to the common rank, and
     column ``k*N + i`` holds time node k at grid node i.
 
-    A drift evaluation is one pass over the axes.  Each axis gathers the
-    two grid corners of both neighbouring time nodes with one ``take`` on
-    the last table axis and interpolates them in space; prefix, suffix
-    and gradient contractions then run on arrays with the ranks leading
-    and the batch last, for both potentials and both time nodes at once.  The two node
-    fields are interpolated in time only after the contraction (a
-    product of time-interpolated cores would not be the time-interpolated
-    product).  Every reduction runs over a rank axis in order, so each
-    row's result depends on nothing but that row.
+    A drift evaluation is one ``grid.multilinear`` pass over the axes:
+    each axis gathers the two grid corners of both neighbouring time
+    nodes with one ``take`` on the last table axis and interpolates them
+    in space; prefix, suffix and gradient contractions then run on arrays
+    with the ranks leading and the batch last, for both potentials and
+    both time nodes at once.  This class keeps the time bookkeeping: the
+    node search, the table columns of each time node, and the time
+    interpolation of the two node fields, done only after the
+    contraction (a product of time-interpolated cores would not be the
+    time-interpolated product).  Every reduction runs over a rank axis in
+    order, so each row's result depends on nothing but that row.
     """
 
     def __init__(self, state: StepState, grid: Grid, config: SamplerConfig):
@@ -177,53 +180,16 @@ class StepDynamics:
                 table[v, :a, :b, j] = cores.transpose(1, 3, 0, 2).reshape(a, b, -1)
         return table
 
-    def _cells(self, x):
-        g = self.grid
-        xc = np.clip(x, g.lower, g.upper)
-        pos = (xc - g.lower) / g.spacings
-        cell = np.minimum(pos.astype(np.intp), np.asarray(g.nodes) - 2)
-        return cell, pos - cell
-
-    @staticmethod
-    def _slabs(table, corners, w):
-        """Value and gradient cores at the points, each (r1, r2, P, 2 nodes, m):
-        ``lo + w (hi - lo)`` of the two corners gathered with one take.
-        (A function of its own so the gathered corners are freed before the
-        next axis gathers, which keeps the sampler's peak memory down.)"""
-        c = table.take(corners, axis=-1)                       # (2, r1, r2, P, 2, 2, m)
-        out = []
-        for part in c:
-            slab = np.subtract(part[..., 1, :], part[..., 0, :])
-            slab *= w
-            slab += part[..., 0, :]
-            out.append(slab)
-        return out
-
     def _log_grad(self, tables, t, x):
         """grad log of each potential in ``tables`` at (t, x): (d, P, m)."""
         t = np.minimum(np.maximum(t, 0.0), self.T)
         k = np.searchsorted(self.tau, t, side="right") - 1
         k = np.clip(k, 0, self.tau.size - 2)
         lam = (t - self.tau[k]) / (self.tau[k + 1] - self.tau[k])
-        cell, w = self._cells(x)
-        m, d = x.shape
+        cell, w = self.grid.cells(x)
         # table columns of the lower/upper grid corner at nodes k and k+1
-        corners = (k[:, None] * self.grid.nodes + cell).T[:, None, None, :] + self._offsets
-        w = w.T.copy()
-        p = tables[0].shape[3]
-        prefix = np.ones((1, p, 2, m))
-        slabs, mids = [], []          # value slabs and prefix . gradient slab per axis
-        for n, table in enumerate(tables):
-            v, g = self._slabs(table, corners[n], w[n])
-            mids.append((prefix[:, None] * g).sum(axis=0))
-            prefix = (prefix[:, None] * v).sum(axis=0)
-            slabs.append(v)
-        value = prefix[0]                                      # (P, 2, m)
-        grad = np.empty((d, p, 2, m))
-        suffix = np.ones((1, p, 2, m))
-        for n in range(d - 1, -1, -1):
-            grad[n] = (mids[n] * suffix).sum(axis=0)
-            suffix = (slabs[n] * suffix).sum(axis=1)
+        cols = (k[:, None] * self.grid.nodes + cell).T[:, None, None, :] + self._offsets
+        value, grad = multilinear(tables, cols, w.T.copy())   # (P, 2, m), (d, P, 2, m)
         value = value[:, 0] + lam * (value[:, 1] - value[:, 0])
         grad = grad[:, :, 0] + lam * (grad[:, :, 1] - grad[:, :, 0])
         return grad / np.maximum(value, _VALUE_FLOOR)
@@ -428,10 +394,8 @@ def sample(model: FlowModel, n: int, config: SamplerConfig | None = None,
             x = _integrate_em(dyn, x, t_switch, state.T, config.n_em_steps,
                               em_noise[:, k])
 
-    clamped = np.any((x < grid.lower) | (x > grid.upper), axis=1) if n else np.zeros(0, bool)
-    x = grid.clamp(x) if n else x
     return Ensemble(
-        positions=x, clamped=clamped, rescued=rescued, unfinished=unfinished,
+        positions=grid.clamp(x), clamped=grid.outside(x), rescued=rescued, unfinished=unfinished,
         meta={"n": n, "seed": seed, "epsilon_sde": config.epsilon_sde,
               "n_em_steps": config.n_em_steps, "rel_tol": config.rel_tol,
               "abs_tol": config.abs_tol, "steps": n_steps, "trace": trace},

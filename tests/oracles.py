@@ -10,7 +10,9 @@ wrappers, kept to pin the pivots of the production version.
 to pin the drift of the production single-pass kernel, and
 ``reference_integrate_ode`` the Dormand-Prince loop that evaluates all
 seven stages every round, kept to pin the positions of the production
-loop that reuses its first stage.
+loop that reuses its first stage.  ``reference_interpolate_batch`` is
+the original row-wise interpolation (one ``matmul`` chain step per
+axis), kept to pin the shared off-grid kernel.
 """
 
 import itertools
@@ -111,6 +113,39 @@ def reference_log_grad(stacks, tau, T, grid, t, x, floor=1e-300):
     value = v0 + lam * (v1 - v0)
     grad = g0 + lam[:, None] * (g1 - g0)
     return grad / np.maximum(value, floor)[:, None]
+
+
+def _reference_cell_weights(grid, x):
+    """Cell indices and barycentric weights of (possibly clamped) points."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    clamped = np.any((x < grid.lower) | (x > grid.upper), axis=1)
+    xc = grid.clamp(x)
+    h = grid.spacings
+    pos = (xc - grid.lower) / h
+    cell = np.minimum(pos.astype(np.intp), np.asarray(grid.nodes) - 2)
+    w = pos - cell
+    return cell, w, clamped
+
+
+def reference_interpolate_batch(t, grid, x):
+    """Multilinear interpolation at points (M, d), one row-wise chain step
+    per axis; returns ``(values, clamped)``."""
+    if tuple(t.shape) != grid.shape:
+        raise ValueError(f"tensor shape {t.shape} does not match grid {grid.shape}")
+    for core in t.cores:
+        if not np.all(np.isfinite(core)):
+            raise ValueError("tensor cores contain non-finite values")
+    cell, w, clamped = _reference_cell_weights(grid, x)
+    v = None
+    for n, core in enumerate(t.cores):
+        lo = core[:, cell[:, n], :]
+        hi = core[:, cell[:, n] + 1, :]
+        slab = lo + w[:, n][None, :, None] * (hi - lo)
+        if v is None:
+            v = slab[0].copy()          # (M, r)
+        else:
+            v = np.matmul(v[:, None, :], slab.transpose(1, 0, 2))[:, 0, :]
+    return v[:, 0], clamped
 
 
 def reference_integrate_ode(dyn, x, t0, t1, config, rescue_noise):

@@ -149,6 +149,24 @@ class TestVerifyCommand:
         assert json.loads((out / "verify.json").read_text())["config"]
 
 
+class TestBenchmarkCommand:
+    def test_row_and_deterministic_csv(self, tmp_path):
+        out = tmp_path / "b"
+        cfg = tiny_gaussian_config(out, diagnostics={
+            "mh": {"n_chains": 50, "n_steps": 3000, "auto_tune": True},
+            "n_sample_sets": 3, "sample_size": 50,
+        })
+        path = write_config(tmp_path, cfg)
+        assert main(["benchmark", path]) == 0
+        first = (out / "benchmark.csv").read_bytes()
+        lines = first.decode().splitlines()
+        assert lines[0] == ("distribution,d,r_max,unique,total,s2_ref_ref,s2_ref_tt,"
+                            "s2_ref_mcmc,double_ot_tt,double_ot_mcmc")
+        assert len(lines) == 2 and lines[1].startswith("gaussian,2,")
+        assert main(["benchmark", path]) == 0
+        assert (out / "benchmark.csv").read_bytes() == first
+
+
 class TestInvertCommand:
     def test_row_per_parameter(self, tmp_path):
         out = tmp_path / "inv"

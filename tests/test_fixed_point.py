@@ -42,10 +42,6 @@ class TestConfig:
         with pytest.raises(ValueError, match="relaxation"):
             FixedPointConfig(q=1.5)
 
-    def test_window_restricted(self):
-        with pytest.raises(ValueError, match="window-2"):
-            FixedPointConfig(method="anderson", window=3)
-
 
 class TestGuardedRatio:
     def test_plain_division(self):

@@ -8,6 +8,8 @@ from ttjko.grid import (Grid, gradient_tensors, interpolate, interpolate_batch,
                         laplacian_1d, quadrature_weights)
 from ttjko.tt import tt_eval, tt_from_full, tt_ones, tt_rank_one
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 class TestGrid:
     def test_nodes_include_endpoints(self):

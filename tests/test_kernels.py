@@ -1,6 +1,6 @@
 """Hot-path kernels: block evaluation through TT interfaces, the
-array-keyed density cache, maxvol and the sampler's single-pass drift,
-each against a plain reference."""
+array-keyed density cache, maxvol, the sampler's single-pass drift and
+off-grid interpolation, each against a plain reference."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,7 @@ import oracles as oc
 from ttjko.cross import (CrossConfig, _block_indices, maxvol, tt_cross,
                          validation_indices)
 from ttjko.fixed_point import StepState
-from ttjko.grid import Grid
+from ttjko.grid import Grid, interpolate_batch
 from ttjko.heat import HeatPropagator
 from ttjko.sampler import SamplerConfig, StepDynamics
 from ttjko.targets import CachedDensity, DensityEvalError
@@ -279,3 +279,26 @@ class TestDriftKernel:
         for name, ref in _reference_drifts(dyn, eta, hat, t, x).items():
             assert_allclose(getattr(dyn, name)(t, x), ref, rtol=1e-13,
                             atol=1e-13 * np.max(np.abs(ref)), err_msg=name)
+
+
+class TestInterpolateKernel:
+    @pytest.mark.parametrize("d", [1, 2, 6, 16])
+    @pytest.mark.parametrize("rank", [1, 3, 9])
+    def test_matches_row_wise_reference(self, d, rank):
+        rng = np.random.default_rng(10 * d + rank)
+        grid = Grid.regular(rng.uniform(-3.0, -1.0, d), rng.uniform(1.0, 3.0, d),
+                            rng.integers(2, 8, d))
+        t = _positive_tt(grid.shape, rank, rng)
+        width = grid.upper - grid.lower
+        x = rng.uniform(grid.lower - 0.2 * width, grid.upper + 0.2 * width, (60, d))
+        x[:10] = rng.uniform(grid.lower, grid.upper, (10, d))      # inside
+        x[10:15] = grid.upper                                      # upper face
+        x[15:20] = grid.lower                                      # lower face
+        x[20:25, 0] = grid.upper[0]
+        x[25:30, -1] = grid.lower[-1]
+        got, clamped = interpolate_batch(t, grid, x)
+        ref, ref_clamped = oc.reference_interpolate_batch(t, grid, x)
+        assert got.shape == ref.shape == (60,)
+        assert_allclose(got, ref, rtol=1e-14, atol=0.0)
+        assert_array_equal(clamped, ref_clamped)
+        assert not clamped[:20].any() and clamped[30:].any()

@@ -18,6 +18,8 @@ from ttjko.sampler import (Ensemble, SamplerConfig, StepDynamics, _em_single,
 from ttjko.targets import CachedDensity, Gaussian
 from ttjko.tt import tt_rank_one, tt_ones
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def gaussian_state(grid, mean_eta, var_eta, mean_hat, var_hat, T=1.0, beta=0.1):
     """StepState with Gaussian-shaped potentials for closed-form checks."""
