@@ -1,10 +1,12 @@
 """Sample-quality metrics, posterior interval statistics and the MCMC baseline.
 
 The Sinkhorn divergence here is the debiased entropic transport cost
-between uniform empirical measures, solved in the log domain; the
-"double OT" statistic compares the *distributions* of divergence values
-across repeated samples by exact one-dimensional transport, which
-separates genuine model error from the finite-sample noise floor.
+between uniform empirical measures, iterated in the stabilised scaling
+domain (one kernel mat-vec per half-update, with a log-domain fallback
+where the kernel product under- or overflows); the "double OT"
+statistic compares the *distributions* of divergence values across
+repeated samples by exact one-dimensional transport, which separates
+genuine model error from the finite-sample noise floor.
 """
 
 from __future__ import annotations
@@ -27,6 +29,10 @@ class SinkhornConfig:
     def __post_init__(self):
         if self.epsilon is not None and self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be at least 1")
+        if self.threshold <= 0:
+            raise ValueError("threshold must be positive")
 
 
 @dataclass
@@ -58,9 +64,22 @@ def _sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.maximum(xx + yy - 2.0 * x @ y.T, 0.0)
 
 
+#: the scaling-domain Sinkhorn absorbs the dual potentials into its kernel
+#: once either drifts this many epsilons from the absorbed pair, which
+#: keeps every scaling ``exp`` far from overflow
+ABSORB_BOUND = 50.0
+_TINY = np.finfo(float).tiny
+
+
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     m = np.max(a, axis=axis, keepdims=True)
     return (m + np.log(np.sum(np.exp(a - m), axis=axis, keepdims=True))).squeeze(axis)
+
+
+def _usable(s: np.ndarray) -> bool:
+    """Whether every kernel product is a normal, finite positive number,
+    so that its logarithm keeps full precision."""
+    return bool(s.min() >= _TINY and s.max() < np.inf)
 
 
 def entropic_ot(x: np.ndarray, y: np.ndarray, epsilon: float,
@@ -69,8 +88,15 @@ def entropic_ot(x: np.ndarray, y: np.ndarray, epsilon: float,
 
     Returns the primal objective (quadratic cost plus epsilon times the
     KL of the plan to the product measure) and a convergence flag.
-    Log-domain iterations with epsilon annealing, so small epsilon is
-    both safe and affordable.
+    Epsilon annealing makes small epsilon both safe and affordable.  The
+    Sinkhorn updates run in the stabilised scaling domain: the dual
+    potentials ``f, g`` are held as the pair ``f_bar, g_bar`` last
+    absorbed into the kernel ``K = exp((f_bar + g_bar - c) / eps)`` plus
+    scalings, so a half-update is one kernel mat-vec and one ``exp`` per
+    point, with the iterates of the log-domain updates.  The kernel is
+    rebuilt when epsilon changes and when a potential drifts more than
+    ``ABSORB_BOUND * eps`` from its absorbed value; a half-update whose
+    kernel product under- or overflows is redone in the log domain.
     """
     # canonical argument order: the cost is symmetric, but the alternating
     # dual updates are not at finite convergence, so fix the roles by content
@@ -83,12 +109,35 @@ def entropic_ot(x: np.ndarray, y: np.ndarray, epsilon: float,
     log_nu = -np.log(m)
     f = np.zeros(n)
     g = np.zeros(m)
+    f_bar, g_bar, kernel, kernel_eps = f, g, None, None
+
+    def absorb(eps, f_abs, g_abs):
+        nonlocal f_bar, g_bar, kernel, kernel_eps
+        f_bar, g_bar, kernel_eps = f_abs, g_abs, eps
+        kernel = np.add.outer(f_abs, g_abs)
+        kernel -= c
+        kernel /= eps
+        np.exp(kernel, out=kernel)
 
     def update(eps):
         nonlocal f, g
-        f_new = -eps * (_logsumexp((g[None, :] - c) / eps + log_nu, axis=1))
-        g_new = -eps * (_logsumexp((f_new[:, None] - c) / eps + log_mu, axis=0))
-        delta = max(np.max(np.abs(f_new - f)), np.max(np.abs(g_new - g)))
+        if eps != kernel_eps or np.abs(g - g_bar).max() > ABSORB_BOUND * eps:
+            absorb(eps, f, g)
+        s = kernel @ np.exp((g - g_bar) / eps)
+        if _usable(s):
+            f_new = f_bar - eps * (np.log(s) + log_nu)
+        else:
+            f_new = -eps * _logsumexp((g[None, :] - c) / eps + log_nu, axis=1)
+            absorb(eps, f_new, g)
+        if np.abs(f_new - f_bar).max() > ABSORB_BOUND * eps:
+            absorb(eps, f_new, g)
+        s = np.exp((f_new - f_bar) / eps) @ kernel
+        if _usable(s):
+            g_new = g_bar - eps * (np.log(s) + log_mu)
+        else:
+            g_new = -eps * _logsumexp((f_new[:, None] - c) / eps + log_mu, axis=0)
+            absorb(eps, f_new, g_new)
+        delta = max(np.abs(f_new - f).max(), np.abs(g_new - g).max())
         f, g = f_new, g_new
         return delta
 
@@ -190,10 +239,14 @@ class DoubleOTReport:
     within_ref: PairStats
     to_ref: dict = field(default_factory=dict)       # label -> PairStats
     double_ot: dict = field(default_factory=dict)    # label -> float
+    solves: int = 0              # entropic_ot calls behind the values
+    unconverged: int = 0         # of those, the ones that hit max_iters
 
     def to_dict(self) -> dict:
         out = {
             "epsilon": self.epsilon,
+            "solves": self.solves,
+            "unconverged": self.unconverged,
             "ref_to_ref": {"mean": self.within_ref.mean, "std": self.within_ref.std},
         }
         for label, stats in self.to_ref.items():
@@ -209,7 +262,8 @@ def double_ot_protocol(groups: dict, config: SinkhornConfig | None = None,
     All pairs share one epsilon (from the pooled scale) so values are
     comparable.  The scalar per method label is the exact 1-d OT
     distance between the ref-ref and ref-method divergence-value
-    distributions.
+    distributions.  The report counts the ``entropic_ot`` solves behind
+    the values and how many of them stopped at ``max_iters``.
     """
     if ref_label not in groups:
         raise ValueError(f"missing reference label {ref_label!r}")
@@ -222,22 +276,24 @@ def double_ot_protocol(groups: dict, config: SinkhornConfig | None = None,
     if eps is None:
         pool = np.concatenate([groups[lab][0] for lab in sorted(groups)], axis=0)
         eps = 0.01 * median_sq_distance(pool)
-    shared = SinkhornConfig(epsilon=eps, max_iters=config.max_iters,
-                            threshold=config.threshold)
 
     refs = groups[ref_label]
     self_cost: dict = {}
+    flags: list = []
+
+    def solve(a, b):
+        value, converged = entropic_ot(a, b, eps, config.max_iters, config.threshold)
+        flags.append(converged)
+        return value
 
     def self_term(sample):
         key = id(sample)
         if key not in self_cost:
-            self_cost[key] = entropic_ot(sample, sample, eps, shared.max_iters,
-                                         shared.threshold)[0]
+            self_cost[key] = solve(sample, sample)
         return self_cost[key]
 
     def s2(a, b):
-        cross = entropic_ot(a, b, eps, shared.max_iters, shared.threshold)[0]
-        return cross - 0.5 * (self_term(a) + self_term(b))
+        return solve(a, b) - 0.5 * (self_term(a) + self_term(b))
 
     ref_vals = np.array([
         s2(refs[i], refs[j])
@@ -253,6 +309,8 @@ def double_ot_protocol(groups: dict, config: SinkhornConfig | None = None,
         vals = np.array([s2(r, s) for r in refs for s in groups[label]])
         report.to_ref[label] = PairStats(float(vals.mean()), float(vals.std()), vals)
         report.double_ot[label] = wasserstein_1d_sq(ref_vals, vals)
+    report.solves = len(flags)
+    report.unconverged = flags.count(False)
     return report
 
 

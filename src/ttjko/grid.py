@@ -225,6 +225,8 @@ def interpolate_batch(t: TTTensor, grid: Grid, x: np.ndarray):
         if not np.all(np.isfinite(core)):
             raise ValueError("tensor cores contain non-finite values")
     x = np.atleast_2d(np.asarray(x, dtype=float))
+    if x.ndim != 2 or x.shape[1] != grid.d:
+        raise ValueError(f"points of shape {x.shape} do not have the grid's {grid.d} columns")
     cell, w = grid.cells(x)
     tables = [core.transpose(0, 2, 1)[None] for core in t.cores]     # (1, r1, r2, N)
     corners = cell.T[:, None, :] + np.array([[0], [1]])               # (d, 2, M)

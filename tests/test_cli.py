@@ -163,6 +163,10 @@ class TestBenchmarkCommand:
         assert lines[0] == ("distribution,d,r_max,unique,total,s2_ref_ref,s2_ref_tt,"
                             "s2_ref_mcmc,double_ot_tt,double_ot_mcmc")
         assert len(lines) == 2 and lines[1].startswith("gaussian,2,")
+        report = json.loads((out / "benchmark.json").read_text())["report"]
+        # 3 + 9 + 9 cross pairs and one self term for each of the 9 sets
+        assert report["solves"] == 30
+        assert 0 <= report["unconverged"] <= 30
         assert main(["benchmark", path]) == 0
         assert (out / "benchmark.csv").read_bytes() == first
 

@@ -5,10 +5,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 import oracles as oc
+from ttjko import diagnostics
 from ttjko.diagnostics import (MHConfig, SinkhornConfig, double_ot_protocol,
-                               integrated_autocorr, map_and_hdi,
+                               entropic_ot, integrated_autocorr, map_and_hdi,
                                metropolis_hastings, sinkhorn_divergence,
                                sliced_wasserstein, wasserstein_1d_sq)
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 class TestSinkhorn:
@@ -57,6 +60,88 @@ class TestSinkhorn:
             sinkhorn_divergence(np.zeros((0, 2)), np.zeros((3, 2)))
         with pytest.raises(ValueError, match="dimension"):
             sinkhorn_divergence(np.zeros((3, 2)), np.zeros((3, 3)))
+
+    def test_config_rejects_empty_budget_and_nonpositive_threshold(self):
+        with pytest.raises(ValueError, match="max_iters"):
+            SinkhornConfig(max_iters=0)
+        for threshold in (0.0, -1e-5):
+            with pytest.raises(ValueError, match="threshold"):
+                SinkhornConfig(threshold=threshold)
+
+
+def _median_eps(x, y):
+    return 0.01 * float(np.median(((x[:, None, :] - y[None, :, :]) ** 2).sum(axis=2)))
+
+
+class TestEntropicKernel:
+    """The stabilised scaling iteration reproduces the log-domain iterates:
+    the value to rtol 1e-10 and the convergence flag exactly."""
+
+    @staticmethod
+    def check(x, y, eps, max_iters, threshold):
+        got = entropic_ot(x, y, eps, max_iters, threshold)
+        want = oc.reference_entropic_ot(x, y, eps, max_iters, threshold)
+        assert_allclose(got[0], want[0], rtol=1e-10)
+        assert got[1] == want[1]
+        return got
+
+    def test_square_d6(self):
+        rng = np.random.default_rng(20)
+        x = rng.standard_normal((200, 6))
+        y = 0.8 * rng.standard_normal((200, 6)) + 0.3
+        eps = _median_eps(x, y)
+        assert self.check(x, y, eps, 150, 1e-4)[1] is False
+        assert self.check(x, y, eps, 2000, 1e-4)[1] is True
+
+    def test_unequal_sizes(self):
+        rng = np.random.default_rng(21)
+        x = rng.standard_normal((70, 3))
+        y = rng.standard_normal((110, 3)) - 0.5
+        self.check(x, y, _median_eps(x, y), 2000, 1e-6)
+        self.check(y, x, _median_eps(x, y), 2000, 1e-6)
+
+    def test_sample_against_itself(self):
+        rng = np.random.default_rng(22)
+        x = rng.standard_normal((120, 4))
+        self.check(x, x, _median_eps(x, x), 300, 1e-5)
+
+    def test_two_point_small_epsilon(self):
+        x = np.array([[0.0, 0.0], [1.0, 0.0]])
+        y = np.array([[0.1, 0.0], [1.2, 0.0]])
+        assert self.check(x, y, 0.01, 5000, 1e-12)[1] is True
+
+    def test_far_outlier_takes_log_domain_fallback(self, monkeypatch):
+        # epsilon above the median cost leaves no annealing level, so the
+        # first kernel exp(-c / eps) has all-zero rows and columns
+        rng = np.random.default_rng(23)
+        x = rng.standard_normal((40, 2))
+        y = rng.standard_normal((50, 2)) + 0.5
+        x[0] = [200.0, 0.0]
+        y[-1] = [0.0, -250.0]
+        c = ((x[:, None, :] - y[None, :, :]) ** 2).sum(axis=2)
+        eps = 2.0 * float(np.median(c))
+        assert np.all(c[0] / eps > 800) and np.all(c[:, -1] / eps > 800)
+        fallbacks = []
+
+        def counting(a, axis):
+            fallbacks.append(axis)
+            return oc._logsumexp(a, axis)
+
+        monkeypatch.setattr(diagnostics, "_logsumexp", counting)
+        value, _ = self.check(x, y, eps, 500, 1e-8)
+        assert np.isfinite(value)
+        assert set(fallbacks) == {0, 1}
+
+    @pytest.mark.parametrize("far_size", [40, 42])
+    def test_potential_jump_past_exp_range_reabsorbed(self, far_size):
+        # the far point's dual jumps about 710 epsilons in its first
+        # half-update, past exp's range, while its kernel product stays
+        # normal; the sizes put it in the row and in the column role
+        far_point = 30.0
+        eps = (far_point - 1.0) ** 2 / 710.5
+        near = np.concatenate([np.linspace(-1, 1, 20), np.ones(20)])[:, None]
+        far = np.concatenate([np.linspace(-1, 1, far_size - 1), [far_point]])[:, None]
+        self.check(near, far, eps, 50, 1e-8)
 
 
 class TestSliced:
@@ -112,6 +197,19 @@ class TestDoubleOT:
         report = double_ot_protocol({"ref": refs, "same": same})
         assert abs(report.to_ref["same"].mean - report.within_ref.mean) \
             <= 3 * (report.within_ref.std + report.to_ref["same"].std + 1e-12)
+
+    def test_reports_unconverged_solves(self):
+        rng = np.random.default_rng(24)
+        groups = {"ref": [rng.standard_normal((30, 2)) for _ in range(2)],
+                  "other": [rng.standard_normal((30, 2)) + 1.0 for _ in range(2)]}
+        # 1 + 4 cross solves and one self term per distinct sample
+        starved = double_ot_protocol(groups, SinkhornConfig(max_iters=3))
+        assert starved.solves == 9
+        assert starved.unconverged == 9
+        assert starved.to_dict()["solves"] == 9
+        assert starved.to_dict()["unconverged"] == 9
+        ample = double_ot_protocol(groups, SinkhornConfig(max_iters=5000, threshold=1e-4))
+        assert (ample.solves, ample.unconverged) == (9, 0)
 
     def test_requires_two_samples_per_label(self):
         rng = np.random.default_rng(10)
@@ -189,7 +287,6 @@ class TestMetropolisHastings:
         assert 0.13 <= res.acceptance_rate <= 0.38
         assert res.proposal_std < 40.0
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_detailed_balance_three_states(self):
         # random walk over a 3-level stepped density: stationary transition
         # counts between levels must be symmetric

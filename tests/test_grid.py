@@ -128,6 +128,16 @@ class TestInterpolate:
         with pytest.raises(ValueError, match="non-finite"):
             interpolate_batch(bad, g, np.array([[0.5]]))
 
+    def test_points_of_wrong_width_rejected(self):
+        g = Grid.regular(0.0, 1.0, 4, d=2)
+        t = tt_ones((4, 4))
+        with pytest.raises(ValueError, match="2 columns"):
+            interpolate_batch(t, g, [[0.5], [0.25]])
+        with pytest.raises(ValueError, match="2 columns"):
+            interpolate_batch(t, g, np.full((3, 3), 0.5))
+        with pytest.raises(ValueError, match="2 columns"):
+            interpolate(t, g, [0.5, 0.5, 0.5])
+
 
 class TestGradients:
     def test_constant_has_zero_gradient(self):
