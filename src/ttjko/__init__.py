@@ -3,15 +3,13 @@ gradient-free sampling of the fitted model."""
 
 from .cross import CrossConfig, CrossInfo, CrossOracleError, maxvol, tt_cross
 from .diagnostics import (MHConfig, MHResult, SinkhornConfig, double_ot_protocol,
-                          map_and_hdi, metropolis_hastings, sinkhorn_divergence,
-                          sliced_wasserstein)
+                          map_and_hdi, metropolis_hastings)
 from .driver import (FlowModel, GaussianInitial, Schedule, kl_estimate,
                      marginal_1d, marginals, run)
 from .fixed_point import (DivisionFloorError, FixedPointConfig, StepState,
                           certificate_indices, cycle, solve_step,
                           terminal_identity_error)
-from .grid import (Grid, gradient_tensors, interpolate, interpolate_batch,
-                   laplacian_1d, quadrature_weights)
+from .grid import Grid, interpolate_batch, laplacian_1d, quadrature_weights
 from .heat import HeatPropagator
 from .importance import (QuantityOfInterest, compare_estimators, fit_importance,
                          importance_estimate, sum_of_parameters)

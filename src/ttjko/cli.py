@@ -174,6 +174,9 @@ def cmd_benchmark(cfg: RunConfig, out: Path) -> int:
                 "double_ot_mcmc"], [row])
     _write_sidecar(out / "benchmark.csv", cfg, {"report": report.to_dict()})
     print("benchmark:", row)
+    if report.unconverged:
+        print(f"benchmark: {report.unconverged} of {report.solves} Sinkhorn solves "
+              "stopped at max_iters unconverged")
     return 0
 
 
@@ -191,6 +194,9 @@ def cmd_invert(cfg: RunConfig, out: Path) -> int:
         raise ConfigError("invert requires a hyperbolic or parabolic target")
     model, rho_inf = _fit_model(cfg, out)
     model.save(out / "model")
+    if not model.converged:
+        print("warning: the posterior fit did not converge; its HDIs rest on "
+              "an unconverged fixed point", file=sys.stderr)
     refs, _ = _reference_samples(cfg, 8, cfg.diagnostics["sample_size"])
     pool = np.concatenate(refs, axis=0)
 
@@ -210,7 +216,8 @@ def cmd_invert(cfg: RunConfig, out: Path) -> int:
     _write_csv(out / "invert.csv",
                ["param", "theta_star", "mcmc_min", "mcmc_map", "mcmc_max",
                 "tt_min", "tt_map", "tt_max", "eps_rel"], rows)
-    _write_sidecar(out / "invert.csv", cfg)
+    _write_sidecar(out / "invert.csv", cfg, {"converged": model.converged,
+                                             "kl_history": model.kl_history})
     for row in rows:
         print("invert:", row)
     return 0

@@ -102,7 +102,7 @@ def build_grid(spec: dict, d: int) -> Grid:
 
 
 def build_fixed_point(spec: dict) -> FixedPointConfig:
-    allowed = {"tolerance", "max_iters", "method", "q", "truncation", "cross"}
+    allowed = {"tolerance", "max_iters", "truncation", "cross"}
     _require_keys(spec, allowed, set(), "fixed_point")
     trunc = spec.get("truncation", {})
     _require_keys(trunc, {"tolerance", "max_rank"}, set(), "fixed_point.truncation")
@@ -119,8 +119,6 @@ def build_fixed_point(spec: dict) -> FixedPointConfig:
     return FixedPointConfig(
         tolerance=float(spec.get("tolerance", 1e-5)),
         max_iters=int(spec.get("max_iters", 1000)),
-        method=spec.get("method", "anderson"),
-        q=spec.get("q"),
         trunc_tol=float(trunc.get("tolerance", 1e-8)),
         max_rank=max_rank,
         cross=cross,

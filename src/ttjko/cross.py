@@ -30,6 +30,13 @@ from .tt import TTTensor, tt_block_eval, tt_chain_step, tt_eval, tt_right_interf
 # maxvol always sees a full-column-rank matrix
 _RANK_EPS = 1e-14
 
+#: maxvol stops swapping rows once no entry of the coefficient matrix
+#: exceeds this in magnitude
+MAXVOL_TOL = 1.05
+
+#: largest validation set a cross measures its error on
+VALIDATION_SIZE = 1000
+
 
 class CrossOracleError(ValueError):
     """Oracle returned a non-finite value; carries the offending index."""
@@ -45,8 +52,6 @@ class CrossConfig:
     tolerance: float = 1e-6          # relative Frobenius target on validation indices
     max_sweeps: int = 10
     rank_adaptive: bool = True       # start small, grow +2 per stalled sweep
-    validation_size: int = 1000
-    maxvol_tol: float = 1.05
 
     def __post_init__(self):
         if self.max_rank < 1:
@@ -67,7 +72,7 @@ class CrossInfo:
     history: list = field(default_factory=list)
 
 
-def maxvol(a: np.ndarray, tol: float = 1.05, max_iters: int = 200) -> np.ndarray:
+def maxvol(a: np.ndarray, tol: float = MAXVOL_TOL, max_iters: int = 200) -> np.ndarray:
     """Indices of a quasi-dominant r x r submatrix of a tall n x r matrix."""
     a = np.asarray(a, dtype=float)
     n, r = a.shape
@@ -148,7 +153,7 @@ def _random_suffixes(shape, start: int, count: int, rng: np.random.Generator,
     return np.concatenate(rows, axis=0) if rows else np.zeros((1, len(tail)), dtype=np.intp)
 
 
-def _right_sets_from_guess(guess: TTTensor, max_rank: int, maxvol_tol: float) -> list:
+def _right_sets_from_guess(guess: TTTensor, max_rank: int) -> list:
     """Nested right index sets extracted from an existing TT (no oracle calls)."""
     d = guess.d
     shape = guess.shape
@@ -160,7 +165,7 @@ def _right_sets_from_guess(guess: TTTensor, max_rank: int, maxvol_tol: float) ->
         r1, N, rc = core.shape
         mat = core.reshape(r1, N * rc).T          # rows ordered (i, suffix slot)
         q = _orth_columns(mat, max_rank)
-        rows = maxvol(q, tol=maxvol_tol)
+        rows = maxvol(q)
         i_sel, j_sel = np.divmod(rows, rc if rc else 1)
         right[n] = np.concatenate(
             [i_sel[:, None].astype(np.intp), right[n + 1][j_sel]], axis=1
@@ -175,7 +180,7 @@ def validation_indices(shape, cross_cfg: CrossConfig,
     shape = [int(n) for n in shape]
     # capped so validation probes never dominate the O(d N r^2) sweep cost
     n_val = int(min(
-        cross_cfg.validation_size,
+        VALIDATION_SIZE,
         4 * len(shape) * max(shape) * cross_cfg.max_rank**2,
         np.prod([float(m) for m in shape]),
     ))
@@ -225,7 +230,7 @@ def tt_cross(f, mode_sizes, config: CrossConfig,
     if initial_guess is not None:
         if tuple(initial_guess.shape) != tuple(shape):
             raise ValueError("initial guess shape does not match mode_sizes")
-        right = _right_sets_from_guess(initial_guess, config.max_rank, config.maxvol_tol)
+        right = _right_sets_from_guess(initial_guess, config.max_rank)
         if not config.rank_adaptive:
             # fixed-rank mode starts at max_rank even from a thinner guess
             for n in range(d - 1, 0, -1):
@@ -276,7 +281,7 @@ def tt_cross(f, mode_sizes, config: CrossConfig,
             vals = block_values(n)
             block = vals.reshape(left[n].shape[0] * shape[n], right[n + 1].shape[0])
             q = _orth_columns(block, config.max_rank)
-            rows = maxvol(q, tol=config.maxvol_tol)
+            rows = maxvol(q)
             core = np.linalg.solve(q[rows].T, q.T).T
             cores[n] = core.reshape(left[n].shape[0], shape[n], q.shape[1])
             a_sel, i_sel = np.divmod(rows, shape[n])
@@ -293,7 +298,7 @@ def tt_cross(f, mode_sizes, config: CrossConfig,
             vals = block_values(n)
             block = vals.reshape(left[n].shape[0], shape[n] * right[n + 1].shape[0])
             q = _orth_columns(block.T, config.max_rank)
-            rows = maxvol(q, tol=config.maxvol_tol)
+            rows = maxvol(q)
             core = np.linalg.solve(q[rows].T, q.T)   # (r_sel, N*nr)
             cores[n] = core.reshape(q.shape[1], shape[n], right[n + 1].shape[0])
             i_sel, b_sel = np.divmod(rows, right[n + 1].shape[0])

@@ -35,13 +35,6 @@ class SinkhornConfig:
             raise ValueError("threshold must be positive")
 
 
-@dataclass
-class SinkhornResult:
-    value: float
-    epsilon: float
-    converged: bool
-
-
 def median_sq_distance(x: np.ndarray, y: np.ndarray | None = None,
                        cap: int = 512, seed: int = 0) -> float:
     pool = x if y is None else np.concatenate([x, y], axis=0)
@@ -52,10 +45,6 @@ def median_sq_distance(x: np.ndarray, y: np.ndarray | None = None,
     off = sq[~np.eye(sq.shape[0], dtype=bool)]
     med = float(np.median(off))
     return med if med > 0 else 1.0
-
-
-def default_epsilon(x: np.ndarray, y: np.ndarray) -> float:
-    return 0.01 * median_sq_distance(x, y)
 
 
 def _sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -163,29 +152,8 @@ def entropic_ot(x: np.ndarray, y: np.ndarray, epsilon: float,
     return cost + epsilon * kl, converged
 
 
-def sinkhorn_divergence(x: np.ndarray, y: np.ndarray,
-                        config: SinkhornConfig | None = None) -> SinkhornResult:
-    """Debiased entropic OT: S2 = OT(x, y) - (OT(x, x) + OT(y, y)) / 2."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = np.atleast_2d(np.asarray(y, dtype=float))
-    if x.shape[0] == 0 or y.shape[0] == 0:
-        raise ValueError("both samples must be nonempty")
-    if x.shape[1] != y.shape[1]:
-        raise ValueError("samples must share the dimension")
-    if config is None:
-        config = SinkhornConfig()
-    eps = config.epsilon if config.epsilon is not None else default_epsilon(x, y)
-    v_xy, c1 = entropic_ot(x, y, eps, config.max_iters, config.threshold)
-    v_xx, c2 = entropic_ot(x, x, eps, config.max_iters, config.threshold)
-    v_yy, c3 = entropic_ot(y, y, eps, config.max_iters, config.threshold)
-    return SinkhornResult(
-        value=v_xy - 0.5 * (v_xx + v_yy), epsilon=eps,
-        converged=bool(c1 and c2 and c3),
-    )
-
-
 # ---------------------------------------------------------------------------
-# sliced Wasserstein
+# double-OT comparison protocol
 
 
 def wasserstein_1d_sq(a: np.ndarray, b: np.ndarray) -> float:
@@ -202,28 +170,6 @@ def wasserstein_1d_sq(a: np.ndarray, b: np.ndarray) -> float:
     ia = np.minimum((mids * n).astype(int), n - 1)
     ib = np.minimum((mids * m).astype(int), m - 1)
     return float(np.sum((qs[1:] - qs[:-1]) * (a[ia] - b[ib]) ** 2))
-
-
-def sliced_wasserstein(x: np.ndarray, y: np.ndarray, n_projections: int,
-                       rng: np.random.Generator) -> float:
-    """Sup-estimator over random directions of the projected 1-d W2^2."""
-    x = np.atleast_2d(x)
-    y = np.atleast_2d(y)
-    if n_projections < 1:
-        raise ValueError("need at least one projection")
-    d = x.shape[1]
-    if d == 1:
-        return wasserstein_1d_sq(x[:, 0], y[:, 0])
-    dirs = rng.standard_normal((n_projections, d))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    best = 0.0
-    for theta in dirs:
-        best = max(best, wasserstein_1d_sq(x @ theta, y @ theta))
-    return best
-
-
-# ---------------------------------------------------------------------------
-# double-OT comparison protocol
 
 
 @dataclass
@@ -364,6 +310,10 @@ def map_and_hdi(density: np.ndarray, nodes: np.ndarray, mass: float = 0.89):
 # Metropolis-Hastings baseline
 
 
+#: pilot acceptance rates the auto-tuned proposal scale must land between
+ACCEPTANCE_BAND = (0.2, 0.3)
+
+
 @dataclass
 class MHConfig:
     n_chains: int = 400
@@ -373,7 +323,6 @@ class MHConfig:
     thin: int = 1
     init_std: float = 1.0
     auto_tune: bool = False
-    acceptance_band: tuple = (0.2, 0.3)
 
     def __post_init__(self):
         if self.proposal_std <= 0:
@@ -474,7 +423,7 @@ def metropolis_hastings(density, d: int, config: MHConfig,
 def _tune_proposal(density, d: int, config: MHConfig, rng: np.random.Generator,
                    log_density) -> MHConfig:
     """Bisect the proposal scale until pilot acceptance lands in the band."""
-    lo_band, hi_band = config.acceptance_band
+    lo_band, hi_band = ACCEPTANCE_BAND
     std = config.proposal_std
     lo, hi = None, None
     pilot = MHConfig(

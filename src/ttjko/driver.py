@@ -165,22 +165,19 @@ def product_density(state: StepState, grid: Grid, cross_cfg: CrossConfig,
     return tt_round(dens, trunc_tol, max_rank)
 
 
-def run(rho0: TTTensor | GaussianInitial, rho_inf, grid: Grid, schedule: Schedule,
-        config: FixedPointConfig, initial: GaussianInitial | None = None,
-        rng: np.random.Generator | None = None, telemetry=None) -> FlowModel:
-    """Sequentially solve every proximal step of the schedule.
+def run(initial: GaussianInitial, rho_inf, grid: Grid, schedule: Schedule,
+        config: FixedPointConfig, rng: np.random.Generator | None = None,
+        telemetry=None) -> FlowModel:
+    """Sequentially solve every proximal step of the schedule, starting
+    from the initial density on the grid.
 
     Warm-starts each step's fixed point from the previous step's
     terminal potential.  Unconverged steps are kept and flagged; the
     sampler refuses such models unless forced.
     """
-    if isinstance(rho0, GaussianInitial):
-        initial = rho0
-        rho0 = rho0.tt(grid)
-    if initial is None:
-        initial = GaussianInitial.standard(grid.d)
     if rng is None:
         rng = np.random.default_rng(0)
+    rho0 = initial.tt(grid)
 
     mass0 = tt_contract_all(rho0, all_quadrature_weights(grid))
     if not (np.isfinite(mass0) and mass0 > 0):

@@ -6,8 +6,9 @@ heat propagation forward, and the terminal update
 ``eta_new = (rho_inf / eta_hat)^(1 / (1 + 2 beta))`` — the only stage
 that queries the target density.  Both division stages are realized by
 cross approximation of the composed index oracles, never densely.
-Iteration is plain relaxation (Picard) or Anderson acceleration with a
-two-residual window, for which the line search has a closed form.
+Iteration is Anderson acceleration with a two-residual window, for which
+the line search has a closed form, relaxed by ``RELAXATION``; the plain
+relaxed step is its fallback.
 """
 
 from __future__ import annotations
@@ -25,6 +26,9 @@ from .tt import (TTTensor, tt_axpy, tt_eval, tt_inner, tt_marginal, tt_norm,
 #: hard floor for guarded divisions (spec'd; negatives fall below it too)
 DIVISION_FLOOR = 1e-300
 
+#: relaxation q of every fixed-point update: x <- q * G(x) + (1 - q) * x
+RELAXATION = 0.85
+
 
 class DivisionFloorError(RuntimeError):
     """A denominator lost positivity at a point that carries real mass."""
@@ -40,19 +44,11 @@ class DivisionFloorError(RuntimeError):
 class FixedPointConfig:
     tolerance: float = 1e-5
     max_iters: int = 1000
-    method: str = "anderson"          # "picard" or "anderson"
-    q: float | None = None            # relaxation; defaults 1.0 / 0.85 by method
     trunc_tol: float = 1e-8
     max_rank: int = 10
     cross: CrossConfig | None = None
 
     def __post_init__(self):
-        if self.method not in ("picard", "anderson"):
-            raise ValueError(f"unknown method {self.method!r}")
-        if self.q is None:
-            self.q = 1.0 if self.method == "picard" else 0.85
-        if not 0.0 < self.q <= 1.0:
-            raise ValueError("relaxation q must be in (0, 1]")
         if self.tolerance <= 0:
             raise ValueError("tolerance must be > 0")
         if self.cross is None:
@@ -187,8 +183,7 @@ def solve_step(rho_prev: TTTensor, rho_inf, grid: Grid, T: float, beta: float,
     if rng is None:
         rng = np.random.default_rng(0)
     x = eta_init if eta_init is not None else tt_ones(grid.shape)
-    anderson = config.method == "anderson"
-    q = config.q
+    q = RELAXATION
 
     # one validation set per solve so cross probes hit the density cache
     validation = validation_indices(grid.shape, config.cross, rng)
@@ -233,7 +228,7 @@ def solve_step(rho_prev: TTTensor, rho_inf, grid: Grid, T: float, beta: float,
         # extrapolate unless the residual genuinely grew; reject candidates
         # the extrapolation drove grossly negative (the true iterates are
         # nonnegative) and fall back to the plain relaxed step
-        if anderson and prev is not None and r_norm_sq <= 1.5 * prev[3]:
+        if prev is not None and r_norm_sq <= 1.5 * prev[3]:
             x_old, g_old, r_old, r_old_sq = prev
             cross_rr = tt_inner(r_old, r)
             diff_sq = r_norm_sq - 2.0 * cross_rr + r_old_sq

@@ -149,19 +149,6 @@ def gradient_matrix(grid: Grid, axis: int) -> np.ndarray:
     return mat
 
 
-def gradient_tensors(t: TTTensor, grid: Grid) -> list:
-    """Per-axis finite-difference gradients of a TT function; ranks unchanged."""
-    if tuple(t.shape) != grid.shape:
-        raise ValueError(f"tensor shape {t.shape} does not match grid {grid.shape}")
-    out = []
-    for axis in range(grid.d):
-        dmat = gradient_matrix(grid, axis)
-        cores = list(t.cores)
-        cores[axis] = np.einsum("ij,ajb->aib", dmat, t.cores[axis], optimize=True)
-        out.append(TTTensor(cores, copy=False))
-    return out
-
-
 def _slabs(table, cols, w):
     """Cores at the points, one per leading table entry (value, gradient):
     ``lo + w (hi - lo)`` of the two corners gathered with one take.
@@ -232,9 +219,3 @@ def interpolate_batch(t: TTTensor, grid: Grid, x: np.ndarray):
     corners = cell.T[:, None, :] + np.array([[0], [1]])               # (d, 2, M)
     values, _ = multilinear(tables, corners, w.T)
     return values, grid.outside(x)
-
-
-def interpolate(t: TTTensor, grid: Grid, point) -> float:
-    """Multilinear interpolation at one point (clamped into the box)."""
-    vals, _ = interpolate_batch(t, grid, np.asarray(point, dtype=float)[None, :])
-    return float(vals[0])

@@ -15,27 +15,14 @@ import scipy.linalg
 from .grid import Grid, laplacian_1d
 from .tt import TTTensor
 
-_factor_cache: dict = {}
-
-
-def _axis_factor(s: float, grid: Grid, axis: int) -> np.ndarray:
-    """``exp(s * D)`` for the axis' second-difference matrix, cached by
-    (s, nodes, spacing)."""
-    key = (float(s), int(grid.nodes[axis]), float(grid.spacings[axis]))
-    factor = _factor_cache.get(key)
-    if factor is None:
-        factor = scipy.linalg.expm(s * laplacian_1d(grid, axis))
-        factor.flags.writeable = False
-        _factor_cache[key] = factor
-    return factor
-
 
 class HeatPropagator:
     """Per-axis dense exponentials ``exp(s * D_n)`` for one diffusion time s.
 
     Each factor is symmetric, entrywise nonnegative and row-stochastic
     (rows sum to one), which makes the application mass-conserving and
-    positivity-preserving.
+    positivity-preserving.  Axes with the same node count and spacing
+    share one factor, computed by one ``expm``.
     """
 
     def __init__(self, grid: Grid, s: float):
@@ -46,7 +33,12 @@ class HeatPropagator:
             )
         self.grid = grid
         self.s = float(s)
-        self.factors = [_axis_factor(self.s, grid, k) for k in range(grid.d)]
+        shared = {}
+        self.factors = []
+        for k, key in enumerate(zip(grid.nodes.tolist(), grid.spacings.tolist())):
+            if key not in shared:
+                shared[key] = scipy.linalg.expm(self.s * laplacian_1d(grid, k))
+            self.factors.append(shared[key])
 
     def apply(self, t: TTTensor) -> TTTensor:
         if tuple(t.shape) != self.grid.shape:

@@ -57,6 +57,11 @@ _DOPRI_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
 
 _VALUE_FLOOR = 1e-300
 
+#: round budget of one step's adaptive ODE integration
+MAX_ODE_ROUNDS = 20000
+#: a particle whose step falls below this fraction of the window is rescued
+MIN_STEP_FRACTION = 1e-12
+
 # per-step ODE counters of the sampler trace, before any round
 _NO_ODE_TRACE = {"ode_rounds": 0, "accepted": 0, "rejected": 0, "drift_rows": 0,
                  "min_step": 0.0}
@@ -69,8 +74,6 @@ class SamplerConfig:
     abs_tol: float = 1e-8
     n_em_steps: int = 20
     n_time_nodes: int = 32
-    max_ode_rounds: int = 20000
-    min_step_fraction: float = 1e-12
 
     def __post_init__(self):
         if not 0.0 <= self.epsilon_sde <= 1.0:
@@ -264,7 +267,7 @@ def _integrate_ode(dyn: StepDynamics, x: np.ndarray, t0: float, t1: float,
     k_first = np.empty((m, d))          # drift at each particle's (t, x), once known
     min_step = span / 16.0
 
-    for rnd in range(config.max_ode_rounds):
+    for rnd in range(MAX_ODE_ROUNDS):
         if not np.any(active):
             break
         ids = np.nonzero(active)[0]
@@ -304,7 +307,7 @@ def _integrate_ode(dyn: StepDynamics, x: np.ndarray, t0: float, t1: float,
         t[ids] = ts_new
         h[ids] = hs_next
         done = ts_new >= t1 * (1.0 - 1e-14) - 1e-300
-        under = hs_next < config.min_step_fraction * span
+        under = hs_next < MIN_STEP_FRACTION * span
         for j in np.nonzero(under & ~done)[0]:
             pid = ids[j]
             x[pid] = _em_single(dyn, x[pid], t[pid], t1, config.n_em_steps,

@@ -84,10 +84,6 @@ class CachedDensity:
         self.unique_calls = 0
         self.total_calls = 0
 
-    def reset_counters(self) -> None:
-        self.unique_calls = 0
-        self.total_calls = 0
-
     def eval_batch(self, indices: np.ndarray) -> np.ndarray:
         idx = np.asarray(indices, dtype=np.intp)
         if idx.ndim == 1:

@@ -15,7 +15,9 @@ the original row-wise interpolation (one ``matmul`` chain step per
 axis), kept to pin the shared off-grid kernel.  ``reference_entropic_ot``
 is the original log-domain Sinkhorn (two full-matrix logsumexps per
 iteration), kept to pin the values and convergence flags of the
-production stabilised scaling iteration.
+production stabilised scaling iteration.  ``reference_picard_solve`` is
+the plain relaxed (Picard) iteration of one proximal step, built from
+the production cycle, kept to measure the Anderson solver against.
 """
 
 import itertools
@@ -154,7 +156,8 @@ def reference_interpolate_batch(t, grid, x):
 def reference_integrate_ode(dyn, x, t0, t1, config, rescue_noise):
     """Per-particle adaptive Dormand-Prince integration of ``dyn.ode_drift``,
     seven drift evaluations per round; returns (rescued, unfinished)."""
-    from ttjko.sampler import _DOPRI_A, _DOPRI_B4, _DOPRI_B5, _DOPRI_C, _em_single
+    from ttjko.sampler import (_DOPRI_A, _DOPRI_B4, _DOPRI_B5, _DOPRI_C,
+                               MAX_ODE_ROUNDS, MIN_STEP_FRACTION, _em_single)
     m, d = x.shape
     span = t1 - t0
     if span <= 0:
@@ -163,7 +166,7 @@ def reference_integrate_ode(dyn, x, t0, t1, config, rescue_noise):
     h = np.full(m, span / 16.0)
     active = np.ones(m, dtype=bool)
     rescued = np.zeros(m, dtype=bool)
-    for _ in range(config.max_ode_rounds):
+    for _ in range(MAX_ODE_ROUNDS):
         if not np.any(active):
             break
         ids = np.nonzero(active)[0]
@@ -199,7 +202,7 @@ def reference_integrate_ode(dyn, x, t0, t1, config, rescue_noise):
         t[ids] = ts_new
         h[ids] = hs_next
         done = ts_new >= t1 * (1.0 - 1e-14) - 1e-300
-        under = hs_next < config.min_step_fraction * span
+        under = hs_next < MIN_STEP_FRACTION * span
         for j in np.nonzero(under & ~done)[0]:
             pid = ids[j]
             x[pid] = _em_single(dyn, x[pid], t[pid], t1, config.n_em_steps,
@@ -207,6 +210,49 @@ def reference_integrate_ode(dyn, x, t0, t1, config, rescue_noise):
             rescued[pid] = True
         active[ids] = ~(done | under)
     return rescued, active.copy()
+
+
+def reference_picard_solve(rho_prev, rho_inf, grid, T, beta, config, q=1.0,
+                           rng=None):
+    """Relaxed Picard iteration ``x <- q G(x) + (1 - q) x`` of one proximal
+    step's cycle G, with ``solve_step``'s validation set, warm starts,
+    relative residual, truncation and stopping rule; returns the
+    ``StepState``."""
+    from ttjko.cross import validation_indices
+    from ttjko.fixed_point import StepState, cycle
+    from ttjko.tt import tt_axpy, tt_inner, tt_norm, tt_ones, tt_round, tt_scale
+    if rng is None:
+        rng = np.random.default_rng(0)
+    x = tt_ones(grid.shape)
+    validation = validation_indices(grid.shape, config.cross, rng)
+    history = []
+    converged = False
+    result = last_finite = None
+    for _ in range(config.max_iters):
+        result = cycle(x, rho_prev, rho_inf, grid, T, beta, config.cross,
+                       config.trunc_tol, config.max_rank, warm=result, rng=rng,
+                       validation=validation)
+        g = result.eta_new
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = tt_axpy(-1.0, x, g)
+            r_norm_sq = max(tt_inner(r, r), 0.0)
+            x_norm = tt_norm(x)
+        residual = np.sqrt(r_norm_sq) / x_norm if x_norm > 0 else np.inf
+        history.append(residual)
+        if not np.isfinite(residual):
+            result = last_finite if last_finite is not None else result
+            break
+        last_finite = result
+        if residual < config.tolerance:
+            converged = True
+            break
+        x = tt_round(tt_axpy(q, g, tt_scale(x, 1.0 - q)), config.trunc_tol,
+                     config.max_rank)
+    return StepState(
+        eta_T=result.eta_new, eta_0=result.eta_0, eta_hat_0=result.eta_hat_0,
+        eta_hat_T=result.eta_hat_T, T=float(T), beta=float(beta),
+        converged=converged, iters=len(history), residual_history=history,
+    )
 
 
 def dense_heat_factor(n: int, h: float, s: float) -> np.ndarray:

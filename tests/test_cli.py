@@ -16,7 +16,7 @@ def tiny_gaussian_config(out, **overrides):
         "grid": {"lower": -5.0, "upper": 5.0, "nodes": 24},
         "schedule": [{"T": 1e3, "beta": 1e-2}],
         "fixed_point": {
-            "tolerance": 1e-5, "max_iters": 300, "method": "anderson", "q": 0.85,
+            "tolerance": 1e-5, "max_iters": 300,
             "truncation": {"tolerance": 1e-8, "max_rank": 8},
             "cross": {"max_rank": 8, "tolerance": 1e-7},
         },
@@ -41,10 +41,11 @@ class TestConfigSchema:
             parse_config(cfg)
 
     def test_unknown_nested_key_rejected(self, tmp_path):
-        cfg = tiny_gaussian_config(tmp_path / "o")
-        cfg["fixed_point"]["stepsize"] = 0.1
-        with pytest.raises(ConfigError, match="stepsize"):
-            parse_config(cfg)
+        for key, value in (("stepsize", 0.1), ("method", "picard"), ("q", 1.0)):
+            cfg = tiny_gaussian_config(tmp_path / "o")
+            cfg["fixed_point"][key] = value
+            with pytest.raises(ConfigError, match=f"'{key}'"):
+                parse_config(cfg)
 
     def test_unknown_target_type(self, tmp_path):
         cfg = tiny_gaussian_config(tmp_path / "o")
@@ -150,7 +151,7 @@ class TestVerifyCommand:
 
 
 class TestBenchmarkCommand:
-    def test_row_and_deterministic_csv(self, tmp_path):
+    def test_row_and_deterministic_csv(self, tmp_path, capsys):
         out = tmp_path / "b"
         cfg = tiny_gaussian_config(out, diagnostics={
             "mh": {"n_chains": 50, "n_steps": 3000, "auto_tune": True},
@@ -167,12 +168,14 @@ class TestBenchmarkCommand:
         # 3 + 9 + 9 cross pairs and one self term for each of the 9 sets
         assert report["solves"] == 30
         assert 0 <= report["unconverged"] <= 30
+        flagged = f"{report['unconverged']} of 30 Sinkhorn solves stopped at max_iters"
+        assert (flagged in capsys.readouterr().out) == (report["unconverged"] > 0)
         assert main(["benchmark", path]) == 0
         assert (out / "benchmark.csv").read_bytes() == first
 
 
 class TestInvertCommand:
-    def test_row_per_parameter(self, tmp_path):
+    def test_row_per_parameter(self, tmp_path, capsys):
         out = tmp_path / "inv"
         cfg = {
             "target": {"type": "parabolic", "d": 2, "sigma_meas": 0.05,
@@ -196,6 +199,10 @@ class TestInvertCommand:
         lines = (out / "invert.csv").read_text().strip().split("\n")
         assert len(lines) == 3      # header + one row per parameter
         assert lines[0].startswith("param,theta_star,mcmc_min")
+        sidecar = json.loads((out / "invert.json").read_text())
+        assert len(sidecar["kl_history"]) == 1
+        warned = "did not converge" in capsys.readouterr().err
+        assert warned == (not sidecar["converged"])
 
     def test_requires_posterior_target(self, tmp_path):
         out = tmp_path / "run"

@@ -8,41 +8,49 @@ import oracles as oc
 from ttjko import diagnostics
 from ttjko.diagnostics import (MHConfig, SinkhornConfig, double_ot_protocol,
                                entropic_ot, integrated_autocorr, map_and_hdi,
-                               metropolis_hastings, sinkhorn_divergence,
-                               sliced_wasserstein, wasserstein_1d_sq)
+                               median_sq_distance, metropolis_hastings,
+                               wasserstein_1d_sq)
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
+
+def s2(x, y, epsilon=None, max_iters=300, threshold=1e-5):
+    """Debiased entropic OT, OT(x, y) - (OT(x, x) + OT(y, y)) / 2, the
+    divergence ``double_ot_protocol`` compares samples by (epsilon
+    defaults to 0.01 times the pooled median squared distance)."""
+    if epsilon is None:
+        epsilon = 0.01 * median_sq_distance(x, y)
+
+    def ot(a, b):
+        return entropic_ot(a, b, epsilon, max_iters, threshold)[0]
+    return ot(x, y) - 0.5 * (ot(x, x) + ot(y, y))
 
 
 class TestSinkhorn:
     def test_self_divergence_is_zero(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((80, 3))
-        assert abs(sinkhorn_divergence(x, x).value) <= 1e-10
+        assert abs(s2(x, x)) <= 1e-10
 
     def test_symmetric(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((60, 2))
         y = rng.standard_normal((60, 2)) + 0.4
-        cfg = SinkhornConfig(epsilon=0.05)
-        assert_allclose(sinkhorn_divergence(x, y, cfg).value,
-                        sinkhorn_divergence(y, x, cfg).value, rtol=1e-8)
+        assert_allclose(s2(x, y, 0.05), s2(y, x, 0.05), rtol=1e-8)
 
     def test_nonnegative_on_close_clouds(self):
         rng = np.random.default_rng(2)
         for trial in range(5):
             x = rng.standard_normal((50, 2))
             y = rng.standard_normal((50, 2))
-            cfg = SinkhornConfig(max_iters=3000, threshold=1e-9)
-            assert sinkhorn_divergence(x, y, cfg).value >= -1e-9
+            assert s2(x, y, max_iters=3000, threshold=1e-9) >= -1e-9
 
     def test_two_point_instance_near_exact(self):
         x = np.array([[0.0, 0.0], [1.0, 0.0]])
         y = np.array([[0.1, 0.0], [1.2, 0.0]])
         exact = oc.exact_ot_sq(x, y)
         eps = 0.01
-        val = sinkhorn_divergence(x, y, SinkhornConfig(epsilon=eps, max_iters=5000,
-                                                       threshold=1e-12)).value
+        val = s2(x, y, eps, max_iters=5000, threshold=1e-12)
         assert abs(val - exact) <= 10 * eps
 
     def test_epsilon_extrapolation_to_exact(self):
@@ -50,16 +58,8 @@ class TestSinkhorn:
         x = rng.standard_normal((5, 2))
         y = rng.standard_normal((5, 2)) + 0.3
         exact = oc.exact_ot_sq(x, y)
-        vals = [sinkhorn_divergence(
-            x, y, SinkhornConfig(epsilon=e, max_iters=20000, threshold=1e-12)).value
-            for e in (0.04, 0.02, 0.01)]
+        vals = [s2(x, y, e, max_iters=20000, threshold=1e-12) for e in (0.04, 0.02, 0.01)]
         assert abs(vals[-1] - exact) <= 0.05 * max(exact, 0.01)
-
-    def test_rejects_empty_or_mismatched(self):
-        with pytest.raises(ValueError, match="nonempty"):
-            sinkhorn_divergence(np.zeros((0, 2)), np.zeros((3, 2)))
-        with pytest.raises(ValueError, match="dimension"):
-            sinkhorn_divergence(np.zeros((3, 2)), np.zeros((3, 3)))
 
     def test_config_rejects_empty_budget_and_nonpositive_threshold(self):
         with pytest.raises(ValueError, match="max_iters"):
@@ -144,27 +144,7 @@ class TestEntropicKernel:
         self.check(near, far, eps, 50, 1e-8)
 
 
-class TestSliced:
-    def test_identical_samples(self):
-        rng = np.random.default_rng(4)
-        x = rng.standard_normal((40, 3))
-        assert sliced_wasserstein(x, x, 32, rng) <= 1e-12
-
-    def test_one_dimensional_exact(self):
-        rng = np.random.default_rng(5)
-        x = rng.standard_normal((8, 1))
-        y = rng.standard_normal((8, 1))
-        got = sliced_wasserstein(x, y, 7, rng)
-        xs, ys = np.sort(x[:, 0]), np.sort(y[:, 0])
-        assert_allclose(got, np.mean((xs - ys) ** 2), rtol=1e-12)
-
-    def test_translation_lower_bound(self):
-        rng = np.random.default_rng(6)
-        x = rng.standard_normal((300, 3))
-        c = np.array([1.0, -2.0, 0.5])
-        got = sliced_wasserstein(x, x + c, 500, rng)
-        assert got >= 0.95 * np.sum(c**2)
-
+class TestWasserstein1d:
     def test_quantile_formula_vs_enumeration(self):
         rng = np.random.default_rng(7)
         a = rng.standard_normal(6)

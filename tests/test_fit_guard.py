@@ -31,8 +31,7 @@ def test_reduced_double_moon_fit_is_unchanged():
     grid = Grid.regular(-4.5, 4.5, 20, d=d)
     rho_inf = CachedDensity(DoubleMoon(dim=d).density, grid)
     config = FixedPointConfig(
-        tolerance=1e-5, max_iters=1500, method="anderson", q=0.85,
-        trunc_tol=1e-8, max_rank=4,
+        tolerance=1e-5, max_iters=1500, trunc_tol=1e-8, max_rank=4,
         cross=CrossConfig(max_rank=4, tolerance=1e-7, max_sweeps=6),
     )
     model = run(GaussianInitial.standard(d), rho_inf, grid, Schedule([(1e3, 1e-2)]),

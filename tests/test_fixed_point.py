@@ -1,4 +1,4 @@
-"""One proximal step: cycle stages vs the dense oracle, both solvers."""
+"""One proximal step: cycle stages vs the dense oracle, Anderson vs Picard."""
 
 import numpy as np
 import pytest
@@ -7,10 +7,10 @@ from numpy.testing import assert_allclose
 import oracles as oc
 from ttjko.cross import CrossConfig
 from ttjko.driver import GaussianInitial
-from ttjko.fixed_point import (DivisionFloorError, FixedPointConfig,
-                               anderson_alpha, certificate_indices, cycle,
-                               guarded_ratio, solve_step,
-                               terminal_identity_error)
+from ttjko.fixed_point import (RELAXATION, DivisionFloorError,
+                               FixedPointConfig, anderson_alpha,
+                               certificate_indices, cycle, guarded_ratio,
+                               solve_step, terminal_identity_error)
 from ttjko.grid import Grid
 from ttjko.targets import CachedDensity, Gaussian, GaussianMixture
 from ttjko.tt import tt_ones, tt_to_full
@@ -27,20 +27,6 @@ def make_problem(n=16, box=4.0, seed=11, k=3):
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
     tgt_dense = mix.density(pts).reshape(n, n)
     return grid, rho0, rho_inf, tgt_dense
-
-
-class TestConfig:
-    def test_method_validated(self):
-        with pytest.raises(ValueError, match="unknown method"):
-            FixedPointConfig(method="aitken")
-
-    def test_q_defaults_by_method(self):
-        assert FixedPointConfig(method="picard").q == 1.0
-        assert FixedPointConfig(method="anderson").q == 0.85
-
-    def test_q_range(self):
-        with pytest.raises(ValueError, match="relaxation"):
-            FixedPointConfig(q=1.5)
 
 
 class TestGuardedRatio:
@@ -143,8 +129,8 @@ class TestSolve:
 
     def test_max_iters_flags_nonconvergence(self):
         grid, rho0, rho_inf, _ = make_problem()
-        cfg = FixedPointConfig(tolerance=1e-12, max_iters=2, method="picard",
-                               max_rank=8, cross=CrossConfig(max_rank=8, tolerance=1e-8))
+        cfg = FixedPointConfig(tolerance=1e-12, max_iters=2, max_rank=8,
+                               cross=CrossConfig(max_rank=8, tolerance=1e-8))
         state = solve_step(rho0, rho_inf, grid, 10.0, 0.1, cfg)
         assert not state.converged
         assert state.iters == 2
@@ -156,37 +142,39 @@ class TestSolve:
         init = GaussianInitial.standard(2)
         for beta, T in [(1e-1, 1e2), (1e-2, 1e3)]:
             rho_inf = CachedDensity(target.density, grid)
-            cfg = FixedPointConfig(tolerance=1e-6, max_iters=120, method="picard",
-                                   max_rank=8, cross=CrossConfig(max_rank=8, tolerance=1e-8))
-            state = solve_step(init.tt(grid), rho_inf, grid, T, beta, cfg,
-                               rng=np.random.default_rng(1))
+            cfg = FixedPointConfig(tolerance=1e-6, max_iters=120, max_rank=8,
+                                   cross=CrossConfig(max_rank=8, tolerance=1e-8))
+            state = oc.reference_picard_solve(init.tt(grid), rho_inf, grid, T, beta,
+                                              cfg, rng=np.random.default_rng(1))
             hist = np.asarray(state.residual_history[3:])
             assert np.all(np.diff(hist) <= 1e-12 + 1e-6 * hist[:-1])
 
     def test_anderson_first_step_equals_relaxed_picard(self):
+        # with one residual in its window Anderson takes the relaxed step,
+        # so the second residual is the relaxed Picard one as well
         grid, rho0, rho_inf, _ = make_problem()
-        kw = dict(tolerance=1e-30, max_iters=1, max_rank=10,
-                  cross=CrossConfig(max_rank=10, tolerance=1e-9))
+        cfg = FixedPointConfig(tolerance=1e-30, max_iters=2, max_rank=10,
+                               cross=CrossConfig(max_rank=10, tolerance=1e-9))
         rho_inf2 = CachedDensity(rho_inf.fn, grid)
-        s_and = solve_step(rho0, rho_inf, grid, 50.0, 0.1,
-                           FixedPointConfig(method="anderson", q=0.7, **kw),
+        s_and = solve_step(rho0, rho_inf, grid, 50.0, 0.1, cfg,
                            rng=np.random.default_rng(4))
-        s_pic = solve_step(rho0, rho_inf2, grid, 50.0, 0.1,
-                           FixedPointConfig(method="picard", q=0.7, **kw),
-                           rng=np.random.default_rng(4))
-        assert_allclose(s_and.residual_history, s_pic.residual_history)
+        s_pic = oc.reference_picard_solve(rho0, rho_inf2, grid, 50.0, 0.1, cfg,
+                                          q=RELAXATION, rng=np.random.default_rng(4))
+        assert len(s_and.residual_history) == 2
+        assert s_and.residual_history == s_pic.residual_history
 
     def test_anderson_beats_picard(self):
         grid = Grid.regular(-5.0, 5.0, 24, d=2)
         target = Gaussian(mean=[0.6, -0.3], var=0.5)
         init = GaussianInitial.standard(2)
+        cfg = FixedPointConfig(tolerance=1e-6, max_iters=2000, max_rank=8,
+                               cross=CrossConfig(max_rank=8, tolerance=1e-8))
         counts = {}
-        for method in ("picard", "anderson"):
+        for method, solve in (("picard", oc.reference_picard_solve),
+                              ("anderson", solve_step)):
             rho_inf = CachedDensity(target.density, grid)
-            cfg = FixedPointConfig(tolerance=1e-6, max_iters=2000, method=method,
-                                   max_rank=8, cross=CrossConfig(max_rank=8, tolerance=1e-8))
-            state = solve_step(init.tt(grid), rho_inf, grid, 1e3, 1e-2, cfg,
-                               rng=np.random.default_rng(1))
+            state = solve(init.tt(grid), rho_inf, grid, 1e3, 1e-2, cfg,
+                          rng=np.random.default_rng(1))
             assert state.converged
             counts[method] = state.iters
         assert counts["anderson"] <= counts["picard"] / 3
@@ -194,8 +182,8 @@ class TestSolve:
     def test_telemetry_stream(self):
         grid, rho0, rho_inf, _ = make_problem()
         records = []
-        cfg = FixedPointConfig(tolerance=1e-4, max_iters=50, method="picard",
-                               max_rank=8, cross=CrossConfig(max_rank=8, tolerance=1e-8))
+        cfg = FixedPointConfig(tolerance=1e-4, max_iters=50, max_rank=8,
+                               cross=CrossConfig(max_rank=8, tolerance=1e-8))
         solve_step(rho0, rho_inf, grid, 50.0, 0.1, cfg, telemetry=records.append)
         assert len(records) >= 3
         first = records[0]
@@ -214,7 +202,7 @@ class TestCacheTransparency:
         grid, rho0, _, _ = make_problem()
         mix = GaussianMixture.random(2, 3, var=0.4, half_width=1.5,
                                      rng=np.random.default_rng(11))
-        kw = dict(tolerance=1e-6, max_iters=40, method="picard", max_rank=8,
+        kw = dict(tolerance=1e-6, max_iters=40, max_rank=8,
                   cross=CrossConfig(max_rank=8, tolerance=1e-8))
         rho_on = CachedDensity(mix.density, grid)
         rho_off = CachedDensity(mix.density, grid)

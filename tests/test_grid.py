@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ttjko.grid import (Grid, gradient_tensors, interpolate, interpolate_batch,
-                        laplacian_1d, quadrature_weights)
+from ttjko.grid import (Grid, gradient_matrix, interpolate_batch, laplacian_1d,
+                        quadrature_weights)
 from ttjko.tt import tt_eval, tt_from_full, tt_ones, tt_rank_one
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -84,8 +84,8 @@ class TestInterpolate:
         rng = np.random.default_rng(0)
         dense = rng.standard_normal((5, 5))
         t = tt_from_full(dense, 1e-13)
-        val = interpolate(t, g, g.points(np.array([[2, 3]]))[0])
-        assert_allclose(val, tt_eval(t, np.array([[2, 3]]))[0], rtol=1e-13)
+        vals, _ = interpolate_batch(t, g, g.points(np.array([[2, 3]])))
+        assert_allclose(vals, tt_eval(t, np.array([[2, 3]])), rtol=1e-13)
 
     def test_affine_reproduced_exactly(self):
         g = Grid.regular(-1.0, 1.0, 7, d=3)
@@ -136,38 +136,28 @@ class TestInterpolate:
         with pytest.raises(ValueError, match="2 columns"):
             interpolate_batch(t, g, np.full((3, 3), 0.5))
         with pytest.raises(ValueError, match="2 columns"):
-            interpolate(t, g, [0.5, 0.5, 0.5])
+            interpolate_batch(t, g, [0.5, 0.5, 0.5])
 
 
 class TestGradients:
     def test_constant_has_zero_gradient(self):
         g = Grid.regular(0.0, 1.0, 8, d=2)
-        grads = gradient_tensors(tt_ones((8, 8)), g)
-        for gt in grads:
-            assert np.max(np.abs(tt_eval(gt, np.array([[3, 4]])))) <= 1e-12
+        for axis in range(2):
+            assert np.max(np.abs(gradient_matrix(g, axis) @ np.ones(8))) <= 1e-12
 
     def test_linear_function_exact_interior(self):
-        g = Grid.regular(0.0, 1.0, 9, d=2)
-        x = g.axis_nodes(0)
-        t = tt_rank_one([x, np.ones(9)])
-        gx, gy = gradient_tensors(t, g)
-        idx = np.array([[4, 4], [2, 6], [0, 0], [8, 8]])
-        assert_allclose(tt_eval(gx, idx), 1.0, atol=1e-12)
-        assert_allclose(tt_eval(gy, idx), 0.0, atol=1e-12)
+        g = Grid.regular([0.0, -2.0], [1.0, 2.0], 9)
+        for axis in range(2):
+            x = g.axis_nodes(axis)
+            assert_allclose(gradient_matrix(g, axis) @ (3.0 * x - 1.0), 3.0, rtol=1e-12)
 
     def test_sin_derivative_second_order(self):
         g = Grid.regular(0.0, np.pi, 101, d=1)
         x = g.axis_nodes(0)
-        t = tt_rank_one([np.sin(x)])
-        (gt,) = gradient_tensors(t, g)
-        interior = np.arange(1, 100)[:, None]
-        err = np.max(np.abs(tt_eval(gt, interior) - np.cos(x[1:100])))
+        deriv = gradient_matrix(g, 0) @ np.sin(x)
+        err = np.max(np.abs(deriv[1:100] - np.cos(x[1:100])))
         assert err <= 1.5 * (g.spacings[0] ** 2) / 6 * 10
 
-    def test_ranks_unchanged(self):
-        rng = np.random.default_rng(3)
-        from ttjko.tt import tt_random
-        t = tt_random((6, 6, 6), 3, rng)
-        g = Grid.regular(0.0, 1.0, 6, d=3)
-        for gt in gradient_tensors(t, g):
-            assert gt.ranks == t.ranks
+    def test_needs_three_nodes(self):
+        with pytest.raises(ValueError, match="3 nodes"):
+            gradient_matrix(Grid.regular(0.0, 1.0, 2, d=1), 0)

@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 import oracles as oc
-from ttjko.grid import Grid, quadrature_weights
+from ttjko.grid import Grid, laplacian_1d, quadrature_weights
 from ttjko.heat import HeatPropagator
 from ttjko.tt import tt_contract_all, tt_from_full, tt_random, tt_rank_one, tt_to_full
 
@@ -36,10 +37,28 @@ class TestBuild:
         assert e.min() >= -1e-13
         assert_allclose(e, e.T, atol=1e-12)
 
-    def test_shared_axes_share_factor(self):
-        g = Grid.regular(-1.0, 1.0, 10, d=3)
+    def test_shared_axes_share_factor(self, monkeypatch):
+        # axes of one node count and spacing share one factor from one expm
+        g = Grid.regular(-4.0, 4.0, 24, d=16)
+        expm = scipy.linalg.expm
+        calls = []
+
+        def counting(a):
+            calls.append(a)
+            return expm(a)
+
+        monkeypatch.setattr(scipy.linalg, "expm", counting)
+        prop = HeatPropagator(g, 0.37)
+        assert len(calls) == 1
+        assert all(e is prop.factors[0] for e in prop.factors)
+        assert np.array_equal(prop.factors[0], expm(0.37 * laplacian_1d(g, 0)))
+
+    def test_distinct_axes_get_their_own_factor(self):
+        g = Grid.regular([-1.0, -1.0, 0.0], [1.0, 1.0, 3.0], [10, 12, 10])
         prop = HeatPropagator(g, 0.3)
-        assert prop.factors[0] is prop.factors[1] is prop.factors[2]
+        assert len({id(e) for e in prop.factors}) == 3
+        for k, e in enumerate(prop.factors):
+            assert np.array_equal(e, scipy.linalg.expm(0.3 * laplacian_1d(g, k)))
 
 
 class TestApply:

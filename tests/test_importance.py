@@ -22,8 +22,8 @@ def posterior2():
     grid = Grid.regular(-6.0, 6.0, 48, d=2)
     target = Gaussian(mean=[0.7, -0.3], var=0.5)
     rho_inf = CachedDensity(target.density, grid)
-    cfg = FixedPointConfig(tolerance=1e-7, max_iters=400, method="anderson",
-                           q=0.85, max_rank=10, trunc_tol=1e-10,
+    cfg = FixedPointConfig(tolerance=1e-7, max_iters=400, max_rank=10,
+                           trunc_tol=1e-10,
                            cross=CrossConfig(max_rank=10, tolerance=1e-9))
     model = run(GaussianInitial.standard(2), rho_inf, grid,
                 Schedule([(1e3, 1e-2)]), cfg, rng=np.random.default_rng(2))

@@ -7,8 +7,8 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import oracles as oc
-from ttjko.cross import (CrossConfig, _block_indices, maxvol, tt_cross,
-                         validation_indices)
+from ttjko.cross import (VALIDATION_SIZE, CrossConfig, _block_indices, maxvol,
+                         tt_cross, validation_indices)
 from ttjko.fixed_point import StepState
 from ttjko.grid import Grid, interpolate_batch
 from ttjko.heat import HeatPropagator
@@ -109,10 +109,10 @@ class TestCrossFactors:
 
     def test_validation_indices_draws_like_inline_sampling(self):
         shape = (9, 7, 8)
-        cfg = CrossConfig(max_rank=3, validation_size=500)
+        cfg = CrossConfig(max_rank=3)
         got = validation_indices(shape, cfg, np.random.default_rng(11))
         rng = np.random.default_rng(11)
-        n_val = min(500, 4 * 3 * 9 * 3**2, 9 * 7 * 8)
+        n_val = min(VALIDATION_SIZE, 4 * 3 * 9 * 3**2, 9 * 7 * 8)
         ref = np.stack([rng.integers(0, m, size=n_val) for m in shape], axis=1)
         assert_array_equal(got, ref)
 

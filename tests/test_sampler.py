@@ -107,8 +107,8 @@ def fitted():
     grid = Grid.regular(-5.0, 5.0, 48, d=2)
     target = Gaussian(mean=[0.6, -0.4], var=0.5)
     rho_inf = CachedDensity(target.density, grid)
-    cfg = FixedPointConfig(tolerance=1e-6, max_iters=300, method="anderson",
-                           q=0.85, max_rank=8, trunc_tol=1e-9,
+    cfg = FixedPointConfig(tolerance=1e-6, max_iters=300, max_rank=8,
+                           trunc_tol=1e-9,
                            cross=CrossConfig(max_rank=8, tolerance=1e-8))
     model = run(GaussianInitial.standard(2), rho_inf, grid,
                 Schedule([(1e4, 1e-3)]), cfg, rng=np.random.default_rng(1))
