@@ -213,9 +213,16 @@ def double_ot_protocol(groups: dict, config: SinkhornConfig | None = None,
     """
     if ref_label not in groups:
         raise ValueError(f"missing reference label {ref_label!r}")
+    dims = set()
     for label, samples in groups.items():
         if len(samples) < 2:
             raise ValueError(f"need at least 2 samples per label, {label!r} has {len(samples)}")
+        for sample in samples:
+            if sample.shape[0] == 0:
+                raise ValueError(f"samples must be nonempty, {label!r} has an empty one")
+            dims.add(sample.shape[1])
+    if len(dims) > 1:
+        raise ValueError(f"samples must share the dimension, got {sorted(dims)}")
     if config is None:
         config = SinkhornConfig()
     eps = config.epsilon

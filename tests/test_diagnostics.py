@@ -61,6 +61,12 @@ class TestSinkhorn:
         vals = [s2(x, y, e, max_iters=20000, threshold=1e-12) for e in (0.04, 0.02, 0.01)]
         assert abs(vals[-1] - exact) <= 0.05 * max(exact, 0.01)
 
+    def test_rejects_empty_or_mismatched(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            double_ot_protocol({"ref": [np.zeros((0, 2)), np.zeros((3, 2))]})
+        with pytest.raises(ValueError, match="dimension"):
+            double_ot_protocol({"ref": [np.zeros((3, 2)), np.zeros((3, 3))]})
+
     def test_config_rejects_empty_budget_and_nonpositive_threshold(self):
         with pytest.raises(ValueError, match="max_iters"):
             SinkhornConfig(max_iters=0)
@@ -144,7 +150,37 @@ class TestEntropicKernel:
         self.check(near, far, eps, 50, 1e-8)
 
 
-class TestWasserstein1d:
+def sliced_sq(x, y, n_projections, rng):
+    """Largest projected 1-d W2^2 over random unit directions (the exact
+    1-d value for one-dimensional samples)."""
+    if x.shape[1] == 1:
+        return wasserstein_1d_sq(x[:, 0], y[:, 0])
+    dirs = rng.standard_normal((n_projections, x.shape[1]))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    return max(wasserstein_1d_sq(x @ theta, y @ theta) for theta in dirs)
+
+
+class TestSliced:
+    def test_identical_samples(self):
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((40, 3))
+        assert sliced_sq(x, x, 32, rng) <= 1e-12
+
+    def test_one_dimensional_exact(self):
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((8, 1))
+        y = rng.standard_normal((8, 1))
+        got = sliced_sq(x, y, 7, rng)
+        xs, ys = np.sort(x[:, 0]), np.sort(y[:, 0])
+        assert_allclose(got, np.mean((xs - ys) ** 2), rtol=1e-12)
+
+    def test_translation_lower_bound(self):
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal((300, 3))
+        c = np.array([1.0, -2.0, 0.5])
+        got = sliced_sq(x, x + c, 500, rng)
+        assert got >= 0.95 * np.sum(c**2)
+
     def test_quantile_formula_vs_enumeration(self):
         rng = np.random.default_rng(7)
         a = rng.standard_normal(6)

@@ -6,7 +6,10 @@ from numpy.testing import assert_allclose
 
 from ttjko.grid import (Grid, gradient_matrix, interpolate_batch, laplacian_1d,
                         quadrature_weights)
-from ttjko.tt import tt_eval, tt_from_full, tt_ones, tt_rank_one
+from ttjko.fixed_point import StepState
+from ttjko.heat import HeatPropagator
+from ttjko.sampler import SamplerConfig, StepDynamics
+from ttjko.tt import TTTensor, tt_eval, tt_from_full, tt_ones, tt_random, tt_rank_one
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -157,6 +160,30 @@ class TestGradients:
         deriv = gradient_matrix(g, 0) @ np.sin(x)
         err = np.max(np.abs(deriv[1:100] - np.cos(x[1:100])))
         assert err <= 1.5 * (g.spacings[0] ** 2) / 6 * 10
+
+    def test_ranks_unchanged(self):
+        # the sampler's per-axis gradient cores keep each potential's ranks,
+        # also where the two potentials' cores share a table padded to the
+        # larger rank
+        rng = np.random.default_rng(3)
+        g = Grid.regular(0.0, 1.0, 6, d=3)
+        eta, hat = (TTTensor([np.abs(c) + 0.05 for c in tt_random(g.shape, r, rng).cores])
+                    for r in (3, 1))
+        state = StepState(eta_T=eta, eta_0=None, eta_hat_0=hat, eta_hat_T=None,
+                          T=1.0, beta=0.1, converged=True, iters=1)
+        dyn = StepDynamics(state, g, SamplerConfig(n_time_nodes=4))
+        nodes = [HeatPropagator(g, dyn.beta * (dyn.T - t)).apply(eta) for t in dyn.tau]
+        for axis in range(g.d):
+            stack = np.stack([t.cores[axis] for t in nodes])           # (K, r1, N, r2)
+            _, r1, _, r2 = stack.shape
+            assert (r1, r2) == (eta.cores[axis].shape[0], eta.cores[axis].shape[2])
+            assert dyn._eta[axis].shape[1:3] == (r1, r2)
+            assert dyn._hat[axis].shape[1:3] == (hat.cores[axis].shape[0],
+                                                 hat.cores[axis].shape[2])
+            grad = np.einsum("ij,kajb->kaib", gradient_matrix(g, axis), stack)
+            assert_allclose(dyn._eta[axis][1, :, :, 0],
+                            grad.transpose(1, 3, 0, 2).reshape(r1, r2, -1),
+                            rtol=1e-12, atol=1e-14)
 
     def test_needs_three_nodes(self):
         with pytest.raises(ValueError, match="3 nodes"):
