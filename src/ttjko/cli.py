@@ -82,6 +82,7 @@ def cmd_fit(cfg: RunConfig, out: Path) -> int:
         "total_calls": rho_inf.total_calls,
         "ranks": [list(s.eta_T.ranks) for s in model.steps],
         "iters": [s.iters for s in model.steps],
+        "log_scale": [s.log_scale for s in model.steps],
     }
     with open(out / "fit.json", "w") as fh:
         json.dump({"config": cfg.echo, "summary": summary}, fh, indent=2,
@@ -195,8 +196,7 @@ def cmd_invert(cfg: RunConfig, out: Path) -> int:
     model, rho_inf = _fit_model(cfg, out)
     model.save(out / "model")
     if not model.converged:
-        print("warning: the posterior fit did not converge; its HDIs rest on "
-              "an unconverged fixed point", file=sys.stderr)
+        raise RuntimeError("posterior fit did not converge; invert aborted")
     refs, _ = _reference_samples(cfg, 8, cfg.diagnostics["sample_size"])
     pool = np.concatenate(refs, axis=0)
 
@@ -216,8 +216,7 @@ def cmd_invert(cfg: RunConfig, out: Path) -> int:
     _write_csv(out / "invert.csv",
                ["param", "theta_star", "mcmc_min", "mcmc_map", "mcmc_max",
                 "tt_min", "tt_map", "tt_max", "eps_rel"], rows)
-    _write_sidecar(out / "invert.csv", cfg, {"converged": model.converged,
-                                             "kl_history": model.kl_history})
+    _write_sidecar(out / "invert.csv", cfg, {"kl_history": model.kl_history})
     for row in rows:
         print("invert:", row)
     return 0

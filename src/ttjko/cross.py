@@ -252,7 +252,11 @@ def tt_cross(f, mode_sizes, config: CrossConfig,
         validation = np.asarray(validation, dtype=np.intp)
     val_truth = _eval_oracle(f, validation, info,
                              [tt_eval(t, validation) for t in factors])
-    val_scale = np.linalg.norm(val_truth)
+    # the relative error needs a truth of positive, representable norm;
+    # a norm that over- or underflows is taken on the truth scaled by its peak
+    val_peak = float(np.max(np.abs(val_truth), initial=0.0))
+    with np.errstate(over="ignore"):
+        val_scale = np.linalg.norm(val_truth)
 
     left = [None] * (d + 1)
     left[0] = np.zeros((1, 0), dtype=np.intp)
@@ -315,7 +319,13 @@ def tt_cross(f, mode_sizes, config: CrossConfig,
         info.sweeps = sweep + 1
         val_now = tt_eval(tt, validation)
         with np.errstate(invalid="ignore", over="ignore"):
-            error = np.linalg.norm(val_now - val_truth) / (val_scale if val_scale > 0 else 1.0)
+            if val_peak == 0.0:
+                error = np.inf
+            elif np.isfinite(val_scale) and val_scale > 0:
+                error = np.linalg.norm(val_now - val_truth) / val_scale
+            else:
+                error = (np.linalg.norm(val_now / val_peak - val_truth / val_peak)
+                         / np.linalg.norm(val_truth / val_peak))
         if not np.isfinite(error):
             error = np.inf
         info.rel_error = error
@@ -323,6 +333,8 @@ def tt_cross(f, mode_sizes, config: CrossConfig,
         if error < config.tolerance:
             info.converged = True
             break
+        if val_peak == 0.0:
+            break            # an all-zero truth shows no error, so no convergence
         stalled = error > 0.7 * prev_error
         prev_error = min(prev_error, error)
         if stalled:

@@ -112,7 +112,7 @@ class FlowModel:
             "steps": [
                 {
                     "T": s.T, "beta": s.beta, "converged": s.converged,
-                    "iters": s.iters,
+                    "iters": s.iters, "log_scale": s.log_scale,
                     "residual_history": [float(r) for r in s.residual_history],
                 }
                 for s in self.steps
@@ -141,7 +141,7 @@ class FlowModel:
             steps.append(StepState(
                 T=sm["T"], beta=sm["beta"], converged=sm["converged"],
                 iters=sm["iters"], residual_history=sm["residual_history"],
-                **tensors,
+                log_scale=sm.get("log_scale", 0.0), **tensors,
             ))
         rho_tt = tt_load(path / "rho_tt.tt")
         return cls(grid=grid, initial=initial, steps=steps, rho_tt=rho_tt,
@@ -172,8 +172,8 @@ def run(initial: GaussianInitial, rho_inf, grid: Grid, schedule: Schedule,
     from the initial density on the grid.
 
     Warm-starts each step's fixed point from the previous step's
-    terminal potential.  Unconverged steps are kept and flagged; the
-    sampler refuses such models unless forced.
+    terminal potential and log-scale.  Unconverged steps are kept and
+    flagged; the sampler refuses such models unless forced.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -185,6 +185,7 @@ def run(initial: GaussianInitial, rho_inf, grid: Grid, schedule: Schedule,
 
     rho_k = rho0
     eta_warm = None
+    log_scale = 0.0
     steps: list[StepState] = []
     kl_history: list[float] = []
     model = FlowModel(grid=grid, initial=initial, steps=steps, rho_tt=rho_k,
@@ -197,6 +198,7 @@ def run(initial: GaussianInitial, rho_inf, grid: Grid, schedule: Schedule,
         state = solve_step(
             rho_k, rho_inf, grid, T, beta, config, eta_init=eta_warm,
             rng=rng, telemetry=None if telemetry is None else emit,
+            log_scale=log_scale,
         )
         steps.append(state)
         rho_k = product_density(state, grid, config.cross, config.trunc_tol,
@@ -206,6 +208,7 @@ def run(initial: GaussianInitial, rho_inf, grid: Grid, schedule: Schedule,
             raise RuntimeError(f"step {k}: fitted density has invalid mass {mass}")
         model.rho_tt = rho_k
         eta_warm = state.eta_T
+        log_scale = state.log_scale
         if state.converged:
             try:
                 kl_history.append(kl_estimate(model))

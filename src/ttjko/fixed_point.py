@@ -3,12 +3,23 @@
 The cycle maps a terminal potential ``eta`` through four stages: heat
 propagation back to the initial time, division into the current density,
 heat propagation forward, and the terminal update
-``eta_new = (rho_inf / eta_hat)^(1 / (1 + 2 beta))`` — the only stage
-that queries the target density.  Both division stages are realized by
-cross approximation of the composed index oracles, never densely.
-Iteration is Anderson acceleration with a two-residual window, for which
-the line search has a closed form, relaxed by ``RELAXATION``; the plain
-relaxed step is its fallback.
+``eta_new = (exp(-l) rho_inf / eta_hat)^(1 / (1 + 2 beta))`` — the only
+stage that queries the target density.  Both division stages are
+realized by cross approximation of the composed index oracles, never
+densely.
+
+The cycle map G is homogeneous of degree ``gamma = 1 / (1 + 2 beta)`` in
+both ``eta`` and the target's scale, so the fixed point's overall scale
+(the gauge ``(c eta, eta_hat / c)`` of the Schrödinger system) is a mode
+that plain iteration contracts only at rate ``1 - 2 beta``.  The solver
+fixes it in closed form instead: after each cycle it takes the
+least-squares scale ``s`` of ``G(x)`` against ``x``, moves the log-scale
+``l`` by ``ln(s) / gamma`` and divides ``G(x)`` by ``s``, which is the
+cycle's output under the new ``l``.  A converged state thus satisfies
+``eta_T^(1+2 beta) eta_hat_T = exp(-l) rho_inf`` with O(1) potentials,
+whatever the target's normalization.  Iteration is Anderson acceleration
+with a two-residual window, for which the line search has a closed form;
+the plain step is its fallback.
 """
 
 from __future__ import annotations
@@ -20,14 +31,11 @@ import numpy as np
 from .cross import CrossConfig, tt_cross, validation_indices
 from .grid import Grid, all_quadrature_weights
 from .heat import HeatPropagator
-from .tt import (TTTensor, tt_axpy, tt_eval, tt_inner, tt_marginal, tt_norm,
-                 tt_ones, tt_round, tt_scale)
+from .tt import (TTTensor, tt_axpy, tt_eval, tt_inner, tt_marginal, tt_ones,
+                 tt_round, tt_scale)
 
 #: hard floor for guarded divisions (spec'd; negatives fall below it too)
 DIVISION_FLOOR = 1e-300
-
-#: relaxation q of every fixed-point update: x <- q * G(x) + (1 - q) * x
-RELAXATION = 0.85
 
 
 class DivisionFloorError(RuntimeError):
@@ -61,7 +69,12 @@ class FixedPointConfig:
 
 @dataclass
 class StepState:
-    """Converged potentials of one proximal step; everything sampling needs."""
+    """Converged potentials of one proximal step; everything sampling needs.
+
+    ``log_scale`` is the gauge ``l`` of the fixed point: the potentials
+    satisfy the terminal identity against ``exp(-l) rho_inf``.  An
+    ungauged fit is the ``l = 0`` fixed point.
+    """
 
     eta_T: TTTensor
     eta_0: TTTensor
@@ -72,6 +85,7 @@ class StepState:
     converged: bool
     iters: int
     residual_history: list = field(default_factory=list)
+    log_scale: float = 0.0
 
 
 def guarded_ratio(num: np.ndarray, den: np.ndarray, indices: np.ndarray,
@@ -124,11 +138,12 @@ class CycleResult:
 def cycle(eta: TTTensor, rho_prev: TTTensor, rho_inf, grid: Grid, T: float,
           beta: float, cross_cfg: CrossConfig, trunc_tol: float, max_rank: int,
           warm: CycleResult | None = None, rng: np.random.Generator | None = None,
-          validation: np.ndarray | None = None) -> CycleResult:
+          validation: np.ndarray | None = None, log_scale: float = 0.0) -> CycleResult:
     """One pass around the four-stage fixed-point cycle.
 
     ``rho_inf`` is anything with an ``eval_batch(indices)`` method (the
-    cached posterior oracle in production).  ``warm`` carries the
+    cached posterior oracle in production); the terminal stage divides
+    ``exp(-log_scale) * rho_inf``.  ``warm`` carries the
     previous pass, whose tensors seed the cross index sets; a fixed
     ``validation`` set keeps the cross convergence probes cacheable
     across iterations.
@@ -150,9 +165,10 @@ def cycle(eta: TTTensor, rho_prev: TTTensor, rho_inf, grid: Grid, T: float,
     eta_hat_T = prop.apply(eta_hat_0)
 
     gamma = 1.0 / (1.0 + 2.0 * beta)
+    target_scale = np.exp(-log_scale)
 
     def terminal_oracle(idx, eta_hat_T_vals):
-        ratio = guarded_ratio(rho_inf.eval_batch(idx), eta_hat_T_vals, idx)
+        ratio = guarded_ratio(target_scale * rho_inf.eval_batch(idx), eta_hat_T_vals, idx)
         return ratio**gamma
 
     eta_new, info2 = tt_cross(
@@ -170,10 +186,13 @@ def cycle(eta: TTTensor, rho_prev: TTTensor, rho_inf, grid: Grid, T: float,
 
 def solve_step(rho_prev: TTTensor, rho_inf, grid: Grid, T: float, beta: float,
                config: FixedPointConfig, eta_init: TTTensor | None = None,
-               rng: np.random.Generator | None = None, telemetry=None) -> StepState:
-    """Iterate the cycle to the fixed point of one proximal step.
+               rng: np.random.Generator | None = None, telemetry=None,
+               log_scale: float = 0.0) -> StepState:
+    """Iterate the gauged cycle to the fixed point of one proximal step.
 
-    Residuals are relative Frobenius norms computed by TT inner
+    ``log_scale`` is the gauge the iteration starts from (a warm start
+    passes the previous step's).  Residuals are relative Frobenius norms
+    of ``G(x) - x`` before the gauge update, computed by TT inner
     products.  ``telemetry``, when given, receives one dict per
     iteration.  Non-convergence within ``max_iters`` returns a state
     flagged ``converged=False``.
@@ -183,72 +202,88 @@ def solve_step(rho_prev: TTTensor, rho_inf, grid: Grid, T: float, beta: float,
     if rng is None:
         rng = np.random.default_rng(0)
     x = eta_init if eta_init is not None else tt_ones(grid.shape)
-    q = RELAXATION
+    gamma = 1.0 / (1.0 + 2.0 * beta)
+    log_scale = float(log_scale)
 
     # one validation set per solve so cross probes hit the density cache
     validation = validation_indices(grid.shape, config.cross, rng)
 
     history: list[float] = []
     converged = False
-    prev = None          # (x, g, r, r_norm_sq) from the previous iteration
+    prev = None          # (x, G(x)) of the previous iteration
     result = None
-    last_finite = None
+    last_finite = None   # (cycle result, its log-scale)
     iters = 0
 
     for m in range(config.max_iters):
         result = cycle(
             x, rho_prev, rho_inf, grid, T, beta, config.cross,
             config.trunc_tol, config.max_rank, warm=result, rng=rng,
-            validation=validation,
+            validation=validation, log_scale=log_scale,
         )
         g = result.eta_new
         with np.errstate(over="ignore", invalid="ignore"):
             r = tt_axpy(-1.0, x, g)                 # residual g - x
             r_norm_sq = max(tt_inner(r, r), 0.0)
-            x_norm = tt_norm(x)
+            x_norm_sq = max(tt_inner(x, x), 0.0)
+            g_dot_x = tt_inner(g, x)
+        x_norm = np.sqrt(x_norm_sq)
         residual = np.sqrt(r_norm_sq) / x_norm if x_norm > 0 else np.inf
         history.append(residual)
         iters = m + 1
         if telemetry is not None:
             telemetry({
                 "iter": iters, "residual": residual, "ranks": list(g.ranks),
+                "log_scale": log_scale,
                 "unique_calls": getattr(rho_inf, "unique_calls", None),
                 "total_calls": getattr(rho_inf, "total_calls", None),
             })
         if not np.isfinite(residual):
-            # iterate left the representable range: report the last usable pass
-            result = last_finite if last_finite is not None else result
-            break
-        last_finite = result
+            break        # iterate left the representable range
+        last_finite = (result, log_scale)
         if residual < config.tolerance:
             converged = True
             break
 
-        x_next = None
+        # gauge: G's output under log-scale l + ln(s)/gamma is G(x)/s, and
+        # s = <G(x), x>/<x, x> leaves no scalar mode in the residual
+        s = g_dot_x / x_norm_sq
+        if not (np.isfinite(s) and s > 0):
+            s = 1.0          # no positive overlap with x: no scale to fix
+        log_scale += float(np.log(s)) / gamma
+        g = tt_scale(g, 1.0 / s)
+        r = tt_axpy(-1.0, x, g)
+        r_norm_sq = max(tt_inner(r, r), 0.0)
+
+        x_next = g
         # extrapolate unless the residual genuinely grew; reject candidates
         # the extrapolation drove grossly negative (the true iterates are
-        # nonnegative) and fall back to the plain relaxed step
-        if prev is not None and r_norm_sq <= 1.5 * prev[3]:
-            x_old, g_old, r_old, r_old_sq = prev
-            cross_rr = tt_inner(r_old, r)
-            diff_sq = r_norm_sq - 2.0 * cross_rr + r_old_sq
-            if diff_sq > (1e-14**2) * r_norm_sq and diff_sq > 0:
-                alpha = anderson_alpha(r_norm_sq, r_old_sq, cross_rr)
-                g_mix = tt_axpy(alpha, g, tt_scale(g_old, 1.0 - alpha))
-                x_mix = tt_axpy(alpha, x, tt_scale(x_old, 1.0 - alpha))
-                cand = tt_axpy(q, g_mix, tt_scale(x_mix, 1.0 - q))
-                probe = tt_eval(cand, validation)
-                if probe.min() >= -0.03 * np.max(np.abs(probe)):
-                    x_next = cand
-        if x_next is None:
-            x_next = tt_axpy(q, g, tt_scale(x, 1.0 - q))
-        prev = (x, g, r, r_norm_sq)
+        # nonnegative) and fall back to the plain step
+        if prev is not None:
+            x_old, g_old = prev
+            g_old = tt_scale(g_old, 1.0 / s)
+            r_old = tt_axpy(-1.0, x_old, g_old)
+            r_old_sq = max(tt_inner(r_old, r_old), 0.0)
+            if r_norm_sq <= 1.5 * r_old_sq:
+                cross_rr = tt_inner(r_old, r)
+                diff_sq = r_norm_sq - 2.0 * cross_rr + r_old_sq
+                if diff_sq > (1e-14**2) * r_norm_sq and diff_sq > 0:
+                    alpha = anderson_alpha(r_norm_sq, r_old_sq, cross_rr)
+                    cand = tt_axpy(alpha, g, tt_scale(g_old, 1.0 - alpha))
+                    probe = tt_eval(cand, validation)
+                    if probe.min() >= -0.03 * np.max(np.abs(probe)):
+                        x_next = cand
+        prev = (x, g)
         x = tt_round(x_next, config.trunc_tol, config.max_rank)
 
+    # report the last usable pass with the log-scale its cycle ran under
+    if last_finite is not None:
+        result, log_scale = last_finite
     return StepState(
         eta_T=result.eta_new, eta_0=result.eta_0, eta_hat_0=result.eta_hat_0,
         eta_hat_T=result.eta_hat_T, T=float(T), beta=float(beta),
         converged=converged, iters=iters, residual_history=history,
+        log_scale=log_scale,
     )
 
 
@@ -272,10 +307,10 @@ def certificate_indices(rho_tt: TTTensor, grid: Grid, n: int,
 
 
 def terminal_identity_error(state: StepState, rho_inf, indices: np.ndarray) -> float:
-    """Max relative error of ``eta_T^(1+2 beta) * eta_hat_T = rho_inf``."""
+    """Max relative error of ``eta_T^(1+2 beta) * eta_hat_T = exp(-l) rho_inf``."""
     lhs = tt_eval(state.eta_T, indices) ** (1.0 + 2.0 * state.beta)
     lhs = lhs * tt_eval(state.eta_hat_T, indices)
-    rhs = rho_inf.eval_batch(indices)
+    rhs = np.exp(-state.log_scale) * rho_inf.eval_batch(indices)
     ref = np.maximum(np.abs(rhs), np.finfo(float).tiny)
     return float(np.max(np.abs(lhs - rhs) / ref))
 

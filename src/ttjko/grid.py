@@ -15,6 +15,7 @@ gradient.  ``interpolate_batch`` and the sampler drift both use it;
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -149,22 +150,34 @@ def gradient_matrix(grid: Grid, axis: int) -> np.ndarray:
     return mat
 
 
-def _slabs(table, cols, w):
-    """Cores at the points, one per leading table entry (value, gradient):
-    ``lo + w (hi - lo)`` of the two corners gathered with one take.
-    (A function of its own so the gathered corners are freed before the
-    next axis gathers, which keeps the sampler's peak memory down.)"""
-    c = table.take(cols, axis=-1)
-    out = []
-    for part in c:
-        slab = np.subtract(part[..., 1, :], part[..., 0, :])
-        slab *= w
-        slab += part[..., 0, :]
-        out.append(slab)
-    return out
+def _slabs(table, cols, w, out=None):
+    """Cores at the points, stacked over the leading table entry (value,
+    gradient): ``lo + w (hi - lo)`` of the two corners gathered with one
+    take.  (A function of its own so that, without a scratch, the
+    gathered corners are freed before the next axis gathers.)
+
+    With a flat scratch ``out`` nothing is allocated: the cores fill the
+    head of ``out`` and the gathered corners its tail (a scratch too
+    small for both is not used).  ``take`` then runs with ``mode="clip"``
+    (with ``"raise"`` it gathers into a temporary and copies), so the
+    caller checks ``cols`` in range."""
+    shape = table.shape[:-1] + cols.shape
+    size = math.prod(shape)
+    if out is not None and out.size < size + size // 2:
+        out = None
+    if out is None:
+        c = table.take(cols, axis=-1)
+        slabs = np.subtract(c[..., 1, :], c[..., 0, :])
+    else:
+        c = table.take(cols, axis=-1, mode="clip", out=out[out.size - size:].reshape(shape))
+        lo = c[..., 0, :]
+        slabs = np.subtract(c[..., 1, :], lo, out=out[:size // 2].reshape(lo.shape))
+    slabs *= w
+    slabs += c[..., 0, :]
+    return slabs
 
 
-def multilinear(tables, cols, w):
+def multilinear(tables, cols, w, out=None):
     """Multilinear TT contraction at off-grid points, batch last.
 
     ``tables[n]`` holds axis n's cores with the ranks leading and the
@@ -178,14 +191,22 @@ def multilinear(tables, cols, w):
     ``(d, *F, *G, m)``; ``grad`` is None for a value-only table.  Every
     reduction runs over one rank axis in order, so each point's result
     depends on nothing but that point.
+
+    ``out``, a flat float64 scratch, takes every axis's gathered corners
+    and interpolated cores instead of new arrays, so a caller that
+    evaluates many batches allocates them once.  It must hold, for
+    ``V = 2``, the value cores of all axes plus one axis's gather and
+    cores; the caller must have checked ``cols`` in range.
     """
     prefix = np.ones(1)
     slabs, mids = [], []          # value slabs and prefix . derivative slab per axis
     for n, table in enumerate(tables):
-        v, *g = _slabs(table, cols[n], w[n])
+        v, *g = _slabs(table, cols[n], w[n], out)
         if g:
             mids.append((prefix[:, None] * g[0]).sum(axis=0))
             slabs.append(v)
+            if out is not None:
+                out = out[v.size:]      # keep the value core for the gradient pass
         prefix = (prefix[:, None] * v).sum(axis=0)
     value = prefix[0]
     if not mids:

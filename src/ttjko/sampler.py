@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -138,7 +139,8 @@ class StepDynamics:
 
     A drift evaluation is one ``grid.multilinear`` pass over the axes:
     each axis gathers the two grid corners of both neighbouring time
-    nodes with one ``take`` on the last table axis and interpolates them
+    nodes with one ``take`` on the last table axis, into one scratch
+    buffer the evaluator keeps across calls, and interpolates them
     in space; prefix, suffix and gradient contractions then run on arrays
     with the ranks leading and the batch last, for both potentials and
     both time nodes at once.  This class keeps the time bookkeeping: the
@@ -168,6 +170,14 @@ class StepDynamics:
                      for tab, a in zip(self._tables, state.eta_T.cores)]
         self._hat = [tab[:, :a.shape[0], :a.shape[2], 1:]
                      for tab, a in zip(self._tables, state.eta_hat_0.cores)]
+        # one scratch for the gathered corners and interpolated cores of
+        # every axis (see grid.multilinear), grown to the largest batch
+        # seen, so a drift call allocates none of them; per corner column
+        # it holds all value cores (a quarter of a table's rows each) and
+        # one axis's gather with its two cores
+        rows = [math.prod(tab.shape[:-1]) for tab in self._tables]
+        self._scratch_rows = sum(rows) // 4 + 3 * max(rows) // 2
+        self._scratch = np.empty(0)
 
     def _node_table(self, n, eta_nodes, hat_nodes):
         diff = gradient_matrix(self.grid, n)
@@ -192,7 +202,16 @@ class StepDynamics:
         cell, w = self.grid.cells(x)
         # table columns of the lower/upper grid corner at nodes k and k+1
         cols = (k[:, None] * self.grid.nodes + cell).T[:, None, None, :] + self._offsets
-        value, grad = multilinear(tables, cols, w.T.copy())   # (P, 2, m), (d, P, 2, m)
+        # the gather clips instead of raising; cells are capped at N - 2 and
+        # time nodes at K - 2, so only a NaN coordinate (cast to a negative
+        # cell) can leave the tables
+        if cols.min() < 0:
+            raise IndexError("drift point maps outside the node tables")
+        need = self._scratch_rows * cols[0].size
+        if self._scratch.size < need:
+            self._scratch = np.empty(need)
+        value, grad = multilinear(tables, cols, w.T.copy(),   # (P, 2, m), (d, P, 2, m)
+                                  out=self._scratch)
         value = value[:, 0] + lam * (value[:, 1] - value[:, 0])
         grad = grad[:, :, 0] + lam * (grad[:, :, 1] - grad[:, :, 0])
         return grad / np.maximum(value, _VALUE_FLOOR)

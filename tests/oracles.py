@@ -16,8 +16,9 @@ axis), kept to pin the shared off-grid kernel.  ``reference_entropic_ot``
 is the original log-domain Sinkhorn (two full-matrix logsumexps per
 iteration), kept to pin the values and convergence flags of the
 production stabilised scaling iteration.  ``reference_picard_solve`` is
-the plain relaxed (Picard) iteration of one proximal step, built from
-the production cycle, kept to measure the Anderson solver against.
+the plain relaxed (Picard) iteration of one proximal step, with or
+without the gauge fix, built from the production cycle, kept to
+measure the Anderson solver against.
 """
 
 import itertools
@@ -213,45 +214,61 @@ def reference_integrate_ode(dyn, x, t0, t1, config, rescue_noise):
 
 
 def reference_picard_solve(rho_prev, rho_inf, grid, T, beta, config, q=1.0,
-                           rng=None):
+                           rng=None, gauge=False):
     """Relaxed Picard iteration ``x <- q G(x) + (1 - q) x`` of one proximal
     step's cycle G, with ``solve_step``'s validation set, warm starts,
     relative residual, truncation and stopping rule; returns the
-    ``StepState``."""
+    ``StepState``.  With ``gauge`` it fixes the scale as ``solve_step``
+    does: after each residual, ``G(x)`` is divided by its least-squares
+    scale ``s`` against ``x`` and the log-scale moves by
+    ``ln(s) (1 + 2 beta)``; without it (the paper's iteration) the
+    log-scale stays 0."""
     from ttjko.cross import validation_indices
     from ttjko.fixed_point import StepState, cycle
-    from ttjko.tt import tt_axpy, tt_inner, tt_norm, tt_ones, tt_round, tt_scale
+    from ttjko.tt import tt_axpy, tt_inner, tt_ones, tt_round, tt_scale
     if rng is None:
         rng = np.random.default_rng(0)
     x = tt_ones(grid.shape)
     validation = validation_indices(grid.shape, config.cross, rng)
     history = []
     converged = False
+    log_scale = 0.0
     result = last_finite = None
     for _ in range(config.max_iters):
         result = cycle(x, rho_prev, rho_inf, grid, T, beta, config.cross,
                        config.trunc_tol, config.max_rank, warm=result, rng=rng,
-                       validation=validation)
+                       validation=validation, log_scale=log_scale)
         g = result.eta_new
         with np.errstate(over="ignore", invalid="ignore"):
             r = tt_axpy(-1.0, x, g)
             r_norm_sq = max(tt_inner(r, r), 0.0)
-            x_norm = tt_norm(x)
+            x_norm_sq = max(tt_inner(x, x), 0.0)
+            g_dot_x = tt_inner(g, x)
+        x_norm = np.sqrt(x_norm_sq)
         residual = np.sqrt(r_norm_sq) / x_norm if x_norm > 0 else np.inf
         history.append(residual)
         if not np.isfinite(residual):
-            result = last_finite if last_finite is not None else result
             break
-        last_finite = result
+        last_finite = (result, log_scale)
         if residual < config.tolerance:
             converged = True
             break
-        x = tt_round(tt_axpy(q, g, tt_scale(x, 1.0 - q)), config.trunc_tol,
-                     config.max_rank)
+        if gauge:
+            s = g_dot_x / x_norm_sq
+            log_scale += float(np.log(s)) * (1.0 + 2.0 * beta)
+            g = tt_scale(g, 1.0 / s)
+        if gauge and q == 1.0:
+            x_next = g                  # solve_step's plain step, bit for bit
+        else:
+            x_next = tt_axpy(q, g, tt_scale(x, 1.0 - q))
+        x = tt_round(x_next, config.trunc_tol, config.max_rank)
+    if last_finite is not None:
+        result, log_scale = last_finite
     return StepState(
         eta_T=result.eta_new, eta_0=result.eta_0, eta_hat_0=result.eta_hat_0,
         eta_hat_T=result.eta_hat_T, T=float(T), beta=float(beta),
         converged=converged, iters=len(history), residual_history=history,
+        log_scale=log_scale,
     )
 
 

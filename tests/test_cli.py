@@ -83,7 +83,10 @@ class TestFitCommand:
         assert summary["summary"]["unique_calls"] > 0
         lines = (out / "telemetry.jsonl").read_text().strip().split("\n")
         record = json.loads(lines[0])
-        assert {"iter", "residual", "ranks", "step"} <= set(record)
+        assert {"iter", "residual", "ranks", "step", "log_scale"} <= set(record)
+        # the log-scale of a step is the one its last iteration ran under
+        last = json.loads(lines[-1])
+        assert summary["summary"]["log_scale"] == [last["log_scale"]]
 
     def test_fit_deterministic_under_seed(self, tmp_path):
         out_a = tmp_path / "a"
@@ -175,14 +178,15 @@ class TestBenchmarkCommand:
 
 
 class TestInvertCommand:
-    def test_row_per_parameter(self, tmp_path, capsys):
-        out = tmp_path / "inv"
-        cfg = {
+    @staticmethod
+    def parabolic_config(out, **fixed_point):
+        return {
             "target": {"type": "parabolic", "d": 2, "sigma_meas": 0.05,
                        "sigma0": 1.0, "n_t": 3, "n_x": 6, "seed": 5},
             "grid": {"lower": [-3.0, -1.5], "upper": [3.0, 1.5], "nodes": 30},
             "schedule": [{"T": 1e3, "beta": 1e-2}],
-            "fixed_point": {"truncation": {"max_rank": 4}, "cross": {"max_rank": 4}},
+            "fixed_point": {"truncation": {"max_rank": 4}, "cross": {"max_rank": 4},
+                            **fixed_point},
             "sampler": {"epsilon_sde": 0.01, "n_em_steps": 10},
             "diagnostics": {
                 "sinkhorn": {"max_iters": 100, "threshold": 1e-4},
@@ -194,15 +198,26 @@ class TestInvertCommand:
             "initial": {"std": [1.0, 0.5]},
             "output": str(out),
         }
-        path = write_config(tmp_path, cfg)
+
+    def test_row_per_parameter(self, tmp_path):
+        out = tmp_path / "inv"
+        path = write_config(tmp_path, self.parabolic_config(out))
         assert main(["invert", path]) == 0
         lines = (out / "invert.csv").read_text().strip().split("\n")
         assert len(lines) == 3      # header + one row per parameter
         assert lines[0].startswith("param,theta_star,mcmc_min")
         sidecar = json.loads((out / "invert.json").read_text())
         assert len(sidecar["kl_history"]) == 1
-        warned = "did not converge" in capsys.readouterr().err
-        assert warned == (not sidecar["converged"])
+        assert np.isfinite(sidecar["kl_history"][0])
+        fit = json.loads((out / "model" / "model.json").read_text())
+        assert all(step["converged"] for step in fit["steps"])
+
+    def test_unconverged_fit_is_an_error(self, tmp_path, capsys):
+        out = tmp_path / "inv"
+        path = write_config(tmp_path, self.parabolic_config(out, max_iters=1))
+        assert main(["invert", path]) == 2
+        assert "did not converge" in capsys.readouterr().err
+        assert not (out / "invert.csv").exists()
 
     def test_requires_posterior_target(self, tmp_path):
         out = tmp_path / "run"

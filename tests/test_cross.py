@@ -96,6 +96,27 @@ class TestCrossBehavior:
                      rng=np.random.default_rng(5))
         assert err.value.index[1] == 2
 
+    @pytest.mark.parametrize("max_rank, converged", [(4, True), (2, False)])
+    def test_huge_values_keep_their_error(self, max_rank, converged):
+        # the validation norm of values near 1e200 overflows float64; the
+        # error must still be measured, not read as zero
+        rng = np.random.default_rng(21)
+        g = tt_random((7, 7, 7), 4, rng)
+        t, info = tt_cross(lambda i: 1e200 * tt_eval(g, i), (7, 7, 7),
+                           CrossConfig(max_rank=max_rank, tolerance=1e-9), rng=rng)
+        assert info.converged is converged
+        assert np.isfinite(info.rel_error)
+        assert bool(info.rel_error < 1e-9) is converged
+        assert info.rel_error > 0.0
+
+    def test_all_zero_truth_is_unconverged(self):
+        t, info = tt_cross(lambda i: np.zeros(i.shape[0]), (6, 6, 6),
+                           CrossConfig(max_rank=3, tolerance=1e-8),
+                           rng=np.random.default_rng(22))
+        assert not info.converged
+        assert info.rel_error == np.inf
+        assert info.sweeps == 1
+
     def test_reports_oracle_calls(self):
         calls = []
 

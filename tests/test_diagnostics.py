@@ -11,8 +11,6 @@ from ttjko.diagnostics import (MHConfig, SinkhornConfig, double_ot_protocol,
                                median_sq_distance, metropolis_hastings,
                                wasserstein_1d_sq)
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def s2(x, y, epsilon=None, max_iters=300, threshold=1e-5):
     """Debiased entropic OT, OT(x, y) - (OT(x, x) + OT(y, y)) / 2, the

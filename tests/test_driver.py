@@ -1,5 +1,7 @@
 """Outer proximal loop, KL tracking, marginals, model persistence."""
 
+import json
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -59,6 +61,19 @@ class TestRun:
             kl = oc.quadrature_kl(np.maximum(tt_to_full(model.rho_tt), 0), tgt_dense, w)
             assert kl <= 1e-3
 
+    def test_warm_start_carries_log_scale(self):
+        grid = Grid.regular(-5.0, 5.0, 24, d=2)
+        rho_inf = CachedDensity(Gaussian(mean=[0.6, -0.3], var=0.5).density, grid)
+        records = []
+        model = run(GaussianInitial.standard(2), rho_inf, grid,
+                    Schedule([(5e2, 1e-2), (5e2, 1e-2)]), tight_config(max_rank=8),
+                    rng=np.random.default_rng(3), telemetry=records.append)
+        assert model.converged
+        first = [r for r in records if r["step"] == 0][0]
+        resumed = [r for r in records if r["step"] == 1][0]
+        assert first["log_scale"] == 0.0
+        assert resumed["log_scale"] == model.steps[0].log_scale != 0.0
+
     def test_mass_positive_and_finite(self, gauss2):
         mass = tt_contract_all(gauss2["model"].rho_tt,
                                all_quadrature_weights(gauss2["grid"]))
@@ -97,24 +112,26 @@ class TestRun:
         assert err <= 1e-10
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: unfixed gauge")
 def test_fit_invariant_to_target_scale():
     # the fixed point's overall scale moves as the target's to the power
     # 1/(2 beta); at the paper's small betas that mode is slow and leaves
-    # the float range unless the solver fixes it
+    # the float range unless the solver fixes it.  The gauge absorbs the
+    # target's scale: its log-scale moves by exactly s
     grid = Grid.regular(-4.0, 4.0, 16, d=2)
     base = Gaussian(mean=[0.4, -0.6], var=0.5)
     cfg = FixedPointConfig(tolerance=1e-6, max_iters=300, max_rank=6)
     for beta in (1e-2, 1e-3):
-        iters = []
+        iters, log_scales = [], {}
         for s in (-20.0, 0.0, 3.0):
             rho_inf = CachedDensity(lambda x, f=np.exp(s): f * base.density(x), grid)
             model = run(GaussianInitial.standard(2), rho_inf, grid,
                         Schedule([(1e3, beta)]), cfg)
             assert model.converged, f"beta={beta:g}: unconverged at scale exp({s:g})"
             iters.append(model.steps[0].iters)
+            log_scales[s] = model.steps[0].log_scale
         assert len(set(iters)) == 1, f"beta={beta:g}: iterations {iters}"
+        for s, ell in log_scales.items():
+            assert abs(ell - log_scales[0.0] - s) <= 1e-9, f"beta={beta:g}, s={s:g}"
 
 
 class TestKLEstimate:
@@ -228,3 +245,21 @@ class TestPersistence:
             for name in ("eta_T", "eta_0", "eta_hat_0", "eta_hat_T"):
                 for a, b in zip(getattr(s1, name).cores, getattr(s2, name).cores):
                     assert np.array_equal(a, b)
+
+    def test_log_scale_round_trip(self, gauss2, tmp_path):
+        model = gauss2["model"]
+        assert model.steps[0].log_scale != 0.0
+        model.save(tmp_path / "m")
+        loaded = FlowModel.load(tmp_path / "m")
+        assert [s.log_scale for s in loaded.steps] == [s.log_scale for s in model.steps]
+
+    def test_missing_log_scale_reads_as_ungauged(self, gauss2, tmp_path):
+        # a model saved without the gauge is the log-scale 0 fixed point
+        gauss2["model"].save(tmp_path / "m")
+        meta_path = tmp_path / "m" / "model.json"
+        meta = json.loads(meta_path.read_text())
+        for step in meta["steps"]:
+            del step["log_scale"]
+        meta_path.write_text(json.dumps(meta))
+        loaded = FlowModel.load(tmp_path / "m")
+        assert [s.log_scale for s in loaded.steps] == [0.0]

@@ -7,10 +7,10 @@ from numpy.testing import assert_allclose
 import oracles as oc
 from ttjko.cross import CrossConfig
 from ttjko.driver import GaussianInitial
-from ttjko.fixed_point import (RELAXATION, DivisionFloorError,
-                               FixedPointConfig, anderson_alpha,
-                               certificate_indices, cycle, guarded_ratio,
-                               solve_step, terminal_identity_error)
+from ttjko.fixed_point import (DivisionFloorError, FixedPointConfig,
+                               anderson_alpha, certificate_indices, cycle,
+                               guarded_ratio, solve_step,
+                               terminal_identity_error)
 from ttjko.grid import Grid
 from ttjko.targets import CachedDensity, Gaussian, GaussianMixture
 from ttjko.tt import tt_ones, tt_to_full
@@ -115,7 +115,8 @@ class TestSolve:
         res = cycle(state.eta_T, model.initial.tt(gauss2["grid"]),
                     gauss2["rho_inf"], gauss2["grid"], state.T, state.beta,
                     gauss2["config"].cross, gauss2["config"].trunc_tol,
-                    gauss2["config"].max_rank, rng=np.random.default_rng(2))
+                    gauss2["config"].max_rank, rng=np.random.default_rng(2),
+                    log_scale=state.log_scale)
         from ttjko.tt import tt_axpy, tt_norm
         rel = tt_norm(tt_axpy(-1.0, state.eta_T, res.eta_new)) / tt_norm(state.eta_T)
         assert rel <= 10 * gauss2["config"].tolerance
@@ -131,10 +132,14 @@ class TestSolve:
         grid, rho0, rho_inf, _ = make_problem()
         cfg = FixedPointConfig(tolerance=1e-12, max_iters=2, max_rank=8,
                                cross=CrossConfig(max_rank=8, tolerance=1e-8))
-        state = solve_step(rho0, rho_inf, grid, 10.0, 0.1, cfg)
+        records = []
+        state = solve_step(rho0, rho_inf, grid, 10.0, 0.1, cfg, telemetry=records.append)
         assert not state.converged
         assert state.iters == 2
         assert len(state.residual_history) == 2
+        # the returned potentials come from the last cycle, so the
+        # log-scale must be the one that cycle ran under
+        assert state.log_scale == records[-1]["log_scale"] != records[0]["log_scale"]
 
     def test_picard_residual_monotone_after_burn_in(self):
         grid = Grid.regular(-5.0, 5.0, 24, d=2)
@@ -150,8 +155,8 @@ class TestSolve:
             assert np.all(np.diff(hist) <= 1e-12 + 1e-6 * hist[:-1])
 
     def test_anderson_first_step_equals_relaxed_picard(self):
-        # with one residual in its window Anderson takes the relaxed step,
-        # so the second residual is the relaxed Picard one as well
+        # with one residual in its window Anderson takes the plain gauged
+        # step, so the second residual is the gauged Picard one as well
         grid, rho0, rho_inf, _ = make_problem()
         cfg = FixedPointConfig(tolerance=1e-30, max_iters=2, max_rank=10,
                                cross=CrossConfig(max_rank=10, tolerance=1e-9))
@@ -159,7 +164,8 @@ class TestSolve:
         s_and = solve_step(rho0, rho_inf, grid, 50.0, 0.1, cfg,
                            rng=np.random.default_rng(4))
         s_pic = oc.reference_picard_solve(rho0, rho_inf2, grid, 50.0, 0.1, cfg,
-                                          q=RELAXATION, rng=np.random.default_rng(4))
+                                          q=1.0, rng=np.random.default_rng(4),
+                                          gauge=True)
         assert len(s_and.residual_history) == 2
         assert s_and.residual_history == s_pic.residual_history
 
@@ -179,6 +185,26 @@ class TestSolve:
             counts[method] = state.iters
         assert counts["anderson"] <= counts["picard"] / 3
 
+    def test_anderson_beats_gauged_picard(self):
+        # the gauge alone removes the slow scale mode; Anderson must still
+        # pay off on what is left, at a short step where the cycle
+        # contracts slowly
+        grid = Grid.regular(-5.0, 5.0, 24, d=2)
+        target = Gaussian(mean=[0.6, -0.3], var=0.5)
+        init = GaussianInitial.standard(2)
+        cfg = FixedPointConfig(tolerance=1e-6, max_iters=2000, max_rank=8,
+                               cross=CrossConfig(max_rank=8, tolerance=1e-8))
+
+        def iterations(solve, **kwargs):
+            rho_inf = CachedDensity(target.density, grid)
+            state = solve(init.tt(grid), rho_inf, grid, 10.0, 1e-2, cfg,
+                          rng=np.random.default_rng(1), **kwargs)
+            assert state.converged
+            return state.iters
+
+        assert iterations(solve_step) <= iterations(oc.reference_picard_solve,
+                                                    gauge=True) / 1.4
+
     def test_telemetry_stream(self):
         grid, rho0, rho_inf, _ = make_problem()
         records = []
@@ -187,7 +213,8 @@ class TestSolve:
         solve_step(rho0, rho_inf, grid, 50.0, 0.1, cfg, telemetry=records.append)
         assert len(records) >= 3
         first = records[0]
-        assert {"iter", "residual", "ranks", "unique_calls", "total_calls"} <= set(first)
+        assert {"iter", "residual", "ranks", "log_scale", "unique_calls",
+                "total_calls"} <= set(first)
         assert first["total_calls"] >= first["unique_calls"]
 
     def test_rejects_bad_step_parameters(self):

@@ -11,8 +11,6 @@ from ttjko.heat import HeatPropagator
 from ttjko.sampler import SamplerConfig, StepDynamics
 from ttjko.tt import TTTensor, tt_eval, tt_from_full, tt_ones, tt_random, tt_rank_one
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 class TestGrid:
     def test_nodes_include_endpoints(self):

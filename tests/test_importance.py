@@ -14,8 +14,6 @@ from ttjko.importance import (QuantityOfInterest, fit_importance,
 from ttjko.targets import CachedDensity, Gaussian
 from ttjko.tt import tt_contract_all, tt_to_full
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 @pytest.fixture(scope="module")
 def posterior2():

@@ -17,8 +17,6 @@ from ttjko.targets import CachedDensity, DensityEvalError
 from ttjko.tt import (TTTensor, tt_block_eval, tt_chain_step, tt_eval, tt_random,
                       tt_right_interface)
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def _left_interface(t, prefixes):
     """Products of the first k cores at (M, k) prefixes, one chain step per core."""

@@ -18,8 +18,6 @@ from ttjko.sampler import (Ensemble, SamplerConfig, StepDynamics, _em_single,
 from ttjko.targets import CachedDensity, Gaussian
 from ttjko.tt import tt_rank_one, tt_ones
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def gaussian_state(grid, mean_eta, var_eta, mean_hat, var_hat, T=1.0, beta=0.1):
     """StepState with Gaussian-shaped potentials for closed-form checks."""
@@ -90,6 +88,30 @@ class TestDrifts:
         x = np.random.default_rng(2).uniform(-2, 2, size=(30, 2))
         assert np.max(np.abs(dyn.sde_drift(np.full(30, 0.3), x))) <= 1e-12
         assert_allclose(dyn.diffusion, np.sqrt(2 * 0.2))
+
+    def test_scratch_reuse_is_transparent(self):
+        # one evaluator's gather scratch grows and is reused across calls
+        # of changing batch size; every call must equal a fresh evaluator's
+        grid = Grid.regular(-4.0, 4.0, 30, d=3)
+        state = gaussian_state(grid, 0.3, 0.8, -0.2, 1.1, T=1.0, beta=0.05)
+        dyn = StepDynamics(state, grid, SamplerConfig())
+        rng = np.random.default_rng(1)
+        for m in (20, 5, 60, 1, 33):
+            t = rng.uniform(0.0, 1.0, m)
+            x = rng.uniform(-4.5, 4.5, size=(m, 3))
+            fresh = StepDynamics(state, grid, SamplerConfig())
+            assert np.array_equal(dyn.ode_drift(t, x), fresh.ode_drift(t, x))
+            assert np.array_equal(dyn.sde_drift(t, x), fresh.sde_drift(t, x))
+
+    def test_nan_point_raises(self):
+        grid = Grid.regular(-4.0, 4.0, 30, d=2)
+        dyn = StepDynamics(gaussian_state(grid, 0.3, 0.8, -0.2, 1.1), grid,
+                           SamplerConfig())
+        x = np.array([[0.1, 0.2], [np.nan, 0.0]])
+        # the cell of a NaN coordinate is a negative integer, which the
+        # gather would clip into the tables without the range check
+        with np.errstate(invalid="ignore"), pytest.raises(IndexError):
+            dyn.ode_drift(np.array([0.5, 0.5]), x)
 
 
 class TestReflect:
