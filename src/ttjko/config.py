@@ -105,22 +105,19 @@ def build_fixed_point(spec: dict) -> FixedPointConfig:
     allowed = {"tolerance", "max_iters", "truncation", "cross"}
     _require_keys(spec, allowed, set(), "fixed_point")
     trunc = spec.get("truncation", {})
-    _require_keys(trunc, {"tolerance", "max_rank"}, set(), "fixed_point.truncation")
+    _require_keys(trunc, {"tolerance"}, set(), "fixed_point.truncation")
     cross_spec = spec.get("cross", {})
-    _require_keys(cross_spec, {"max_rank", "tolerance", "max_sweeps", "rank_adaptive"},
-                  set(), "fixed_point.cross")
-    max_rank = int(trunc.get("max_rank", 10))
+    _require_keys(cross_spec, {"max_rank", "tolerance", "max_sweeps"}, set(),
+                  "fixed_point.cross")
     cross = CrossConfig(
-        max_rank=int(cross_spec.get("max_rank", max_rank)),
+        max_rank=int(cross_spec.get("max_rank", 10)),
         tolerance=float(cross_spec.get("tolerance", 1e-7)),
         max_sweeps=int(cross_spec.get("max_sweeps", 6)),
-        rank_adaptive=bool(cross_spec.get("rank_adaptive", True)),
     )
     return FixedPointConfig(
         tolerance=float(spec.get("tolerance", 1e-5)),
         max_iters=int(spec.get("max_iters", 1000)),
         trunc_tol=float(trunc.get("tolerance", 1e-8)),
-        max_rank=max_rank,
         cross=cross,
     )
 

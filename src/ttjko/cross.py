@@ -12,9 +12,11 @@ contracted through its interface matrices on the prefixes and suffixes
 validation sets it is evaluated by :func:`~ttjko.tt.tt_eval`.  With no
 factors the oracle is called as ``f(indices)``.
 
-Pivots are chosen by maxvol row selection on orthogonalized unfoldings;
-ranks can grow DMRG-style when progress on a fixed validation index set
-stalls.
+Pivots are chosen by maxvol row selection on orthogonalized unfoldings.
+Ranks are adaptive and capped by ``CrossConfig.max_rank``: index sets
+start at rank 2 (or at the ranks of an initial guess) and grow by up to
+two random suffixes per bond whenever a sweep stalls on the validation
+index set, until every bond reaches the cap.
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ class CrossConfig:
     max_rank: int = 10
     tolerance: float = 1e-6          # relative Frobenius target on validation indices
     max_sweeps: int = 10
-    rank_adaptive: bool = True       # start small, grow +2 per stalled sweep
 
     def __post_init__(self):
         if self.max_rank < 1:
@@ -225,25 +226,15 @@ def tt_cross(f, mode_sizes, config: CrossConfig,
         info.ranks = tt.ranks
         return tt, info
 
-    start_rank = 2 if config.rank_adaptive else config.max_rank
-    start_rank = min(start_rank, config.max_rank)
     if initial_guess is not None:
         if tuple(initial_guess.shape) != tuple(shape):
             raise ValueError("initial guess shape does not match mode_sizes")
         right = _right_sets_from_guess(initial_guess, config.max_rank)
-        if not config.rank_adaptive:
-            # fixed-rank mode starts at max_rank even from a thinner guess
-            for n in range(d - 1, 0, -1):
-                cap = int(min(config.max_rank, np.prod([float(m) for m in shape[n:]]),
-                              np.prod([float(m) for m in shape[:n]])))
-                if right[n].shape[0] < cap:
-                    right[n] = _random_suffixes(shape, n, cap - right[n].shape[0],
-                                                rng, existing=right[n])
     else:
         right = [None] * (d + 1)
         right[d] = np.zeros((1, 0), dtype=np.intp)
         for n in range(d - 1, 0, -1):
-            cap = min(start_rank, int(np.prod([float(m) for m in shape[n:]])))
+            cap = min(2, config.max_rank, int(np.prod([float(m) for m in shape[n:]])))
             right[n] = _random_suffixes(shape, n, cap, rng)
 
     if validation is None:
@@ -339,21 +330,20 @@ def tt_cross(f, mode_sizes, config: CrossConfig,
         prev_error = min(prev_error, error)
         if stalled:
             grown = False
-            if config.rank_adaptive:
-                for n in range(1, d):
-                    cap = int(min(
-                        config.max_rank,
-                        np.prod([float(m) for m in shape[n:]]),
-                        np.prod([float(m) for m in shape[:n]]),
-                    ))
-                    grow = cap - right[n].shape[0]
-                    if grow > 0:
-                        right[n] = _random_suffixes(
-                            shape, n, min(2, grow), rng, existing=right[n]
-                        )
-                        for k, t in enumerate(factors):
-                            rface[k][n] = tt_right_interface(t, right[n])
-                        grown = True
+            for n in range(1, d):
+                cap = int(min(
+                    config.max_rank,
+                    np.prod([float(m) for m in shape[n:]]),
+                    np.prod([float(m) for m in shape[:n]]),
+                ))
+                grow = cap - right[n].shape[0]
+                if grow > 0:
+                    right[n] = _random_suffixes(
+                        shape, n, min(2, grow), rng, existing=right[n]
+                    )
+                    for k, t in enumerate(factors):
+                        rface[k][n] = tt_right_interface(t, right[n])
+                    grown = True
             if not grown:
                 break        # stable at the rank cap: return best effort
 

@@ -24,6 +24,9 @@ from .tt import (TTTensor, tt_contract_all, tt_load, tt_marginal, tt_rank_one,
 from .tt import tt_eval  # noqa: F401  (kept as driver.tt_eval; perfbench/layers.py wraps it)
 
 _MODEL_META = "model.json"
+#: the potentials saved per step (older model directories also hold an
+#: unread ``eta_0``)
+_STEP_TENSORS = ("eta_T", "eta_hat_0", "eta_hat_T")
 
 
 @dataclass
@@ -122,7 +125,7 @@ class FlowModel:
             json.dump(meta, fh, indent=2, sort_keys=True)
         tt_save(self.rho_tt, path / "rho_tt.tt")
         for k, s in enumerate(self.steps):
-            for name in ("eta_T", "eta_0", "eta_hat_0", "eta_hat_T"):
+            for name in _STEP_TENSORS:
                 tt_save(getattr(s, name), path / f"step_{k:03d}.{name}.tt")
 
     @classmethod
@@ -136,7 +139,7 @@ class FlowModel:
         for k, sm in enumerate(meta["steps"]):
             tensors = {
                 name: tt_load(path / f"step_{k:03d}.{name}.tt")
-                for name in ("eta_T", "eta_0", "eta_hat_0", "eta_hat_T")
+                for name in _STEP_TENSORS
             }
             steps.append(StepState(
                 T=sm["T"], beta=sm["beta"], converged=sm["converged"],
@@ -148,10 +151,10 @@ class FlowModel:
                    kl_history=meta["kl_history"])
 
 
-def product_density(state: StepState, grid: Grid, cross_cfg: CrossConfig,
-                    trunc_tol: float, max_rank: int,
+def product_density(state: StepState, grid: Grid, config: FixedPointConfig,
                     rng: np.random.Generator) -> TTTensor:
-    """Next density eta_T * eta_hat_T via cross over the product oracle.
+    """Next density eta_T * eta_hat_T via cross over the product oracle,
+    built and rounded as the step's fixed point was (``config``).
 
     Pivot sets are seeded from eta_T: it is the sharper factor (eta_hat_T
     has been smoothed twice), so its mass marks where the product lives.
@@ -160,9 +163,9 @@ def product_density(state: StepState, grid: Grid, cross_cfg: CrossConfig,
     def oracle(idx, eta_T_vals, eta_hat_T_vals):
         return eta_T_vals * eta_hat_T_vals
 
-    dens, _ = tt_cross(oracle, grid.shape, cross_cfg, initial_guess=state.eta_T,
+    dens, _ = tt_cross(oracle, grid.shape, config.cross, initial_guess=state.eta_T,
                        rng=rng, factors=(state.eta_T, state.eta_hat_T))
-    return tt_round(dens, trunc_tol, max_rank)
+    return tt_round(dens, config.trunc_tol, config.cross.max_rank)
 
 
 def run(initial: GaussianInitial, rho_inf, grid: Grid, schedule: Schedule,
@@ -201,8 +204,7 @@ def run(initial: GaussianInitial, rho_inf, grid: Grid, schedule: Schedule,
             log_scale=log_scale,
         )
         steps.append(state)
-        rho_k = product_density(state, grid, config.cross, config.trunc_tol,
-                                config.max_rank, rng)
+        rho_k = product_density(state, grid, config, rng)
         mass = tt_contract_all(rho_k, all_quadrature_weights(grid))
         if not (np.isfinite(mass) and mass > 0):
             raise RuntimeError(f"step {k}: fitted density has invalid mass {mass}")

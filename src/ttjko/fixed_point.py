@@ -6,7 +6,8 @@ heat propagation forward, and the terminal update
 ``eta_new = (exp(-l) rho_inf / eta_hat)^(1 / (1 + 2 beta))`` — the only
 stage that queries the target density.  Both division stages are
 realized by cross approximation of the composed index oracles, never
-densely.
+densely.  One rank cap, ``config.cross.max_rank``, bounds both crosses
+and every rounding of a step.
 
 The cycle map G is homogeneous of degree ``gamma = 1 / (1 + 2 beta)`` in
 both ``eta`` and the target's scale, so the fixed point's overall scale
@@ -17,9 +18,11 @@ least-squares scale ``s`` of ``G(x)`` against ``x``, moves the log-scale
 ``l`` by ``ln(s) / gamma`` and divides ``G(x)`` by ``s``, which is the
 cycle's output under the new ``l``.  A converged state thus satisfies
 ``eta_T^(1+2 beta) eta_hat_T = exp(-l) rho_inf`` with O(1) potentials,
-whatever the target's normalization.  Iteration is Anderson acceleration
-with a two-residual window, for which the line search has a closed form;
-the plain step is its fallback.
+whatever the target's normalization.  A terminal cross with no positive
+overlap with the iterate leaves no scale to fix; the solver raises on
+that iteration, naming the cross's error and sweeps.  Iteration is
+Anderson acceleration with a two-residual window, for which the line
+search has a closed form; the plain step is its fallback.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cross import CrossConfig, tt_cross, validation_indices
+from .cross import CrossConfig, CrossInfo, tt_cross, validation_indices
 from .grid import Grid, all_quadrature_weights
 from .heat import HeatPropagator
 from .tt import (TTTensor, tt_axpy, tt_eval, tt_inner, tt_marginal, tt_ones,
@@ -53,15 +56,13 @@ class FixedPointConfig:
     tolerance: float = 1e-5
     max_iters: int = 1000
     trunc_tol: float = 1e-8
-    max_rank: int = 10
-    cross: CrossConfig | None = None
+    cross: CrossConfig | None = None     # its max_rank caps every rounding too
 
     def __post_init__(self):
         if self.tolerance <= 0:
             raise ValueError("tolerance must be > 0")
         if self.cross is None:
             self.cross = CrossConfig(
-                max_rank=self.max_rank,
                 tolerance=min(1e-6, 0.1 * self.tolerance),
                 max_sweeps=6,
             )
@@ -77,7 +78,6 @@ class StepState:
     """
 
     eta_T: TTTensor
-    eta_0: TTTensor
     eta_hat_0: TTTensor
     eta_hat_T: TTTensor
     T: float
@@ -88,8 +88,7 @@ class StepState:
     log_scale: float = 0.0
 
 
-def guarded_ratio(num: np.ndarray, den: np.ndarray, indices: np.ndarray,
-                  num_scale: float | None = None) -> np.ndarray:
+def guarded_ratio(num: np.ndarray, den: np.ndarray, indices: np.ndarray) -> np.ndarray:
     """Division with the positivity guard.
 
     Denominators below the floor (including sign flips from rounding
@@ -97,15 +96,14 @@ def guarded_ratio(num: np.ndarray, den: np.ndarray, indices: np.ndarray,
     the true fields are nonnegative, so one pass of the cycle restores
     positivity at such points.  Only a systematic breakdown raises: the
     majority of the batch's significant numerator mass (judged against
-    ``num_scale``, the density's global magnitude) with dead
-    denominators.  Final state quality is separately gated by the mass
-    and terminal-identity checks.
+    the batch's largest numerator) with dead denominators.  Final state
+    quality is separately gated by the mass and terminal-identity checks.
     """
     num = np.asarray(num, dtype=float)
     den = np.asarray(den, dtype=float)
     bad = den < DIVISION_FLOOR
     if np.any(bad):
-        scale = num_scale if num_scale else (float(num.max()) if num.size else 0.0)
+        scale = float(num.max()) if num.size else 0.0
         significant = num > max(1e-9 * scale, 1e-250)
         sig_mass = num[significant].sum()
         dead_mass = num[bad & significant].sum()
@@ -131,21 +129,21 @@ class CycleResult:
     eta_0: TTTensor
     eta_hat_0: TTTensor
     eta_hat_T: TTTensor
-    cross_calls: int
-    cross_converged: bool
+    terminal_info: CrossInfo     # the terminal stage's cross
 
 
 def cycle(eta: TTTensor, rho_prev: TTTensor, rho_inf, grid: Grid, T: float,
-          beta: float, cross_cfg: CrossConfig, trunc_tol: float, max_rank: int,
-          warm: CycleResult | None = None, rng: np.random.Generator | None = None,
+          beta: float, config: FixedPointConfig, warm: CycleResult | None = None,
+          rng: np.random.Generator | None = None,
           validation: np.ndarray | None = None, log_scale: float = 0.0) -> CycleResult:
     """One pass around the four-stage fixed-point cycle.
 
     ``rho_inf`` is anything with an ``eval_batch(indices)`` method (the
     cached posterior oracle in production); the terminal stage divides
-    ``exp(-log_scale) * rho_inf``.  ``warm`` carries the
-    previous pass, whose tensors seed the cross index sets; a fixed
-    ``validation`` set keeps the cross convergence probes cacheable
+    ``exp(-log_scale) * rho_inf``.  Both crosses run with ``config.cross``
+    and are rounded to ``config.trunc_tol`` under its rank cap.  ``warm``
+    carries the previous pass, whose tensors seed the cross index sets; a
+    fixed ``validation`` set keeps the cross convergence probes cacheable
     across iterations.
     """
     prop = HeatPropagator(grid, beta * T)
@@ -156,12 +154,12 @@ def cycle(eta: TTTensor, rho_prev: TTTensor, rho_inf, grid: Grid, T: float,
 
     # cold starts seed the pivot sets from the current density so the first
     # sweeps explore index regions that actually carry mass
-    eta_hat_0, info1 = tt_cross(
-        initial_oracle, grid.shape, cross_cfg,
+    eta_hat_0, _ = tt_cross(
+        initial_oracle, grid.shape, config.cross,
         initial_guess=rho_prev if warm is None else warm.eta_hat_0,
         rng=rng, validation=validation, factors=(rho_prev, eta_0),
     )
-    eta_hat_0 = tt_round(eta_hat_0, trunc_tol, max_rank)
+    eta_hat_0 = tt_round(eta_hat_0, config.trunc_tol, config.cross.max_rank)
     eta_hat_T = prop.apply(eta_hat_0)
 
     gamma = 1.0 / (1.0 + 2.0 * beta)
@@ -171,16 +169,15 @@ def cycle(eta: TTTensor, rho_prev: TTTensor, rho_inf, grid: Grid, T: float,
         ratio = guarded_ratio(target_scale * rho_inf.eval_batch(idx), eta_hat_T_vals, idx)
         return ratio**gamma
 
-    eta_new, info2 = tt_cross(
-        terminal_oracle, grid.shape, cross_cfg,
+    eta_new, info = tt_cross(
+        terminal_oracle, grid.shape, config.cross,
         initial_guess=eta_hat_T if warm is None else warm.eta_new,
         rng=rng, validation=validation, factors=(eta_hat_T,),
     )
-    eta_new = tt_round(eta_new, trunc_tol, max_rank)
+    eta_new = tt_round(eta_new, config.trunc_tol, config.cross.max_rank)
     return CycleResult(
         eta_new=eta_new, eta_0=eta_0, eta_hat_0=eta_hat_0, eta_hat_T=eta_hat_T,
-        cross_calls=info1.n_calls + info2.n_calls,
-        cross_converged=info1.converged and info2.converged,
+        terminal_info=info,
     )
 
 
@@ -195,7 +192,8 @@ def solve_step(rho_prev: TTTensor, rho_inf, grid: Grid, T: float, beta: float,
     of ``G(x) - x`` before the gauge update, computed by TT inner
     products.  ``telemetry``, when given, receives one dict per
     iteration.  Non-convergence within ``max_iters`` returns a state
-    flagged ``converged=False``.
+    flagged ``converged=False``; a cycle output with no positive overlap
+    with its input raises ``RuntimeError`` on that iteration.
     """
     if T <= 0 or beta <= 0:
         raise ValueError("step size T and regularization beta must be positive")
@@ -217,8 +215,7 @@ def solve_step(rho_prev: TTTensor, rho_inf, grid: Grid, T: float, beta: float,
 
     for m in range(config.max_iters):
         result = cycle(
-            x, rho_prev, rho_inf, grid, T, beta, config.cross,
-            config.trunc_tol, config.max_rank, warm=result, rng=rng,
+            x, rho_prev, rho_inf, grid, T, beta, config, warm=result, rng=rng,
             validation=validation, log_scale=log_scale,
         )
         g = result.eta_new
@@ -249,7 +246,13 @@ def solve_step(rho_prev: TTTensor, rho_inf, grid: Grid, T: float, beta: float,
         # s = <G(x), x>/<x, x> leaves no scalar mode in the residual
         s = g_dot_x / x_norm_sq
         if not (np.isfinite(s) and s > 0):
-            s = 1.0          # no positive overlap with x: no scale to fix
+            info = result.terminal_info
+            raise RuntimeError(
+                f"iteration {iters}: the terminal stage's cross has no positive "
+                f"overlap with the iterate (<G(x), x> = {g_dot_x:.3g}); that cross "
+                f"ended with rel_error {info.rel_error:.3g} after {info.sweeps} "
+                f"sweeps (converged={info.converged})"
+            )
         log_scale += float(np.log(s)) / gamma
         g = tt_scale(g, 1.0 / s)
         r = tt_axpy(-1.0, x, g)
@@ -274,13 +277,13 @@ def solve_step(rho_prev: TTTensor, rho_inf, grid: Grid, T: float, beta: float,
                     if probe.min() >= -0.03 * np.max(np.abs(probe)):
                         x_next = cand
         prev = (x, g)
-        x = tt_round(x_next, config.trunc_tol, config.max_rank)
+        x = tt_round(x_next, config.trunc_tol, config.cross.max_rank)
 
     # report the last usable pass with the log-scale its cycle ran under
     if last_finite is not None:
         result, log_scale = last_finite
     return StepState(
-        eta_T=result.eta_new, eta_0=result.eta_0, eta_hat_0=result.eta_hat_0,
+        eta_T=result.eta_new, eta_hat_0=result.eta_hat_0,
         eta_hat_T=result.eta_hat_T, T=float(T), beta=float(beta),
         converged=converged, iters=iters, residual_history=history,
         log_scale=log_scale,

@@ -74,8 +74,7 @@ def fit_importance(model: FlowModel, qoi: QuantityOfInterest, T: float, beta: fl
     target = _SurrogateTarget(model, qoi)
     state = solve_step(model.rho_tt, target, grid, T, beta, config,
                        eta_init=None, rng=rng)
-    rho_f = product_density(state, grid, config.cross, config.trunc_tol,
-                            config.max_rank, rng)
+    rho_f = product_density(state, grid, config, rng)
     out = FlowModel(
         grid=grid, initial=model.initial, steps=list(model.steps) + [state],
         rho_tt=rho_f, kl_history=list(model.kl_history),

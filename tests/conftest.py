@@ -21,7 +21,7 @@ def gauss2():
     target = Gaussian(mean=GAUSS2_MEAN, var=GAUSS2_VAR)
     rho_inf = CachedDensity(target.density, grid)
     config = FixedPointConfig(
-        tolerance=1e-8, max_iters=400, max_rank=12,
+        tolerance=1e-8, max_iters=400,
         trunc_tol=1e-11, cross=CrossConfig(max_rank=12, tolerance=1e-10),
     )
     model = run(GaussianInitial.standard(2), rho_inf, grid,

@@ -235,9 +235,8 @@ def reference_picard_solve(rho_prev, rho_inf, grid, T, beta, config, q=1.0,
     log_scale = 0.0
     result = last_finite = None
     for _ in range(config.max_iters):
-        result = cycle(x, rho_prev, rho_inf, grid, T, beta, config.cross,
-                       config.trunc_tol, config.max_rank, warm=result, rng=rng,
-                       validation=validation, log_scale=log_scale)
+        result = cycle(x, rho_prev, rho_inf, grid, T, beta, config, warm=result,
+                       rng=rng, validation=validation, log_scale=log_scale)
         g = result.eta_new
         with np.errstate(over="ignore", invalid="ignore"):
             r = tt_axpy(-1.0, x, g)
@@ -261,11 +260,11 @@ def reference_picard_solve(rho_prev, rho_inf, grid, T, beta, config, q=1.0,
             x_next = g                  # solve_step's plain step, bit for bit
         else:
             x_next = tt_axpy(q, g, tt_scale(x, 1.0 - q))
-        x = tt_round(x_next, config.trunc_tol, config.max_rank)
+        x = tt_round(x_next, config.trunc_tol, config.cross.max_rank)
     if last_finite is not None:
         result, log_scale = last_finite
     return StepState(
-        eta_T=result.eta_new, eta_0=result.eta_0, eta_hat_0=result.eta_hat_0,
+        eta_T=result.eta_new, eta_hat_0=result.eta_hat_0,
         eta_hat_T=result.eta_hat_T, T=float(T), beta=float(beta),
         converged=converged, iters=len(history), residual_history=history,
         log_scale=log_scale,

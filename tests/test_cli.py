@@ -9,6 +9,8 @@ import pytest
 from ttjko.cli import main
 from ttjko.config import ConfigError, load_config, parse_config
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
 
 def tiny_gaussian_config(out, **overrides):
     cfg = {
@@ -17,7 +19,7 @@ def tiny_gaussian_config(out, **overrides):
         "schedule": [{"T": 1e3, "beta": 1e-2}],
         "fixed_point": {
             "tolerance": 1e-5, "max_iters": 300,
-            "truncation": {"tolerance": 1e-8, "max_rank": 8},
+            "truncation": {"tolerance": 1e-8},
             "cross": {"max_rank": 8, "tolerance": 1e-7},
         },
         "sampler": {"epsilon_sde": 0.01, "n_em_steps": 10},
@@ -41,11 +43,22 @@ class TestConfigSchema:
             parse_config(cfg)
 
     def test_unknown_nested_key_rejected(self, tmp_path):
-        for key, value in (("stepsize", 0.1), ("method", "picard"), ("q", 1.0)):
+        for section, key, value in ((None, "stepsize", 0.1), (None, "method", "picard"),
+                                    (None, "q", 1.0), ("truncation", "max_rank", 8),
+                                    ("cross", "rank_adaptive", False)):
             cfg = tiny_gaussian_config(tmp_path / "o")
-            cfg["fixed_point"][key] = value
+            spec = cfg["fixed_point"] if section is None else cfg["fixed_point"][section]
+            spec[key] = value
             with pytest.raises(ConfigError, match=f"'{key}'"):
                 parse_config(cfg)
+
+    @pytest.mark.parametrize("name, rank_cap", [
+        ("double_moon_d6", 3), ("gaussian_verification", 8),
+        ("hyperbolic_d6", 4), ("parabolic_d10", 1),
+    ])
+    def test_shipped_config_loads(self, name, rank_cap):
+        cfg = load_config(CONFIGS / f"{name}.json")
+        assert cfg.fixed_point.cross.max_rank == rank_cap
 
     def test_unknown_target_type(self, tmp_path):
         cfg = tiny_gaussian_config(tmp_path / "o")
@@ -106,8 +119,7 @@ class TestFitCommand:
                        "sigma0": 1.0, "n_t": 3, "n_x": 5, "seed": 3},
             "grid": {"lower": [-3.0, -1.5], "upper": [3.0, 1.5], "nodes": 24},
             "schedule": [{"T": 1e3, "beta": 1e-2}],
-            "fixed_point": {"truncation": {"max_rank": 4},
-                            "cross": {"max_rank": 4}},
+            "fixed_point": {"cross": {"max_rank": 4}},
             "seeds": {"model": 1},
             "initial": {"std": [1.0, 0.5]},
             "output": str(out),
@@ -185,7 +197,7 @@ class TestInvertCommand:
                        "sigma0": 1.0, "n_t": 3, "n_x": 6, "seed": 5},
             "grid": {"lower": [-3.0, -1.5], "upper": [3.0, 1.5], "nodes": 30},
             "schedule": [{"T": 1e3, "beta": 1e-2}],
-            "fixed_point": {"truncation": {"max_rank": 4}, "cross": {"max_rank": 4},
+            "fixed_point": {"cross": {"max_rank": 4},
                             **fixed_point},
             "sampler": {"epsilon_sde": 0.01, "n_em_steps": 10},
             "diagnostics": {

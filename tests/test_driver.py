@@ -14,12 +14,11 @@ from ttjko.fixed_point import FixedPointConfig, StepState
 from ttjko.grid import Grid, all_quadrature_weights, quadrature_weights
 from ttjko.targets import CachedDensity, Gaussian
 from ttjko.tt import (tt_contract_all, tt_from_full, tt_ones, tt_rank_one,
-                      tt_to_full)
+                      tt_save, tt_to_full)
 
 
 def tight_config(max_rank=12, tol=1e-8):
-    return FixedPointConfig(tolerance=tol, max_iters=500, max_rank=max_rank,
-                            trunc_tol=1e-11,
+    return FixedPointConfig(tolerance=tol, max_iters=500, trunc_tol=1e-11,
                             cross=CrossConfig(max_rank=max_rank, tolerance=1e-10))
 
 
@@ -83,7 +82,7 @@ class TestRun:
         grid = Grid.regular(-4.0, 4.0, 16, d=2)
         init = GaussianInitial.standard(2)
         rho_inf = CachedDensity(Gaussian(mean=[0.5, 0.1], var=0.5).density, grid)
-        cfg = FixedPointConfig(tolerance=1e-12, max_iters=2, max_rank=8,
+        cfg = FixedPointConfig(tolerance=1e-12, max_iters=2,
                                cross=CrossConfig(max_rank=8, tolerance=1e-8))
         model = run(init, rho_inf, grid, Schedule([(10.0, 0.1)]), cfg)
         assert not model.converged
@@ -94,10 +93,10 @@ class TestRun:
         grid = Grid.regular(-5.0, 5.0, 24, d=2)
         init = GaussianInitial.standard(2)
         base = Gaussian(mean=[0.4, -0.6], var=0.5)
-        cfg = FixedPointConfig(tolerance=1e-13, max_iters=200, max_rank=24,
+        cfg = FixedPointConfig(tolerance=1e-13, max_iters=200,
                                trunc_tol=1e-14,
                                cross=CrossConfig(max_rank=24, tolerance=1e-13,
-                                                 rank_adaptive=False))
+                                                 max_sweeps=30))
         fits = []
         for scale in (1.0, 7.3):
             rho_inf = CachedDensity(lambda x, s=scale: s * base.density(x), grid)
@@ -119,7 +118,8 @@ def test_fit_invariant_to_target_scale():
     # target's scale: its log-scale moves by exactly s
     grid = Grid.regular(-4.0, 4.0, 16, d=2)
     base = Gaussian(mean=[0.4, -0.6], var=0.5)
-    cfg = FixedPointConfig(tolerance=1e-6, max_iters=300, max_rank=6)
+    cfg = FixedPointConfig(tolerance=1e-6, max_iters=300,
+                           cross=CrossConfig(max_rank=6, tolerance=1e-7, max_sweeps=6))
     for beta in (1e-2, 1e-3):
         iters, log_scales = [], {}
         for s in (-20.0, 0.0, 3.0):
@@ -140,7 +140,7 @@ class TestKLEstimate:
         axes = [grid.axis_nodes(k) for k in range(2)]
         tgt = oc.gaussian_grid(axes, [0.8, -0.5], 0.5)
         tgt_tt = tt_from_full(tgt, 1e-13)
-        state = StepState(eta_T=tt_ones(grid.shape), eta_0=tt_ones(grid.shape),
+        state = StepState(eta_T=tt_ones(grid.shape),
                           eta_hat_0=tgt_tt, eta_hat_T=tgt_tt, T=1.0, beta=0.3,
                           converged=True, iters=1)
         model = FlowModel(grid=grid, initial=GaussianInitial.standard(2),
@@ -158,7 +158,6 @@ class TestKLEstimate:
         eta = (tgt / rho) ** (1.0 / (2 * beta))       # terminal identity holds exactly
         ehat = rho / eta
         state = StepState(eta_T=tt_from_full(eta, 1e-13),
-                          eta_0=tt_ones(grid.shape),
                           eta_hat_0=tt_from_full(ehat, 1e-13),
                           eta_hat_T=tt_from_full(ehat, 1e-13),
                           T=1.0, beta=beta, converged=True, iters=1)
@@ -169,7 +168,7 @@ class TestKLEstimate:
 
     def test_requires_converged_last_step(self):
         grid = Grid.regular(-1.0, 1.0, 8, d=1)
-        state = StepState(eta_T=tt_ones((8,)), eta_0=tt_ones((8,)),
+        state = StepState(eta_T=tt_ones((8,)),
                           eta_hat_0=tt_ones((8,)), eta_hat_T=tt_ones((8,)),
                           T=1.0, beta=0.1, converged=False, iters=1)
         model = FlowModel(grid=grid, initial=GaussianInitial.standard(1),
@@ -193,7 +192,7 @@ class TestMarginals:
             x = grid.axis_nodes(k)
             vecs.append(np.exp(-0.5 * (x - m) ** 2 / v) / np.sqrt(2 * np.pi * v))
         rho = tt_rank_one(vecs)
-        state = StepState(eta_T=tt_ones(grid.shape), eta_0=tt_ones(grid.shape),
+        state = StepState(eta_T=tt_ones(grid.shape),
                           eta_hat_0=rho, eta_hat_T=rho, T=1.0, beta=0.1,
                           converged=True, iters=1)
         return FlowModel(grid=grid, initial=GaussianInitial.standard(3),
@@ -242,7 +241,7 @@ class TestPersistence:
             assert np.array_equal(a, b)
         for s1, s2 in zip(model.steps, loaded.steps):
             assert (s1.T, s1.beta, s1.iters) == (s2.T, s2.beta, s2.iters)
-            for name in ("eta_T", "eta_0", "eta_hat_0", "eta_hat_T"):
+            for name in ("eta_T", "eta_hat_0", "eta_hat_T"):
                 for a, b in zip(getattr(s1, name).cores, getattr(s2, name).cores):
                     assert np.array_equal(a, b)
 
@@ -263,3 +262,14 @@ class TestPersistence:
         meta_path.write_text(json.dumps(meta))
         loaded = FlowModel.load(tmp_path / "m")
         assert [s.log_scale for s in loaded.steps] == [0.0]
+
+    def test_save_writes_no_eta_0_and_older_directories_load(self, gauss2, tmp_path):
+        model = gauss2["model"]
+        model.save(tmp_path / "m")
+        eta_0 = tmp_path / "m" / "step_000.eta_0.tt"
+        assert not eta_0.exists()
+        # directories saved before eta_0 was dropped still carry its file
+        tt_save(tt_ones(gauss2["grid"].shape), eta_0)
+        loaded = FlowModel.load(tmp_path / "m")
+        for a, b in zip(model.steps[0].eta_T.cores, loaded.steps[0].eta_T.cores):
+            assert np.array_equal(a, b)

@@ -61,15 +61,19 @@ class TestAndersonAlpha:
             assert abs(grid_a[int(np.argmin(vals))] - alpha) <= 1.1e-3
 
 
+#: full rank on the 16 x 16 grid; adaptive crosses get the sweeps to reach it
+EXACT = FixedPointConfig(trunc_tol=1e-14,
+                         cross=CrossConfig(max_rank=16, tolerance=1e-13, max_sweeps=30))
+
+
 class TestCycleVsDense:
     def test_single_pass_stages(self):
         grid, rho0, rho_inf, tgt = make_problem()
         T, beta = 100.0, 0.1
         stages = oc.dense_cycle(np.ones((16, 16)), tt_to_full(rho0), tgt,
                                 grid.spacings, T, beta)
-        cfg = CrossConfig(max_rank=16, tolerance=1e-13, rank_adaptive=False)
-        res = cycle(tt_ones(grid.shape), rho0, rho_inf, grid, T, beta, cfg,
-                    1e-14, 16, rng=np.random.default_rng(0))
+        res = cycle(tt_ones(grid.shape), rho0, rho_inf, grid, T, beta, EXACT,
+                    rng=np.random.default_rng(0))
         for name in ("eta_0", "eta_hat_0", "eta_hat_T", "eta_new"):
             got = tt_to_full(getattr(res, name))
             want = stages[name]
@@ -80,10 +84,8 @@ class TestCycleVsDense:
         # eta_hat_0 = rho0, eta_new = (target / rho0)^(1/(1+2 beta))
         grid, rho0, rho_inf, tgt = make_problem()
         beta = 0.5
-        cfg = CrossConfig(max_rank=16, tolerance=1e-13, rank_adaptive=False)
         res = cycle(tt_ones(grid.shape), rho0, rho_inf, grid, T=1e-14, beta=beta,
-                    cross_cfg=cfg, trunc_tol=1e-14, max_rank=16,
-                    rng=np.random.default_rng(1))
+                    config=EXACT, rng=np.random.default_rng(1))
         rho0_d = tt_to_full(rho0)
         assert_allclose(tt_to_full(res.eta_hat_0), rho0_d, rtol=1e-8)
         want = (tgt / rho0_d) ** (1.0 / (1.0 + 2 * beta))
@@ -97,11 +99,10 @@ class TestCycleVsDense:
         n_iter = 10
         dense_iters = oc.dense_picard(np.ones((16, 16)), tt_to_full(rho0), tgt,
                                       grid.spacings, T, beta, n_iter)
-        cfg = CrossConfig(max_rank=16, tolerance=1e-13, rank_adaptive=False)
         x = tt_ones(grid.shape)
         res = None
         for m in range(n_iter):
-            res = cycle(x, rho0, rho_inf, grid, T, beta, cfg, 1e-14, 16,
+            res = cycle(x, rho0, rho_inf, grid, T, beta, EXACT,
                         warm=res, rng=np.random.default_rng(100 + m))
             x = res.eta_new
             err = np.max(np.abs(tt_to_full(x) - dense_iters[m]))
@@ -114,8 +115,7 @@ class TestSolve:
         state = model.steps[0]
         res = cycle(state.eta_T, model.initial.tt(gauss2["grid"]),
                     gauss2["rho_inf"], gauss2["grid"], state.T, state.beta,
-                    gauss2["config"].cross, gauss2["config"].trunc_tol,
-                    gauss2["config"].max_rank, rng=np.random.default_rng(2),
+                    gauss2["config"], rng=np.random.default_rng(2),
                     log_scale=state.log_scale)
         from ttjko.tt import tt_axpy, tt_norm
         rel = tt_norm(tt_axpy(-1.0, state.eta_T, res.eta_new)) / tt_norm(state.eta_T)
@@ -130,7 +130,7 @@ class TestSolve:
 
     def test_max_iters_flags_nonconvergence(self):
         grid, rho0, rho_inf, _ = make_problem()
-        cfg = FixedPointConfig(tolerance=1e-12, max_iters=2, max_rank=8,
+        cfg = FixedPointConfig(tolerance=1e-12, max_iters=2,
                                cross=CrossConfig(max_rank=8, tolerance=1e-8))
         records = []
         state = solve_step(rho0, rho_inf, grid, 10.0, 0.1, cfg, telemetry=records.append)
@@ -147,7 +147,7 @@ class TestSolve:
         init = GaussianInitial.standard(2)
         for beta, T in [(1e-1, 1e2), (1e-2, 1e3)]:
             rho_inf = CachedDensity(target.density, grid)
-            cfg = FixedPointConfig(tolerance=1e-6, max_iters=120, max_rank=8,
+            cfg = FixedPointConfig(tolerance=1e-6, max_iters=120,
                                    cross=CrossConfig(max_rank=8, tolerance=1e-8))
             state = oc.reference_picard_solve(init.tt(grid), rho_inf, grid, T, beta,
                                               cfg, rng=np.random.default_rng(1))
@@ -158,7 +158,7 @@ class TestSolve:
         # with one residual in its window Anderson takes the plain gauged
         # step, so the second residual is the gauged Picard one as well
         grid, rho0, rho_inf, _ = make_problem()
-        cfg = FixedPointConfig(tolerance=1e-30, max_iters=2, max_rank=10,
+        cfg = FixedPointConfig(tolerance=1e-30, max_iters=2,
                                cross=CrossConfig(max_rank=10, tolerance=1e-9))
         rho_inf2 = CachedDensity(rho_inf.fn, grid)
         s_and = solve_step(rho0, rho_inf, grid, 50.0, 0.1, cfg,
@@ -173,7 +173,7 @@ class TestSolve:
         grid = Grid.regular(-5.0, 5.0, 24, d=2)
         target = Gaussian(mean=[0.6, -0.3], var=0.5)
         init = GaussianInitial.standard(2)
-        cfg = FixedPointConfig(tolerance=1e-6, max_iters=2000, max_rank=8,
+        cfg = FixedPointConfig(tolerance=1e-6, max_iters=2000,
                                cross=CrossConfig(max_rank=8, tolerance=1e-8))
         counts = {}
         for method, solve in (("picard", oc.reference_picard_solve),
@@ -192,7 +192,7 @@ class TestSolve:
         grid = Grid.regular(-5.0, 5.0, 24, d=2)
         target = Gaussian(mean=[0.6, -0.3], var=0.5)
         init = GaussianInitial.standard(2)
-        cfg = FixedPointConfig(tolerance=1e-6, max_iters=2000, max_rank=8,
+        cfg = FixedPointConfig(tolerance=1e-6, max_iters=2000,
                                cross=CrossConfig(max_rank=8, tolerance=1e-8))
 
         def iterations(solve, **kwargs):
@@ -208,7 +208,7 @@ class TestSolve:
     def test_telemetry_stream(self):
         grid, rho0, rho_inf, _ = make_problem()
         records = []
-        cfg = FixedPointConfig(tolerance=1e-4, max_iters=50, max_rank=8,
+        cfg = FixedPointConfig(tolerance=1e-4, max_iters=50,
                                cross=CrossConfig(max_rank=8, tolerance=1e-8))
         solve_step(rho0, rho_inf, grid, 50.0, 0.1, cfg, telemetry=records.append)
         assert len(records) >= 3
@@ -216,6 +216,20 @@ class TestSolve:
         assert {"iter", "residual", "ranks", "log_scale", "unique_calls",
                 "total_calls"} <= set(first)
         assert first["total_calls"] >= first["unique_calls"]
+
+    def test_empty_terminal_cross_fails_fast(self):
+        # an all-zero target leaves the terminal cross nothing to fit; the
+        # solve stops on that iteration and names the cross, instead of a
+        # DivisionFloorError from the initial stage one iteration later
+        grid, rho0, _, _ = make_problem()
+        rho_inf = CachedDensity(lambda x: np.zeros(len(x)), grid)
+        cfg = FixedPointConfig(max_iters=5, cross=CrossConfig(max_rank=8, tolerance=1e-8))
+        records = []
+        with pytest.raises(RuntimeError, match=r"^iteration 1: the terminal stage's "
+                           r"cross .* rel_error inf after \d+ sweeps") as err:
+            solve_step(rho0, rho_inf, grid, 10.0, 0.1, cfg, telemetry=records.append)
+        assert type(err.value) is RuntimeError
+        assert [r["residual"] for r in records] == [1.0]
 
     def test_rejects_bad_step_parameters(self):
         grid, rho0, rho_inf, _ = make_problem()
@@ -229,7 +243,7 @@ class TestCacheTransparency:
         grid, rho0, _, _ = make_problem()
         mix = GaussianMixture.random(2, 3, var=0.4, half_width=1.5,
                                      rng=np.random.default_rng(11))
-        kw = dict(tolerance=1e-6, max_iters=40, max_rank=8,
+        kw = dict(tolerance=1e-6, max_iters=40,
                   cross=CrossConfig(max_rank=8, tolerance=1e-8))
         rho_on = CachedDensity(mix.density, grid)
         rho_off = CachedDensity(mix.density, grid)

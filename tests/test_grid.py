@@ -167,7 +167,7 @@ class TestGradients:
         g = Grid.regular(0.0, 1.0, 6, d=3)
         eta, hat = (TTTensor([np.abs(c) + 0.05 for c in tt_random(g.shape, r, rng).cores])
                     for r in (3, 1))
-        state = StepState(eta_T=eta, eta_0=None, eta_hat_0=hat, eta_hat_T=None,
+        state = StepState(eta_T=eta, eta_hat_0=hat, eta_hat_T=None,
                           T=1.0, beta=0.1, converged=True, iters=1)
         dyn = StepDynamics(state, g, SamplerConfig(n_time_nodes=4))
         nodes = [HeatPropagator(g, dyn.beta * (dyn.T - t)).apply(eta) for t in dyn.tau]

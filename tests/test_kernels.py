@@ -215,7 +215,7 @@ def _drift_case(d, eta_rank, hat_rank, seed):
     rng = np.random.default_rng(seed)
     grid = Grid.regular(-2.0, [3.0, 2.5, 4.0, 3.0, 2.0, 3.5][:d],
                         [5, 7, 6, 4, 8, 5][:d])
-    state = StepState(eta_T=_positive_tt(grid.shape, eta_rank, rng), eta_0=None,
+    state = StepState(eta_T=_positive_tt(grid.shape, eta_rank, rng),
                       eta_hat_0=_positive_tt(grid.shape, hat_rank, rng), eta_hat_T=None,
                       T=1.5, beta=0.3, converged=True, iters=1)
     dyn = StepDynamics(state, grid, SamplerConfig(n_time_nodes=8))

@@ -28,7 +28,7 @@ def gaussian_state(grid, mean_eta, var_eta, mean_hat, var_hat, T=1.0, beta=0.1):
     d = grid.d
     eta = tt_rank_one([vec(k, mean_eta, var_eta) for k in range(d)])
     hat = tt_rank_one([vec(k, mean_hat, var_hat) for k in range(d)])
-    return StepState(eta_T=eta, eta_0=eta, eta_hat_0=hat, eta_hat_T=hat,
+    return StepState(eta_T=eta, eta_hat_0=hat, eta_hat_T=hat,
                      T=T, beta=beta, converged=True, iters=1)
 
 
@@ -82,7 +82,7 @@ class TestDrifts:
     def test_constant_eta_gives_pure_brownian_drift(self):
         grid = Grid.regular(-3.0, 3.0, 40, d=2)
         ones = tt_ones(grid.shape)
-        state = StepState(eta_T=ones, eta_0=ones, eta_hat_0=ones, eta_hat_T=ones,
+        state = StepState(eta_T=ones, eta_hat_0=ones, eta_hat_T=ones,
                           T=1.0, beta=0.2, converged=True, iters=1)
         dyn = StepDynamics(state, grid, SamplerConfig())
         x = np.random.default_rng(2).uniform(-2, 2, size=(30, 2))
@@ -129,7 +129,7 @@ def fitted():
     grid = Grid.regular(-5.0, 5.0, 48, d=2)
     target = Gaussian(mean=[0.6, -0.4], var=0.5)
     rho_inf = CachedDensity(target.density, grid)
-    cfg = FixedPointConfig(tolerance=1e-6, max_iters=300, max_rank=8,
+    cfg = FixedPointConfig(tolerance=1e-6, max_iters=300,
                            trunc_tol=1e-9,
                            cross=CrossConfig(max_rank=8, tolerance=1e-8))
     model = run(GaussianInitial.standard(2), rho_inf, grid,

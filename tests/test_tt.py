@@ -253,7 +253,7 @@ class TestSerialization:
 
 def _model_tensors(model):
     return [model.rho_tt] + [getattr(s, name) for s in model.steps
-                             for name in ("eta_T", "eta_0", "eta_hat_0", "eta_hat_T")]
+                             for name in ("eta_T", "eta_hat_0", "eta_hat_T")]
 
 
 class TestCopy:
@@ -275,7 +275,7 @@ class TestCopy:
         model = gauss2["model"]
         c = clone(model)
         pairs = list(zip(_model_tensors(model), _model_tensors(c)))
-        assert len(pairs) == 1 + 4 * len(model.steps)
+        assert len(pairs) == 1 + 3 * len(model.steps)
         for t, u in pairs:
             assert u is not t and len(u.cores) == len(t.cores)
             for a, b in zip(t.cores, u.cores):
