@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dgetrf
 
 from .tt import TTTensor, tt_block_eval, tt_chain_step, tt_eval, tt_right_interface
 
@@ -73,33 +72,60 @@ class CrossInfo:
     history: list = field(default_factory=list)
 
 
+def _pivot_rows(a: np.ndarray) -> np.ndarray:
+    """The r rows that partial-pivoting elimination over the columns of a
+    tall n x r ``a`` moves to the top, in pivot order (``dgetrf``'s pivots).
+
+    Each step takes the first largest residual in the current row order,
+    as LAPACK's ``idamax`` does, and scales by the reciprocal pivot, as
+    ``dgetf2`` does.  The residual columns still to eliminate are kept as
+    the rows of ``w`` and no row of the matrix is moved: ``order`` holds
+    the current row order.
+    """
+    n, r = a.shape
+    order = np.arange(n)
+    w = a.T
+    for k in range(r):
+        col = w[0]
+        p = k + int(np.abs(col[order[k:]]).argmax())
+        row = order[p]
+        order[p] = order[k]
+        order[k] = row
+        pivot = col[row]
+        w = w[1:]
+        if k + 1 < r and pivot != 0.0:    # a zero column leaves nothing to eliminate
+            w = w - w[:, row, None] * (col * (1.0 / pivot))
+    return order[:r]
+
+
 def maxvol(a: np.ndarray, tol: float = MAXVOL_TOL, max_iters: int = 200) -> np.ndarray:
-    """Indices of a quasi-dominant r x r submatrix of a tall n x r matrix."""
+    """Indices of a quasi-dominant r x r submatrix of a tall n x r matrix.
+
+    Starts from the pivot rows of partial-pivoting elimination and swaps
+    one row at a time while some entry of ``a @ inv(a[rows])`` exceeds
+    ``tol`` in magnitude.  For r = 1 the first pivot, ``argmax |a|``, is
+    already dominant and is returned as is.
+    """
     a = np.asarray(a, dtype=float)
     n, r = a.shape
     if n < r:
         raise ValueError(f"need n >= r, got {a.shape}")
     if n == r:
         return np.arange(n)
-    _, piv, _ = dgetrf(a)
-    ind = np.arange(n)
-    for k, p in enumerate(piv[:r].tolist()):
-        if p != k:
-            ind[k], ind[p] = ind[p], ind[k]
-    ind = ind[:r].copy()
+    if r == 1:
+        return np.array([int(np.abs(a[:, 0]).argmax())])
+    ind = _pivot_rows(a)
     try:
-        b = np.linalg.solve(a[ind].T, a.T).T
+        b = a @ np.linalg.inv(a[ind])
     except np.linalg.LinAlgError:
         b = np.linalg.lstsq(a[ind].T, a.T, rcond=None)[0].T
     for _ in range(max_iters):
-        flat = np.argmax(np.abs(b))
-        i, j = np.unravel_index(flat, b.shape)
+        i, j = divmod(int(np.abs(b).argmax()), r)
         if abs(b[i, j]) <= tol:
             break
-        bj = b[:, j].copy()
-        bi = b[i, :].copy()
+        bi = b[i].copy()
         bi[j] -= 1.0
-        b -= np.outer(bj, bi) / b[i, j]
+        b -= np.outer(b[:, j], bi) / b[i, j]
         ind[j] = i
     return ind
 

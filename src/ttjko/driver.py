@@ -10,11 +10,12 @@ evaluations.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .cross import CrossConfig, tt_cross
 from .fixed_point import FixedPointConfig, StepState, solve_step
@@ -24,6 +25,8 @@ from .tt import (TTTensor, tt_contract_all, tt_load, tt_marginal, tt_rank_one,
 from .tt import tt_eval  # noqa: F401  (kept as driver.tt_eval; perfbench/layers.py wraps it)
 
 _MODEL_META = "model.json"
+_SQRT1_2 = math.sqrt(0.5)
+_INV_CDF = NormalDist().inv_cdf
 #: the potentials saved per step (older model directories also hold an
 #: unread ``eta_0``)
 _STEP_TENSORS = ("eta_T", "eta_hat_0", "eta_hat_T")
@@ -79,11 +82,20 @@ class GaussianInitial:
         return tt_rank_one(vecs)
 
     def sample_from_uniforms(self, u: np.ndarray, grid: Grid) -> np.ndarray:
-        """Map (n, d) uniforms to exact draws truncated to the box."""
+        """Map (n, d) uniforms to exact draws truncated to the box.
+
+        Per axis, u maps linearly onto [Phi(lower), Phi(upper)] of the
+        standardized box and back through Phi^-1, with Phi from
+        ``math.erfc`` and Phi^-1 from ``statistics.NormalDist.inv_cdf``.
+        A probability that rounds to 0 or 1 maps to the quantile's limit,
+        -inf or +inf.
+        """
         u = np.atleast_2d(u)
-        a = ndtr((grid.lower - self.mean) / self.std)
-        b = ndtr((grid.upper - self.mean) / self.std)
-        return self.mean + self.std * ndtri(a + u * (b - a))
+        a = _normal_cdf((grid.lower - self.mean) / self.std)
+        b = _normal_cdf((grid.upper - self.mean) / self.std)
+        p = a + u * (b - a)
+        z = [_normal_quantile(v) for v in p.ravel().tolist()]
+        return self.mean + self.std * np.reshape(z, p.shape)
 
     def to_dict(self) -> dict:
         return {"mean": self.mean.tolist(), "std": self.std.tolist()}
@@ -91,6 +103,20 @@ class GaussianInitial:
     @classmethod
     def from_dict(cls, data: dict) -> "GaussianInitial":
         return cls(mean=np.asarray(data["mean"]), std=np.asarray(data["std"]))
+
+
+def _normal_cdf(z: np.ndarray) -> np.ndarray:
+    """Standard normal CDF, elementwise, as ``0.5 * erfc(-z / sqrt(2))``."""
+    return np.array([0.5 * math.erfc(-v * _SQRT1_2) for v in z.tolist()])
+
+
+def _normal_quantile(p: float) -> float:
+    """Standard normal quantile; -inf at p <= 0 and +inf at p >= 1."""
+    if p <= 0.0:
+        return -math.inf
+    if p >= 1.0:
+        return math.inf
+    return _INV_CDF(p)
 
 
 @dataclass

@@ -18,13 +18,16 @@ iteration), kept to pin the values and convergence flags of the
 production stabilised scaling iteration.  ``reference_picard_solve`` is
 the plain relaxed (Picard) iteration of one proximal step, with or
 without the gauge fix, built from the production cycle, kept to
-measure the Anderson solver against.
+measure the Anderson solver against.  ``reference_truncated_normal`` is
+the original inverse-CDF draw of the initial density built on
+``scipy.special``, kept to pin the stdlib one.
 """
 
 import itertools
 
 import numpy as np
 import scipy.linalg
+import scipy.special
 
 SIZE_CAP = 10**7
 
@@ -57,6 +60,13 @@ def reference_maxvol(a: np.ndarray, tol: float = 1.05, max_iters: int = 200) -> 
         b -= np.outer(bj, bi) / b[i, j]
         ind[j] = i
     return ind
+
+
+def reference_truncated_normal(mean, std, lower, upper, u: np.ndarray) -> np.ndarray:
+    """Map (n, d) uniforms to draws of N(mean, std^2) truncated to [lower, upper]."""
+    a = scipy.special.ndtr((lower - mean) / std)
+    b = scipy.special.ndtr((upper - mean) / std)
+    return mean + std * scipy.special.ndtri(a + u * (b - a))
 
 
 def reference_stacks(tensors, grid):

@@ -134,6 +134,26 @@ def test_fit_invariant_to_target_scale():
             assert abs(ell - log_scales[0.0] - s) <= 1e-9, f"beta={beta:g}, s={s:g}"
 
 
+class TestGaussianInitial:
+    def test_sample_from_uniforms_matches_reference(self):
+        # boxes in standard deviations: the bulk, both tails out to 40 sd,
+        # and one box whose lower CDF (5.7e-300) is near underflow
+        sd_boxes = np.array([[-4.5, 4.5], [-40.0, 40.0], [-40.0, -5.0], [5.0, 40.0],
+                             [-37.0, -35.0], [-1.0, 0.5]])
+        mean = np.array([0.0, 1.0, -2.0, 0.5, 3.0, -0.25])
+        std = np.array([1.0, 0.5, 2.0, 0.1, 1.5, 0.75])
+        grid = Grid.regular(mean + std * sd_boxes[:, 0], mean + std * sd_boxes[:, 1], 9)
+        u = np.random.default_rng(8).uniform(size=(200, 6))
+        u[0], u[1] = 0.0, 1.0 - 2.0**-53
+        init = GaussianInitial(mean=mean, std=std)
+        got = init.sample_from_uniforms(u, grid)
+        ref = oc.reference_truncated_normal(mean, std, grid.lower, grid.upper, u)
+        # relative in standard deviations: a draw near 0 loses its last bits to
+        # the cancellation of mean + std * z in both versions alike
+        assert_allclose((got - mean) / std, (ref - mean) / std, rtol=1e-14, atol=1e-14)
+        assert np.isneginf(got[0, 1]) and np.isneginf(got[0, 2])
+
+
 class TestKLEstimate:
     def test_identical_densities_give_zero(self):
         grid = Grid.regular(-6.0, 6.0, 64, d=2)

@@ -7,7 +7,8 @@ from numpy.testing import assert_allclose
 
 import oracles as oc
 from ttjko.grid import Grid, laplacian_1d, quadrature_weights
-from ttjko.heat import HeatPropagator
+from ttjko import heat
+from ttjko.heat import HeatPropagator, heat_factor
 from ttjko.tt import tt_contract_all, tt_from_full, tt_random, tt_rank_one, tt_to_full
 
 
@@ -38,27 +39,47 @@ class TestBuild:
         assert_allclose(e, e.T, atol=1e-12)
 
     def test_shared_axes_share_factor(self, monkeypatch):
-        # axes of one node count and spacing share one factor from one expm
+        # axes of one node count and spacing share one factor from one call
         g = Grid.regular(-4.0, 4.0, 24, d=16)
-        expm = scipy.linalg.expm
         calls = []
 
-        def counting(a):
-            calls.append(a)
-            return expm(a)
+        def counting(lap, s):
+            calls.append((lap, s))
+            return heat_factor(lap, s)
 
-        monkeypatch.setattr(scipy.linalg, "expm", counting)
+        monkeypatch.setattr(heat, "heat_factor", counting)
         prop = HeatPropagator(g, 0.37)
         assert len(calls) == 1
         assert all(e is prop.factors[0] for e in prop.factors)
-        assert np.array_equal(prop.factors[0], expm(0.37 * laplacian_1d(g, 0)))
+        assert np.array_equal(prop.factors[0], heat_factor(laplacian_1d(g, 0), 0.37))
 
-    def test_distinct_axes_get_their_own_factor(self):
+    def test_distinct_axes_get_their_own_factor(self, monkeypatch):
         g = Grid.regular([-1.0, -1.0, 0.0], [1.0, 1.0, 3.0], [10, 12, 10])
+        calls = []
+
+        def counting(lap, s):
+            calls.append((lap, s))
+            return heat_factor(lap, s)
+
+        monkeypatch.setattr(heat, "heat_factor", counting)
         prop = HeatPropagator(g, 0.3)
+        assert len(calls) == 3
         assert len({id(e) for e in prop.factors}) == 3
         for k, e in enumerate(prop.factors):
-            assert np.array_equal(e, scipy.linalg.expm(0.3 * laplacian_1d(g, k)))
+            ref = scipy.linalg.expm(0.3 * laplacian_1d(g, k))
+            assert np.max(np.abs(e - ref)) <= 1e-13
+
+
+class TestHeatFactor:
+    @pytest.mark.parametrize("n", [9, 24, 30])
+    @pytest.mark.parametrize("s", [0.0, 1e-6, 1e-3, 0.1, 1.0, 10.0, 100.0])
+    def test_matches_expm(self, n, s):
+        lap = laplacian_1d(Grid.regular(-4.5, 4.5, n, d=1), 0)
+        e = heat_factor(lap, s)
+        assert np.max(np.abs(e - scipy.linalg.expm(s * lap))) <= 1e-13
+        assert e.min() >= 0.0
+        assert_allclose(e.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+        assert_allclose(e, e.T, rtol=0.0, atol=1e-15)
 
 
 class TestApply:

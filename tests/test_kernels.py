@@ -204,6 +204,13 @@ class TestMaxvol:
                 a = np.linalg.svd(a, full_matrices=False)[0]
             assert_array_equal(maxvol(a), oc.reference_maxvol(a))
 
+    def test_ties_break_in_the_current_row_order(self):
+        # the first pivot, row 2, swaps row 0 behind row 1; rows 0 and 1 then
+        # tie, and LAPACK takes row 1, the first in the current row order
+        a = np.array([[1.0, 1.0], [0.0, 1.0], [2.0, 0.0]])
+        assert_array_equal(oc.reference_maxvol(a), [2, 1])
+        assert_array_equal(maxvol(a), [2, 1])
+
 
 def _positive_tt(shape, rank, rng):
     return TTTensor([np.abs(c) + 0.05 for c in tt_random(shape, rank, rng).cores])
