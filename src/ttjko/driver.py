@@ -87,15 +87,18 @@ class GaussianInitial:
         Per axis, u maps linearly onto [Phi(lower), Phi(upper)] of the
         standardized box and back through Phi^-1, with Phi from
         ``math.erfc`` and Phi^-1 from ``statistics.NormalDist.inv_cdf``.
-        A probability that rounds to 0 or 1 maps to the quantile's limit,
-        -inf or +inf.
+        Draws are clipped into the box.  A probability that rounds to 0 or
+        1, which needs a box edge beyond about 38.5 sd below or 8.3 sd
+        above the mean, has the quantile -inf or +inf and so gives the
+        box edge.
         """
         u = np.atleast_2d(u)
         a = _normal_cdf((grid.lower - self.mean) / self.std)
         b = _normal_cdf((grid.upper - self.mean) / self.std)
         p = a + u * (b - a)
         z = [_normal_quantile(v) for v in p.ravel().tolist()]
-        return self.mean + self.std * np.reshape(z, p.shape)
+        x = self.mean + self.std * np.reshape(z, p.shape)
+        return np.clip(x, grid.lower, grid.upper)
 
     def to_dict(self) -> dict:
         return {"mean": self.mean.tolist(), "std": self.std.tolist()}

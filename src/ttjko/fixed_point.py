@@ -152,8 +152,10 @@ def cycle(eta: TTTensor, rho_prev: TTTensor, rho_inf, grid: Grid, T: float,
     def initial_oracle(idx, rho_vals, eta_0_vals):
         return guarded_ratio(rho_vals, eta_0_vals, idx)
 
-    # cold starts seed the pivot sets from the current density so the first
-    # sweeps explore index regions that actually carry mass
+    # a cold start seeds both crosses' pivot sets from the current density,
+    # so their first sweeps explore index regions that actually carry mass;
+    # eta_hat_T is nearly flat on the box after a long heat flow, and its
+    # pivots would miss a target whose support is a small part of the box
     eta_hat_0, _ = tt_cross(
         initial_oracle, grid.shape, config.cross,
         initial_guess=rho_prev if warm is None else warm.eta_hat_0,
@@ -171,7 +173,7 @@ def cycle(eta: TTTensor, rho_prev: TTTensor, rho_inf, grid: Grid, T: float,
 
     eta_new, info = tt_cross(
         terminal_oracle, grid.shape, config.cross,
-        initial_guess=eta_hat_T if warm is None else warm.eta_new,
+        initial_guess=rho_prev if warm is None else warm.eta_new,
         rng=rng, validation=validation, factors=(eta_hat_T,),
     )
     eta_new = tt_round(eta_new, config.trunc_tol, config.cross.max_rank)

@@ -6,22 +6,16 @@ and stores the first ``capacity`` distinct values, so repeated queries
 during cross sweeps are free; ``unique_calls`` counts actual oracle
 invocations, the cost unit for all budget comparisons.
 
-The cache key of a multi-index ``i`` on a grid with ``N_k`` nodes per
-axis is the mixed-radix number ``sum_k i_k * prod_{j<k} N_j`` taken
-mod 2^64, one ``uint64`` per index.  It is exact (distinct indices get
-distinct keys) while ``prod_k N_k <= 2^64``; larger grids wrap.  The
-store keeps the keys sorted, each with the slot of its value and index
-row, and a lookup is a hit only if both the key and the row agree (on
-an exact grid an equal key implies an equal row).  Two indices that
-share a wrapped key are therefore never confused: the one stored first
-is cached, the other is evaluated on every query, like an index beyond
-``capacity``.
+The store is one dict from the bytes of an ``intp`` index row to the
+density there.  Distinct rows have distinct bytes, so a lookup is exact
+on every grid, however many points it has.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -36,51 +30,28 @@ class DensityEvalError(ValueError):
         super().__init__(f"density oracle returned {value!r} at index {self.index}")
 
 
-def _distinct(keys: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct rows of ``idx`` in first-occurrence order.
-
-    Returns ``(first, inverse)``: the row where each distinct index
-    first occurs, and for every row the position of its index in
-    ``first``.  Rows are grouped by key, or by their entries when two
-    different rows share a key.
-    """
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    if not np.array_equal(idx[first][inverse], idx):
-        _, first, inverse = np.unique(idx, axis=0, return_index=True,
-                                      return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    return first[order], rank[inverse.reshape(-1)]
-
-
 class CachedDensity:
     """Grid-indexed density oracle with a store-first-N cache.
 
     ``fn`` maps point coordinates ``(M, d)`` to nonnegative values
-    ``(M,)``.  The cache never evicts: once ``capacity`` distinct
-    indices are stored, further new indices are evaluated on every
-    query (and counted in ``unique_calls`` each time).
+    ``(M,)``.  Each batch evaluates its uncached rows once, in
+    first-occurrence order, and counts them in ``unique_calls``.  The
+    cache never evicts: once ``capacity`` distinct indices are stored,
+    further new indices are evaluated on every query that holds them,
+    so ``capacity=0`` turns the cache off.
     """
+
+    __slots__ = ("fn", "grid", "capacity", "unique_calls", "total_calls",
+                 "_nodes", "_min_nodes", "_row_dtype", "_store")
 
     def __init__(self, fn, grid: Grid, capacity: int | None = None):
         self.fn = fn
         self.grid = grid
         self.capacity = capacity
-        self.enabled = True
-        radix, weight = [], 1
-        for n in grid.shape:
-            radix.append(weight % 2**64)
-            weight *= n
-        self._radix = np.array(radix, dtype=np.uint64)
-        # keys are injective unless the grid has more than 2^64 points
-        self._exact = weight <= 2**64
         self._nodes = np.asarray(grid.nodes, dtype=np.uint64)
         self._min_nodes = self._nodes.min()
-        self._keys = np.zeros(0, dtype=np.uint64)      # sorted
-        self._slots = np.zeros(0, dtype=np.intp)       # entry of each sorted key
-        self._vals = np.zeros(0)                       # entries, in insertion order
-        self._rows = np.zeros((0, grid.d), dtype=np.intp)
+        self._row_dtype = np.dtype((np.void, grid.d * np.dtype(np.intp).itemsize))
+        self._store: dict[bytes, float] = {}
         self.unique_calls = 0
         self.total_calls = 0
 
@@ -96,66 +67,22 @@ class CachedDensity:
         uidx = idx.view(np.uint64)
         if uidx.max(initial=0) >= self._min_nodes and (uidx >= self._nodes).any():
             raise ValueError("multi-index outside the grid shape")
-        m = idx.shape[0]
-        if not self.enabled:
-            vals = self._evaluate(idx)
-            self.total_calls += m
-            self.unique_calls += m
-            return vals
-        self.total_calls += m
+        self.total_calls += idx.shape[0]
 
-        keys = uidx @ self._radix
-        if self._keys.size:
-            pos = np.minimum(self._keys.searchsorted(keys), self._keys.size - 1)
-            slot = self._slots[pos]
-            hit = self._keys[pos] == keys
-            if not self._exact:
-                hit &= (self._rows[slot] == idx).all(axis=1)
-            out = self._vals[slot]
-            if hit.all():
-                return out
-            miss = np.flatnonzero(~hit)
-        else:
-            out = np.empty(m)
-            miss = np.arange(m)
-            if m == 0:
-                return out
-        first, inverse = _distinct(keys[miss], idx[miss])
-        new = miss[first]
-        vals = self._evaluate(idx[new])
-        self.unique_calls += new.size
-        out[miss] = vals[inverse]
-        self._store(keys[new], vals, idx[new])
-        return out
-
-    def _store(self, keys: np.ndarray, vals: np.ndarray, rows: np.ndarray) -> None:
-        """Insert new distinct indices in order until ``capacity`` is reached.
-
-        A key held by an earlier index (a wrapped-key collision) keeps
-        that index; the later one is not stored.
-        """
-        size = self._keys.size
-        if self.capacity is not None:
-            room = max(self.capacity - size, 0)
-            keys, vals, rows = keys[:room], vals[:room], rows[:room]
-        keys, first = np.unique(keys, return_index=True)
-        at = self._keys.searchsorted(keys)
-        if size:
-            free = self._keys[np.minimum(at, size - 1)] != keys
-            keys, first, at = keys[free], first[free], at[free]
-        if keys.size == 0:
-            return
-        if size + keys.size > self._vals.size:
-            # entry buffers grow geometrically; only the first `size` are live
-            cap = 2 * (size + keys.size)
-            self._vals = np.concatenate([self._vals[:size], np.empty(cap - size)])
-            self._rows = np.concatenate(
-                [self._rows[:size], np.empty((cap - size, self.grid.d), dtype=np.intp)])
-        new_slots = np.arange(size, size + keys.size)
-        self._vals[new_slots] = vals[first]
-        self._rows[new_slots] = rows[first]
-        self._keys = np.insert(self._keys, at, keys)
-        self._slots = np.insert(self._slots, at, new_slots)
+        keys = np.ascontiguousarray(idx).view(self._row_dtype).ravel().tolist()
+        store = self._store
+        vals = [store.get(key) for key in keys]          # None where uncached
+        if None in vals:
+            first = {}                                   # new key -> its first row
+            for i, (key, val) in enumerate(zip(keys, vals)):
+                if val is None:
+                    first.setdefault(key, i)
+            new = dict(zip(first, self._evaluate(idx[list(first.values())]).tolist()))
+            self.unique_calls += len(new)
+            room = None if self.capacity is None else max(self.capacity - len(store), 0)
+            store.update(islice(new.items(), room))
+            vals = [new[key] if val is None else val for key, val in zip(keys, vals)]
+        return np.array(vals, dtype=float)
 
     def _evaluate(self, idx: np.ndarray) -> np.ndarray:
         x = self.grid.points(idx)
@@ -166,12 +93,9 @@ class CachedDensity:
             raise DensityEvalError(idx[row], vals[row])
         return vals
 
-    def __call__(self, indices: np.ndarray) -> np.ndarray:
-        return self.eval_batch(indices)
-
     @property
     def cache_size(self) -> int:
-        return self._keys.size
+        return len(self._store)
 
 
 # ---------------------------------------------------------------------------

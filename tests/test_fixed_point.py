@@ -246,8 +246,7 @@ class TestCacheTransparency:
         kw = dict(tolerance=1e-6, max_iters=40,
                   cross=CrossConfig(max_rank=8, tolerance=1e-8))
         rho_on = CachedDensity(mix.density, grid)
-        rho_off = CachedDensity(mix.density, grid)
-        rho_off.enabled = False
+        rho_off = CachedDensity(mix.density, grid, capacity=0)
         s_on = solve_step(rho0, rho_on, grid, 50.0, 0.1, FixedPointConfig(**kw),
                           rng=np.random.default_rng(2))
         s_off = solve_step(rho0, rho_off, grid, 50.0, 0.1, FixedPointConfig(**kw),
@@ -255,4 +254,5 @@ class TestCacheTransparency:
         assert s_on.residual_history == s_off.residual_history
         for a, b in zip(s_on.eta_T.cores, s_off.eta_T.cores):
             assert np.array_equal(a, b)
-        assert rho_on.unique_calls <= rho_off.unique_calls
+        assert rho_off.cache_size == 0
+        assert rho_on.unique_calls < rho_off.unique_calls

@@ -120,12 +120,12 @@ def _density(x):
 
 
 class TestArrayKeyedCache:
-    def make(self, grid, capacity=None):
+    def make(self, grid, capacity=None, density=_density):
         seen = []
 
         def fn(x):
             seen.append(x.copy())
-            return _density(x)
+            return density(x)
 
         return CachedDensity(fn, grid, capacity=capacity), seen
 
@@ -155,31 +155,68 @@ class TestArrayKeyedCache:
         assert cd.unique_calls == 6
         assert cd.total_calls == 9
 
-    def test_disabled_cache_counts_every_row(self):
+    def test_zero_capacity_pays_for_every_batch(self):
         grid = Grid.regular(0.0, 4.0, 5, d=2)
-        cd, _ = self.make(grid)
-        cd.enabled = False
+        cd, seen = self.make(grid, capacity=0)
         idx = np.array([[1, 1], [1, 1], [2, 3]])
         vals = cd.eval_batch(idx)
         cd.eval_batch(idx)
-        assert cd.unique_calls == 6
+        assert cd.unique_calls == 4       # each batch evaluates its distinct rows
         assert cd.total_calls == 6
         assert cd.cache_size == 0
+        assert len(seen) == 2
+        assert_array_equal(seen[1], grid.points(idx[[0, 2]]))
         assert_array_equal(vals, _density(grid.points(idx)))
 
-    def test_wrapped_key_collision_is_a_miss(self):
-        # axis k has weight 2^k, so axis 64 has weight 2^64 = 0 (mod 2^64)
+    def test_rows_equal_mod_2_64_are_distinct_keys(self):
+        # the mixed-radix numbers of these rows agree mod 2^64: axis k has
+        # weight 2^k, so axis 64 has weight 2^64
         grid = Grid.regular(0.0, 1.0, 2, d=65)
         cd, _ = self.make(grid)
         idx = np.zeros((2, 65), dtype=np.intp)
         idx[1, 64] = 1
         first = cd.eval_batch(idx)
         assert first[0] != first[1]
-        assert cd.unique_calls == 2
         again = cd.eval_batch(idx[::-1])
         assert_array_equal(again, first[::-1])
-        assert cd.cache_size == 1
-        assert cd.unique_calls == 3       # the colliding index is never stored
+        assert cd.cache_size == 2
+        assert cd.unique_calls == 2
+
+    def test_exact_on_a_grid_past_2_64_points(self):
+        # the gaussian_verification grid: 16 axes of 30 nodes, 30^16 > 2^64 points
+        grid = Grid.regular(-3.0, 3.0, 30, d=16)
+        weights = np.arange(1.0, 17.0)
+
+        def fn(x):
+            return 1.0 + np.sum(x**2 * weights, axis=1)
+
+        rng = np.random.default_rng(16)
+        rows = rng.integers(0, 30, size=(50, 16))
+        idx = rows[rng.integers(0, 50, size=150)]            # with duplicates
+        direct = fn(grid.points(idx))
+        _, first = np.unique(idx, axis=0, return_index=True)
+        first = np.sort(first)                               # first occurrences
+        n = first.size
+        for capacity in (None, 20):
+            cd, seen = self.make(grid, capacity, density=fn)
+            assert cd.eval_batch(idx).tobytes() == direct.tobytes()
+            assert cd.eval_batch(idx[::-1]).tobytes() == direct[::-1].tobytes()
+            assert_array_equal(seen[0], grid.points(idx[first]))
+            stored = n if capacity is None else capacity
+            assert cd.cache_size == stored
+            assert cd.unique_calls == 2 * n - stored
+            assert cd.total_calls == 300
+            if capacity is not None:
+                # the rows past capacity are paid again, in the new batch's order
+                kept = {tuple(r) for r in idx[first[:capacity]]}
+                again = dict.fromkeys(tuple(r) for r in idx[::-1] if tuple(r) not in kept)
+                assert_array_equal(seen[1], grid.points(np.array(list(again))))
+
+    def test_no_attribute_beyond_the_declared_ones(self):
+        # the cache has one switch, capacity; a stray flag must not pass silently
+        cd, _ = self.make(Grid.regular(0.0, 1.0, 3, d=2))
+        with pytest.raises(AttributeError):
+            cd.enabled = False
 
     def test_bounds_and_bad_values_rejected(self):
         grid = Grid.regular(0.0, 1.0, 4, d=2)

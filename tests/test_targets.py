@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 import oracles as oc
 from ttjko.grid import Grid, quadrature_weights
@@ -63,12 +63,13 @@ class TestCachedDensity:
 
     def test_disabled_cache_same_values(self):
         cd_on, _ = self.make()
-        cd_off, _ = self.make()
-        cd_off.enabled = False
+        cd_off, _ = self.make(capacity=0)
         rng = np.random.default_rng(1)
-        idx = np.stack([rng.integers(0, 5, 40), rng.integers(0, 5, 40)], axis=1)
-        assert_allclose(cd_on.eval_batch(idx), cd_off.eval_batch(idx))
-        assert cd_on.unique_calls <= cd_off.unique_calls
+        for _ in range(2):
+            idx = np.stack([rng.integers(0, 5, 40), rng.integers(0, 5, 40)], axis=1)
+            assert_array_equal(cd_on.eval_batch(idx), cd_off.eval_batch(idx))
+        assert cd_off.cache_size == 0
+        assert cd_on.unique_calls < cd_off.unique_calls
 
     def test_negative_density_rejected(self):
         grid = Grid.regular(0.0, 1.0, 4, d=1)
