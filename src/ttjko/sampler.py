@@ -14,17 +14,26 @@ through the TT cores.  Both potentials, their gradients and all time
 nodes live in one node table per axis, so a drift evaluation is a
 single pass over the axes that contracts both potentials at both
 neighbouring time nodes at once (``StepDynamics``); the contraction is
-the grid module's off-grid kernel, ``grid.multilinear``.  The Dormand-Prince
-integrator reuses the last stage of an accepted step, and the first
-stage of a rejected one, as the next step's first stage.
+the grid module's off-grid kernel, ``grid.multilinear``.
+
+The drift is therefore smooth in time only between two nodes: its time
+derivative jumps at every node.  The Dormand-Prince integrator ends a
+step on the next node instead of crossing it (node stops), so that all
+seven stages of a step see one smooth piece of the drift; a step that
+straddled a node would fail its embedded error estimate there and be
+rejected (Hairer, Norsett & Wanner, Solving ODEs I, II.4-II.6, on
+integrating through known discontinuities).  The integrator reuses the
+last stage of an accepted step, and the first stage of a rejected one,
+as the next step's first stage.
 
 Particles are fully independent: per-particle adaptive step control and
 per-particle RNG streams derived from the master seed by counter
 splitting, and every reduction of the drift kernel runs over a rank axis
 of one row, so results are bitwise reproducible and independent of
 batch composition.  ``sample`` records per proximal step the ODE rounds,
-accepted and rejected steps, drift rows evaluated, the smallest proposed
-step and the rescued and unfinished counts in ``Ensemble.meta["trace"]``.
+accepted and rejected steps, accepted steps that ended on a time node,
+drift rows evaluated, the smallest proposed step and the rescued and
+unfinished counts in ``Ensemble.meta["trace"]``.
 """
 
 from __future__ import annotations
@@ -57,6 +66,8 @@ _DOPRI_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
                       -92097 / 339200, 187 / 2100, 1 / 40])
 
 _VALUE_FLOOR = 1e-300
+# the step controller's largest shrink per round
+_MIN_FACTOR = 0.2
 
 #: round budget of one step's adaptive ODE integration
 MAX_ODE_ROUNDS = 20000
@@ -64,8 +75,8 @@ MAX_ODE_ROUNDS = 20000
 MIN_STEP_FRACTION = 1e-12
 
 # per-step ODE counters of the sampler trace, before any round
-_NO_ODE_TRACE = {"ode_rounds": 0, "accepted": 0, "rejected": 0, "drift_rows": 0,
-                 "min_step": 0.0}
+_NO_ODE_TRACE = {"ode_rounds": 0, "accepted": 0, "rejected": 0, "node_stops": 0,
+                 "drift_rows": 0, "min_step": 0.0}
 
 
 @dataclass
@@ -74,6 +85,7 @@ class SamplerConfig:
     rel_tol: float = 1e-6
     abs_tol: float = 1e-8
     n_em_steps: int = 20
+    # the time sub-grid has n_time_nodes + 1 nodes, n_time_nodes intervals
     n_time_nodes: int = 32
 
     def __post_init__(self):
@@ -83,6 +95,10 @@ class SamplerConfig:
             raise ValueError("tolerances must be positive")
         if self.n_em_steps < 1:
             raise ValueError("n_em_steps must be >= 1")
+        n = self.n_time_nodes
+        if not isinstance(n, (int, np.integer)) or n < 6 or n % 2:
+            raise ValueError("n_time_nodes must be an even integer >= 6 "
+                             "(the time sub-grid has n_time_nodes + 1 nodes)")
 
 
 @dataclass
@@ -117,10 +133,11 @@ class Ensemble:
             json.dump(sidecar, fh, indent=2, sort_keys=True)
 
 
-def _time_fractions(n_nodes: int, edge: float = 1e-4) -> np.ndarray:
-    """Fractions of [0, 1] geometrically clustered toward both endpoints,
-    where the semigroup-propagated potentials vary fastest."""
-    half = max(n_nodes // 2, 3)
+def _time_fractions(n_intervals: int, edge: float = 1e-4) -> np.ndarray:
+    """``n_intervals + 1`` fractions of [0, 1] (``n_intervals`` even)
+    geometrically clustered toward both endpoints, where the
+    semigroup-propagated potentials vary fastest."""
+    half = n_intervals // 2
     left = np.geomspace(edge, 0.5, half)
     fracs = np.concatenate([[0.0], left, 1.0 - left[::-1], [1.0]])
     return np.unique(fracs)
@@ -253,6 +270,38 @@ def _reflect(x: np.ndarray, grid: Grid) -> np.ndarray:
     return grid.lower + y
 
 
+def _stop_at_nodes(tau: np.ndarray, ts: np.ndarray, hs: np.ndarray):
+    """Shorten each step ``(ts, ts + hs)`` that would pass the next time
+    node ``tau_j > ts`` so that it ends on that node (every ``ts`` lies
+    below the last node).
+
+    Returns the steps, the seven Dormand-Prince stage times of each
+    (``(7, m)``; the last two are the step's end, exactly ``tau_j`` for a
+    step that ends on a node) and the mask of steps that end on a node.
+    Every stage time lies in the step's one node interval
+    ``[tau_{j-1}, tau_j]``.
+    """
+    node = tau[np.searchsorted(tau, ts, side="right")]
+    ends = ts + hs
+    on_node = ends >= node
+    hs = np.where(on_node, node - ts, hs)
+    times = ts + _DOPRI_C[:, None] * hs
+    times[5:] = np.where(on_node, node, ends)
+    return hs, times, on_node
+
+
+def _combine(coeffs, stages, xs, hs, out, tmp):
+    """``out = xs + hs * sum(c * k)`` over the nonzero coefficients, in place."""
+    out.fill(0.0)
+    for c, ks in zip(coeffs, stages):
+        if c != 0.0:
+            np.multiply(ks, c, out=tmp)
+            out += tmp
+    out *= hs[:, None]
+    out += xs
+    return out
+
+
 def _integrate_ode(dyn: StepDynamics, x: np.ndarray, t0: float, t1: float,
                    config: SamplerConfig, rescue_noise):
     """Per-particle adaptive Dormand-Prince integration of the drift ODE.
@@ -263,16 +312,31 @@ def _integrate_ode(dyn: StepDynamics, x: np.ndarray, t0: float, t1: float,
     Particles still short of ``t1`` when the round budget runs out are
     left where they are and flagged unfinished.
 
+    The drift interpolates the potentials linearly in time between the
+    nodes ``dyn.tau``, so its time derivative jumps at each node.  A step
+    whose stages straddle a node sees that jump, and its embedded error
+    estimate fails there.  So no step crosses a node: a step that would
+    pass the next node is shortened to end on it (``_stop_at_nodes``),
+    and when it is accepted the particle's time becomes the node itself,
+    not ``t + h``, which could fall an ulp short and force a step of one
+    ulp.  The next step is the controller's usual proposal from the step
+    taken, but a stop never shrinks it below what a rejection of the
+    unshortened step could (``_MIN_FACTOR`` of it): a sliver of a step
+    that takes a particle just below a node onto it says nothing about
+    the step size, so it must not make the particle look stuck and be
+    rescued.
+
     The first stage of a round reuses a drift already evaluated at the
     same point (first same as last): after an accepted step the seventh
-    stage, whose point ``(t + h, x5)`` is the new position bit for bit,
-    and after a rejected step the round's own first stage.  Only the
-    first round evaluates all seven stages.
+    stage, whose point (step end, ``x5``) is the new time and position
+    bit for bit, and after a rejected step the round's own first stage.
+    Only the first round evaluates all seven stages.
 
     Returns the rescued and unfinished flags and the step's trace: ODE
-    rounds, accepted and rejected steps, drift rows evaluated, and the
-    smallest step size the controller proposed to a particle that still
-    had time left (0.0 when the window is empty).
+    rounds, accepted and rejected steps, accepted steps that ended on a
+    time node, drift rows evaluated, and the smallest step size the
+    controller proposed to a particle that still had time left (0.0 when
+    the window is empty).
     """
     m, d = x.shape
     span = t1 - t0
@@ -292,35 +356,30 @@ def _integrate_ode(dyn: StepDynamics, x: np.ndarray, t0: float, t1: float,
         ids = np.nonzero(active)[0]
         xs = x[ids]
         ts = t[ids]
-        hs = np.minimum(h[ids], t1 - ts)
+        hs, times, on_node = _stop_at_nodes(dyn.tau, ts, np.minimum(h[ids], t1 - ts))
         k = np.empty((7, ids.size, d))
-
-        def combine(coeffs, stages):
-            acc = np.zeros((ids.size, d))
-            for c, ks in zip(coeffs, stages):
-                if c != 0.0:
-                    acc = acc + c * ks
-            return acc
+        xi, x5, tmp = np.empty((3, ids.size, d))
 
         if rnd == 0:
-            k[0] = dyn.ode_drift(ts + _DOPRI_C[0] * hs, xs)
+            k[0] = dyn.ode_drift(times[0], xs)
         else:
             k[0] = k_first[ids]
         for s in range(1, 7):
-            xi = xs + hs[:, None] * combine(_DOPRI_A[s], k[:s])
-            k[s] = dyn.ode_drift(ts + _DOPRI_C[s] * hs, xi)
-        x5 = xs + hs[:, None] * combine(_DOPRI_B5, k)
-        x4 = xs + hs[:, None] * combine(_DOPRI_B4, k)
+            k[s] = dyn.ode_drift(times[s], _combine(_DOPRI_A[s], k[:s], xs, hs, xi, tmp))
+        _combine(_DOPRI_B5, k, xs, hs, x5, tmp)
+        x4 = _combine(_DOPRI_B4, k, xs, hs, xi, tmp)
         scale = config.abs_tol + config.rel_tol * np.maximum(np.abs(xs), np.abs(x5))
         err = np.sqrt(np.mean(((x5 - x4) / scale) ** 2, axis=1))
         accept = err <= 1.0
-        ts_new = np.where(accept, ts + hs, ts)
+        ts_new = np.where(accept, times[6], ts)
         xs = np.where(accept[:, None], x5, xs)
         k_first[ids] = np.where(accept[:, None], k[6], k[0])
         with np.errstate(divide="ignore"):
             factor = 0.9 * err ** (-0.2)
-        factor = np.clip(np.where(np.isfinite(factor), factor, 5.0), 0.2, 5.0)
+        factor = np.clip(np.where(np.isfinite(factor), factor, 5.0), _MIN_FACTOR, 5.0)
         hs_next = hs * factor
+        stopped = accept & on_node
+        hs_next = np.where(stopped, np.maximum(hs_next, _MIN_FACTOR * h[ids]), hs_next)
 
         x[ids] = xs
         t[ids] = ts_new
@@ -338,6 +397,7 @@ def _integrate_ode(dyn: StepDynamics, x: np.ndarray, t0: float, t1: float,
         trace["ode_rounds"] += 1
         trace["accepted"] += n_accepted
         trace["rejected"] += ids.size - n_accepted
+        trace["node_stops"] += int(np.count_nonzero(stopped))
         trace["drift_rows"] += (7 if rnd == 0 else 6) * ids.size
         if not np.all(done):
             min_step = min(min_step, float(np.min(hs_next[~done])))

@@ -166,9 +166,11 @@ def reference_interpolate_batch(t, grid, x):
 
 def reference_integrate_ode(dyn, x, t0, t1, config, rescue_noise):
     """Per-particle adaptive Dormand-Prince integration of ``dyn.ode_drift``,
-    seven drift evaluations per round; returns (rescued, unfinished)."""
-    from ttjko.sampler import (_DOPRI_A, _DOPRI_B4, _DOPRI_B5, _DOPRI_C,
-                               MAX_ODE_ROUNDS, MIN_STEP_FRACTION, _em_single)
+    seven drift evaluations per round, with the sampler's rule that every
+    step ends at or before the next time node; returns (rescued, unfinished)."""
+    from ttjko.sampler import (_DOPRI_A, _DOPRI_B4, _DOPRI_B5, _MIN_FACTOR,
+                               MAX_ODE_ROUNDS, MIN_STEP_FRACTION, _em_single,
+                               _stop_at_nodes)
     m, d = x.shape
     span = t1 - t0
     if span <= 0:
@@ -183,7 +185,7 @@ def reference_integrate_ode(dyn, x, t0, t1, config, rescue_noise):
         ids = np.nonzero(active)[0]
         xs = x[ids]
         ts = t[ids]
-        hs = np.minimum(h[ids], t1 - ts)
+        hs, times, on_node = _stop_at_nodes(dyn.tau, ts, np.minimum(h[ids], t1 - ts))
         k = np.empty((7, ids.size, d))
 
         def combine(coeffs, stages):
@@ -197,18 +199,21 @@ def reference_integrate_ode(dyn, x, t0, t1, config, rescue_noise):
             xi = xs.copy()
             if s > 0:
                 xi = xs + hs[:, None] * combine(_DOPRI_A[s], k[:s])
-            k[s] = dyn.ode_drift(ts + _DOPRI_C[s] * hs, xi)
+            k[s] = dyn.ode_drift(times[s], xi)
         x5 = xs + hs[:, None] * combine(_DOPRI_B5, k)
         x4 = xs + hs[:, None] * combine(_DOPRI_B4, k)
         scale = config.abs_tol + config.rel_tol * np.maximum(np.abs(xs), np.abs(x5))
         err = np.sqrt(np.mean(((x5 - x4) / scale) ** 2, axis=1))
         accept = err <= 1.0
-        ts_new = np.where(accept, ts + hs, ts)
+        ts_new = np.where(accept, times[6], ts)
         xs = np.where(accept[:, None], x5, xs)
         with np.errstate(divide="ignore"):
             factor = 0.9 * err ** (-0.2)
-        factor = np.clip(np.where(np.isfinite(factor), factor, 5.0), 0.2, 5.0)
-        hs_next = hs * factor
+        factor = np.clip(np.where(np.isfinite(factor), factor, 5.0), _MIN_FACTOR, 5.0)
+        # a step that ended on a node shrinks the next one no more than a
+        # rejection could
+        hs_next = np.where(accept & on_node,
+                           np.maximum(hs * factor, _MIN_FACTOR * h[ids]), hs * factor)
         x[ids] = xs
         t[ids] = ts_new
         h[ids] = hs_next

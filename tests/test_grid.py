@@ -169,7 +169,7 @@ class TestGradients:
                     for r in (3, 1))
         state = StepState(eta_T=eta, eta_hat_0=hat, eta_hat_T=None,
                           T=1.0, beta=0.1, converged=True, iters=1)
-        dyn = StepDynamics(state, g, SamplerConfig(n_time_nodes=4))
+        dyn = StepDynamics(state, g, SamplerConfig(n_time_nodes=6))
         nodes = [HeatPropagator(g, dyn.beta * (dyn.T - t)).apply(eta) for t in dyn.tau]
         for axis in range(g.d):
             stack = np.stack([t.cores[axis] for t in nodes])           # (K, r1, N, r2)

@@ -13,8 +13,8 @@ from ttjko.driver import FlowModel, GaussianInitial, Schedule, run
 from ttjko.fixed_point import FixedPointConfig, StepState
 from ttjko.cross import CrossConfig
 from ttjko.grid import Grid
-from ttjko.sampler import (Ensemble, SamplerConfig, StepDynamics, _em_single,
-                           _integrate_ode, _reflect, sample)
+from ttjko.sampler import (MIN_STEP_FRACTION, Ensemble, SamplerConfig, StepDynamics,
+                           _em_single, _integrate_ode, _reflect, sample)
 from ttjko.targets import CachedDensity, Gaussian
 from ttjko.tt import tt_rank_one, tt_ones
 
@@ -194,6 +194,22 @@ class TestSample:
         with pytest.raises(ValueError, match="n_em_steps"):
             SamplerConfig(n_em_steps=0)
 
+    @pytest.mark.parametrize("n", [0, 4, 5, 7, 33, 32.0])
+    def test_time_nodes_that_would_be_overridden_are_rejected(self, n):
+        # below 6 the sub-grid would still have 7 nodes, an odd value
+        # would give the same nodes as the even value below it, and a
+        # float would fail only when the sub-grid is built
+        with pytest.raises(ValueError, match="n_time_nodes"):
+            SamplerConfig(n_time_nodes=n)
+
+    @pytest.mark.parametrize("n", [6, 8, 32])
+    def test_time_sub_grid_has_n_plus_one_nodes(self, n):
+        grid = Grid.regular(-3.0, 3.0, 10, d=1)
+        state = gaussian_state(grid, 0.0, 1.0, 0.0, 1.0, T=2.0)
+        tau = StepDynamics(state, grid, SamplerConfig(n_time_nodes=n)).tau
+        assert tau.size == n + 1
+        assert tau[0] == 0.0 and tau[-1] == 2.0 and np.all(np.diff(tau) > 0)
+
     def test_save_csv_with_sidecar(self, fitted, tmp_path):
         ens = sample(fitted, 5, SamplerConfig(), seed=1)
         path = tmp_path / "ens.csv"
@@ -223,20 +239,28 @@ class TestTrace:
     """The per-step sampler trace, and first-same-as-last stage reuse."""
 
     @staticmethod
-    def _integrate(integrate, m=37):
+    def _dynamics():
         grid = Grid.regular(-3.0, 3.0, 30, d=2)
         state = gaussian_state(grid, 0.4, 0.5, -0.3, 0.9, T=2.0, beta=0.2)
-        dyn = StepDynamics(state, grid, SamplerConfig())
+        return StepDynamics(state, grid, SamplerConfig())
+
+    @classmethod
+    def _integrate(cls, integrate, m=37, t0=0.0, times=None):
+        """Integrate m particles over [t0, 1.5]; every drift call appends its
+        row count to the returned list, and its times to ``times``."""
+        dyn = cls._dynamics()
         calls = []
         drift = dyn.ode_drift
 
         def counted(t, x):
             calls.append(x.shape[0])
+            if times is not None:
+                times.append(np.array(t, dtype=float))
             return drift(t, x)
 
         dyn.ode_drift = counted
         x = np.random.default_rng(3).uniform(-2.5, 2.5, (m, 2))
-        out = integrate(dyn, x, 0.0, 1.5, SamplerConfig(rel_tol=1e-8),
+        out = integrate(dyn, x, t0, 1.5, SamplerConfig(rel_tol=1e-8),
                         lambda pid: np.zeros((20, 2)))
         return x, out, calls
 
@@ -272,8 +296,8 @@ class TestTrace:
         ens = sample(fitted, 40, SamplerConfig(), seed=5)
         trace = ens.meta["trace"]
         assert len(trace) == len(fitted.steps)
-        assert set(trace[0]) == {"ode_rounds", "accepted", "rejected", "drift_rows",
-                                 "min_step", "rescued", "unfinished"}
+        assert set(trace[0]) == {"ode_rounds", "accepted", "rejected", "node_stops",
+                                 "drift_rows", "min_step", "rescued", "unfinished"}
         assert trace[0]["rescued"] == int(ens.rescued.sum())
         assert trace[0]["unfinished"] == int(ens.unfinished.sum())
         ens.save(tmp_path / "ens.csv")
@@ -285,3 +309,39 @@ class TestTrace:
         monkeypatch.setattr(sampler_module, "_integrate_ode", untraced)
         ref = sample(fitted, 40, SamplerConfig(), seed=5)
         assert_array_equal(ens.positions, ref.positions)
+
+    def test_stages_of_a_step_stay_between_two_time_nodes(self):
+        # the drift is linear in time between nodes; a step that straddled
+        # a node would see its time derivative jump
+        times = []
+        _, (_, _, trace), _ = self._integrate(_integrate_ode, times=times)
+        tau = self._dynamics().tau
+        rounds = [times[:7]] + [times[i:i + 6] for i in range(7, len(times), 6)]
+        assert len(rounds) == trace["ode_rounds"]
+        for stages in rounds:
+            stages = np.stack(stages)
+            first, last = stages.min(axis=0), stages.max(axis=0)
+            k = np.searchsorted(tau, first, side="right") - 1
+            assert np.all(tau[k] <= first) and np.all(last <= tau[k + 1])
+        # every particle stops on each node inside (0, 1.5)
+        assert trace["node_stops"] >= 37 * np.count_nonzero((tau > 0) & (tau < 1.5))
+
+    def test_particle_an_ulp_below_a_node_lands_on_it(self):
+        node = self._dynamics().tau[5]
+        t0 = np.nextafter(node, -np.inf)
+        times = []
+        _, (resc, unfin, trace), _ = self._integrate(_integrate_ode, t0=t0, times=times)
+        # the first step is one ulp long and ends on the node exactly
+        assert_array_equal(times[0], t0)
+        assert np.all(times[6] == node)
+        assert trace["node_stops"] >= 37
+        # the one-ulp step is not a step-size collapse
+        assert not resc.any() and not unfin.any()
+        assert trace["min_step"] >= 1e3 * MIN_STEP_FRACTION * (1.5 - t0)
+
+    def test_fewer_rejected_than_half_the_accepted_steps(self, fitted):
+        # with node stops 517 steps are rejected here against 1,673
+        # accepted; when steps crossed the nodes, 2,098 against 1,678
+        trace = sample(fitted, 40, SamplerConfig(), seed=5).meta["trace"][0]
+        assert trace["rejected"] < 0.5 * trace["accepted"]
+        assert trace["rescued"] == trace["unfinished"] == 0
