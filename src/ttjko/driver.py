@@ -215,41 +215,50 @@ def run(initial: GaussianInitial, rho_inf, grid: Grid, schedule: Schedule,
     if not (np.isfinite(mass0) and mass0 > 0):
         raise ValueError("initial density must have positive finite mass")
 
-    rho_k = rho0
+    model = FlowModel(grid=grid, initial=initial, steps=[], rho_tt=rho0)
     eta_warm = None
     log_scale = 0.0
-    steps: list[StepState] = []
-    kl_history: list[float] = []
-    model = FlowModel(grid=grid, initial=initial, steps=steps, rho_tt=rho_k,
-                      kl_history=kl_history)
     for k, (T, beta) in enumerate(schedule):
         def emit(record, _k=k):
             record["step"] = _k
             telemetry(record)
 
-        state = solve_step(
-            rho_k, rho_inf, grid, T, beta, config, eta_init=eta_warm,
-            rng=rng, telemetry=None if telemetry is None else emit,
-            log_scale=log_scale,
-        )
-        steps.append(state)
-        rho_k = product_density(state, grid, config, rng)
-        mass = tt_contract_all(rho_k, all_quadrature_weights(grid))
-        if not (np.isfinite(mass) and mass > 0):
-            raise RuntimeError(f"step {k}: fitted density has invalid mass {mass}")
-        model.rho_tt = rho_k
+        state = append_step(model, rho_inf, T, beta, config, rng, eta_init=eta_warm,
+                            telemetry=None if telemetry is None else emit,
+                            log_scale=log_scale)
         eta_warm = state.eta_T
         log_scale = state.log_scale
-        if state.converged:
-            try:
-                kl_history.append(kl_estimate(model))
-            except ValueError:
-                # rank-limited intermediate fits can lose pointwise positivity
-                # of the potential; the tracked KL is informational only
-                kl_history.append(float("nan"))
-        else:
-            kl_history.append(float("nan"))
     return model
+
+
+def append_step(model: FlowModel, rho_inf, T: float, beta: float,
+                config: FixedPointConfig, rng: np.random.Generator,
+                **solve_kwargs) -> StepState:
+    """Solve one proximal step from ``model.rho_tt`` toward ``rho_inf``
+    and append it to ``model``: the step's state, its product density
+    (which must have positive finite mass) and its KL, which is NaN for
+    an unconverged step or one whose KL estimate fails.  ``solve_kwargs``
+    go to ``solve_step``.  Returns the step's state.
+    """
+    k = len(model.steps)
+    state = solve_step(model.rho_tt, rho_inf, model.grid, T, beta, config, rng=rng,
+                       **solve_kwargs)
+    model.steps.append(state)
+    rho = product_density(state, model.grid, config, rng)
+    mass = tt_contract_all(rho, all_quadrature_weights(model.grid))
+    if not (np.isfinite(mass) and mass > 0):
+        raise RuntimeError(f"step {k}: fitted density has invalid mass {mass}")
+    model.rho_tt = rho
+    kl = float("nan")
+    if state.converged:
+        try:
+            kl = kl_estimate(model)
+        except ValueError:
+            # rank-limited intermediate fits can lose pointwise positivity
+            # of the potential; the tracked KL is informational only
+            pass
+    model.kl_history.append(kl)
+    return state
 
 
 def kl_estimate(model: FlowModel, cross_tol: float = 1e-10) -> float:

@@ -9,13 +9,13 @@ axis gathers the two corners of every point's cell (``Grid.cells``,
 after clamping into the box) with one ``take``, interpolates them
 linearly, and contracts the resulting cores with the ranks leading and
 the points last, for the value and, from derivative cores, the
-gradient.  ``interpolate_batch`` and the sampler drift both use it;
-``tt.tt_eval`` stays the kernel for grid indices.
+gradient.  It owns its gather scratch and the range check its clipping
+gather relies on.  ``interpolate_batch`` and the sampler drift both run
+it; ``tt.tt_eval`` stays the kernel for grid indices.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -150,73 +150,64 @@ def gradient_matrix(grid: Grid, axis: int) -> np.ndarray:
     return mat
 
 
-def _slabs(table, cols, w, out=None):
-    """Cores at the points, stacked over the leading table entry (value,
-    gradient): ``lo + w (hi - lo)`` of the two corners gathered with one
-    take.  (A function of its own so that, without a scratch, the
-    gathered corners are freed before the next axis gathers.)
-
-    With a flat scratch ``out`` nothing is allocated: the cores fill the
-    head of ``out`` and the gathered corners its tail (a scratch too
-    small for both is not used).  ``take`` then runs with ``mode="clip"``
-    (with ``"raise"`` it gathers into a temporary and copies), so the
-    caller checks ``cols`` in range."""
-    shape = table.shape[:-1] + cols.shape
-    size = math.prod(shape)
-    if out is not None and out.size < size + size // 2:
-        out = None
-    if out is None:
-        c = table.take(cols, axis=-1)
-        slabs = np.subtract(c[..., 1, :], c[..., 0, :])
-    else:
-        c = table.take(cols, axis=-1, mode="clip", out=out[out.size - size:].reshape(shape))
-        lo = c[..., 0, :]
-        slabs = np.subtract(c[..., 1, :], lo, out=out[:size // 2].reshape(lo.shape))
-    slabs *= w
-    slabs += c[..., 0, :]
-    return slabs
-
-
-def multilinear(tables, cols, w, out=None):
+def multilinear(tables, cols, w, scratch=None):
     """Multilinear TT contraction at off-grid points, batch last.
 
     ``tables[n]`` holds axis n's cores with the ranks leading and the
     grid columns last, ``(V, r1, r2, *F, C)``: ``V = 1`` for values only,
     ``V = 2`` for values and derivative cores, and ``F`` any batch of
-    fields contracted alike.  ``cols[n]`` holds the columns of each
-    point's lower and upper corner, ``(*G, 2, m)``, where ``G`` adds
-    further field axes, and ``w[n]`` the barycentric weights, ``(m,)``.
+    fields contracted alike.  ``cols``, ``(d, *G, 2, m)``, holds each
+    axis's columns of every point's lower and upper corner, where ``G``
+    adds further field axes, and ``w[n]`` the barycentric weights, ``(m,)``.
+    Each axis gathers both corners with one ``take`` and forms its cores
+    ``lo + w (hi - lo)``.
 
-    Returns ``(value, grad)`` of shapes ``(*F, *G, m)`` and
-    ``(d, *F, *G, m)``; ``grad`` is None for a value-only table.  Every
-    reduction runs over one rank axis in order, so each point's result
-    depends on nothing but that point.
-
-    ``out``, a flat float64 scratch, takes every axis's gathered corners
-    and interpolated cores instead of new arrays, so a caller that
-    evaluates many batches allocates them once.  It must hold, for
-    ``V = 2``, the value cores of all axes plus one axis's gather and
-    cores; the caller must have checked ``cols`` in range.
+    Returns ``(value, grad, scratch)``: ``value`` and ``grad`` of shapes
+    ``(*F, *G, m)`` and ``(d, *F, *G, m)`` (``grad`` is None for a
+    value-only table), and the flat float64 scratch that took every
+    axis's gathered corners and cores.  A ``scratch`` that is None or too
+    small is replaced, so a caller that passes back what it got allocates
+    only when a batch outgrows it.  The gather runs with ``mode="clip"``
+    (``"raise"`` gathers into a temporary and copies), so a negative
+    column (the cell of a NaN coordinate) raises ``IndexError`` here;
+    ``Grid.cells`` never gives one past the end.  Every reduction runs
+    over one rank axis in order, so each point's result depends on
+    nothing but that point.
     """
+    if cols.min(initial=0) < 0:
+        raise IndexError("a point maps outside the core tables")
+    sizes = [table.size // table.shape[-1] * cols[0].size for table in tables]
+    # the value cores of every V = 2 axis, kept for the gradient pass,
+    # then the largest axis's gather at the tail and its cores at the head
+    kept = sum(size // 4 for size, table in zip(sizes, tables) if len(table) == 2)
+    need = kept + max(sizes) + max(sizes) // 2
+    if scratch is None or scratch.size < need:
+        scratch = np.empty(need)
+    out = scratch
     prefix = np.ones(1)
     slabs, mids = [], []          # value slabs and prefix . derivative slab per axis
     for n, table in enumerate(tables):
-        v, *g = _slabs(table, cols[n], w[n], out)
+        gather = out[out.size - sizes[n]:].reshape(table.shape[:-1] + cols.shape[1:])
+        c = table.take(cols[n], axis=-1, mode="clip", out=gather)
+        lo = c[..., 0, :]
+        cores = np.subtract(c[..., 1, :], lo, out=out[:sizes[n] // 2].reshape(lo.shape))
+        cores *= w[n]
+        cores += lo
+        v, *g = cores
         if g:
             mids.append((prefix[:, None] * g[0]).sum(axis=0))
             slabs.append(v)
-            if out is not None:
-                out = out[v.size:]      # keep the value core for the gradient pass
+            out = out[v.size:]      # keep the value core for the gradient pass
         prefix = (prefix[:, None] * v).sum(axis=0)
     value = prefix[0]
     if not mids:
-        return value, None
+        return value, None, scratch
     grad = np.empty((len(tables),) + value.shape)
     suffix = np.ones(1)
     for n in range(len(tables) - 1, -1, -1):
         grad[n] = (mids[n] * suffix).sum(axis=0)
         suffix = (slabs[n] * suffix).sum(axis=1)
-    return value, grad
+    return value, grad, scratch
 
 
 def interpolate_batch(t: TTTensor, grid: Grid, x: np.ndarray):
@@ -235,8 +226,11 @@ def interpolate_batch(t: TTTensor, grid: Grid, x: np.ndarray):
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.ndim != 2 or x.shape[1] != grid.d:
         raise ValueError(f"points of shape {x.shape} do not have the grid's {grid.d} columns")
+    bad = np.nonzero(~np.isfinite(x).all(axis=1))[0]
+    if bad.size:
+        raise ValueError(f"point {bad[0]} is not finite: {x[bad[0]].tolist()}")
     cell, w = grid.cells(x)
     tables = [core.transpose(0, 2, 1)[None] for core in t.cores]     # (1, r1, r2, N)
     corners = cell.T[:, None, :] + np.array([[0], [1]])               # (d, 2, M)
-    values, _ = multilinear(tables, corners, w.T)
+    values, _, _ = multilinear(tables, corners, w.T)
     return values, grid.outside(x)

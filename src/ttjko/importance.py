@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .driver import FlowModel, kl_estimate, product_density
-from .fixed_point import FixedPointConfig, solve_step
+from .driver import FlowModel, append_step
+from .fixed_point import FixedPointConfig
 from .grid import Grid, interpolate_batch
 from .sampler import SamplerConfig, sample
 from .tt import tt_eval
@@ -57,8 +57,9 @@ def fit_importance(model: FlowModel, qoi: QuantityOfInterest, T: float, beta: fl
     """One proximal step from the fitted density toward |F| times it.
 
     Returns a new model that chains the original steps with the
-    importance step, so exact initial sampling is preserved.  Raises if
-    F vanishes on the whole grid (degenerate target).
+    importance step, so exact initial sampling is preserved; the step is
+    appended as ``driver.run`` appends its steps (``append_step``).
+    Raises if F vanishes on the whole grid (degenerate target).
     """
     if not model.converged:
         raise ValueError("base model has unconverged steps")
@@ -71,16 +72,9 @@ def fit_importance(model: FlowModel, qoi: QuantityOfInterest, T: float, beta: fl
     if np.max(np.abs(qoi(grid.points(probe_idx)))) == 0.0:
         raise ValueError("quantity of interest vanishes on the grid; degenerate target")
 
-    target = _SurrogateTarget(model, qoi)
-    state = solve_step(model.rho_tt, target, grid, T, beta, config,
-                       eta_init=None, rng=rng)
-    rho_f = product_density(state, grid, config, rng)
-    out = FlowModel(
-        grid=grid, initial=model.initial, steps=list(model.steps) + [state],
-        rho_tt=rho_f, kl_history=list(model.kl_history),
-    )
-    if state.converged:
-        out.kl_history.append(kl_estimate(out))
+    out = FlowModel(grid=grid, initial=model.initial, steps=list(model.steps),
+                    rho_tt=model.rho_tt, kl_history=list(model.kl_history))
+    append_step(out, _SurrogateTarget(model, qoi), T, beta, config, rng)
     return out
 
 

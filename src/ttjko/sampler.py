@@ -24,7 +24,8 @@ straddled a node would fail its embedded error estimate there and be
 rejected (Hairer, Norsett & Wanner, Solving ODEs I, II.4-II.6, on
 integrating through known discontinuities).  The integrator reuses the
 last stage of an accepted step, and the first stage of a rejected one,
-as the next step's first stage.
+as the next step's first stage.  A particle whose step underflows is
+rescued onto the tail's Euler-Maruyama integrator, run on its one row.
 
 Particles are fully independent: per-particle adaptive step control and
 per-particle RNG streams derived from the master seed by counter
@@ -40,7 +41,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -93,8 +93,8 @@ class SamplerConfig:
             raise ValueError("epsilon_sde must lie in [0, 1]")
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ValueError("tolerances must be positive")
-        if self.n_em_steps < 1:
-            raise ValueError("n_em_steps must be >= 1")
+        if not isinstance(self.n_em_steps, (int, np.integer)) or self.n_em_steps < 1:
+            raise ValueError("n_em_steps must be an integer >= 1")
         n = self.n_time_nodes
         if not isinstance(n, (int, np.integer)) or n < 6 or n % 2:
             raise ValueError("n_time_nodes must be an even integer >= 6 "
@@ -154,18 +154,17 @@ class StepDynamics:
     potential of smaller rank is zero-padded to the common rank, and
     column ``k*N + i`` holds time node k at grid node i.
 
-    A drift evaluation is one ``grid.multilinear`` pass over the axes:
-    each axis gathers the two grid corners of both neighbouring time
-    nodes with one ``take`` on the last table axis, into one scratch
-    buffer the evaluator keeps across calls, and interpolates them
-    in space; prefix, suffix and gradient contractions then run on arrays
-    with the ranks leading and the batch last, for both potentials and
-    both time nodes at once.  This class keeps the time bookkeeping: the
-    node search, the table columns of each time node, and the time
-    interpolation of the two node fields, done only after the
-    contraction (a product of time-interpolated cores would not be the
-    time-interpolated product).  Every reduction runs over a rank axis in
-    order, so each row's result depends on nothing but that row.
+    A drift evaluation is one ``grid.multilinear`` pass over the axes,
+    for both potentials (``ode_drift``) or for ``eta`` alone through
+    exact-rank views of the tables (``sde_drift``), at both neighbouring
+    time nodes at once.  The kernel sizes and checks its gather; the
+    evaluator keeps the one scratch it hands back, shared by both drifts.
+    This class keeps the time bookkeeping: the node search, the table
+    columns of each time node, and the time interpolation of the two
+    node fields, done only after the contraction (a product of
+    time-interpolated cores would not be the time-interpolated product).
+    Every reduction runs over a rank axis in order, so each row's result
+    depends on nothing but that row.
     """
 
     def __init__(self, state: StepState, grid: Grid, config: SamplerConfig):
@@ -182,19 +181,10 @@ class StepDynamics:
                         for n in range(grid.d)]
         self._offsets = np.array([[[0, 1], [size, size + 1]]
                                   for size in grid.nodes])[..., None]     # (d, 2, 2, 1)
-        # exact-rank views of one potential each, for the single-field drifts
+        # exact-rank views of eta alone, for the stochastic drift
         self._eta = [tab[:, :a.shape[0], :a.shape[2], :1]
                      for tab, a in zip(self._tables, state.eta_T.cores)]
-        self._hat = [tab[:, :a.shape[0], :a.shape[2], 1:]
-                     for tab, a in zip(self._tables, state.eta_hat_0.cores)]
-        # one scratch for the gathered corners and interpolated cores of
-        # every axis (see grid.multilinear), grown to the largest batch
-        # seen, so a drift call allocates none of them; per corner column
-        # it holds all value cores (a quarter of a table's rows each) and
-        # one axis's gather with its two cores
-        rows = [math.prod(tab.shape[:-1]) for tab in self._tables]
-        self._scratch_rows = sum(rows) // 4 + 3 * max(rows) // 2
-        self._scratch = np.empty(0)
+        self._scratch = None        # grid.multilinear's, grown to the largest batch
 
     def _node_table(self, n, eta_nodes, hat_nodes):
         diff = gradient_matrix(self.grid, n)
@@ -212,50 +202,29 @@ class StepDynamics:
 
     def _log_grad(self, tables, t, x):
         """grad log of each potential in ``tables`` at (t, x): (d, P, m)."""
+        x = np.atleast_2d(x)
         t = np.minimum(np.maximum(t, 0.0), self.T)
+        if t.ndim == 0:
+            t = np.full(x.shape[0], t)
         k = np.searchsorted(self.tau, t, side="right") - 1
         k = np.clip(k, 0, self.tau.size - 2)
         lam = (t - self.tau[k]) / (self.tau[k + 1] - self.tau[k])
         cell, w = self.grid.cells(x)
         # table columns of the lower/upper grid corner at nodes k and k+1
         cols = (k[:, None] * self.grid.nodes + cell).T[:, None, None, :] + self._offsets
-        # the gather clips instead of raising; cells are capped at N - 2 and
-        # time nodes at K - 2, so only a NaN coordinate (cast to a negative
-        # cell) can leave the tables
-        if cols.min() < 0:
-            raise IndexError("drift point maps outside the node tables")
-        need = self._scratch_rows * cols[0].size
-        if self._scratch.size < need:
-            self._scratch = np.empty(need)
-        value, grad = multilinear(tables, cols, w.T.copy(),   # (P, 2, m), (d, P, 2, m)
-                                  out=self._scratch)
+        value, grad, self._scratch = multilinear(     # (P, 2, m), (d, P, 2, m)
+            tables, cols, w.T.copy(), self._scratch)
         value = value[:, 0] + lam * (value[:, 1] - value[:, 0])
         grad = grad[:, :, 0] + lam * (grad[:, :, 1] - grad[:, :, 0])
         return grad / np.maximum(value, _VALUE_FLOOR)
 
-    def grad_log_eta(self, t, x):
-        return self._log_grad(self._eta, np.asarray(t, dtype=float),
-                              np.atleast_2d(x))[:, 0].T.copy()
-
-    def grad_log_eta_hat(self, t, x):
-        return self._log_grad(self._hat, np.asarray(t, dtype=float),
-                              np.atleast_2d(x))[:, 0].T.copy()
-
     def ode_drift(self, t, x) -> np.ndarray:
         """Deterministic transport velocity beta * grad(log eta - log eta_hat)."""
-        t = np.asarray(t, dtype=float)
-        x = np.atleast_2d(x)
-        if t.ndim == 0:
-            t = np.full(x.shape[0], float(t))
         g = self._log_grad(self._tables, t, x)
         return (self.beta * (g[:, 0] - g[:, 1])).T.copy()
 
     def sde_drift(self, t, x) -> np.ndarray:
         """Drift of the stochastic dynamics, 2 beta * grad log eta."""
-        t = np.asarray(t, dtype=float)
-        x = np.atleast_2d(x)
-        if t.ndim == 0:
-            t = np.full(x.shape[0], float(t))
         return (2.0 * self.beta * self._log_grad(self._eta, t, x)[:, 0]).T.copy()
 
     @property
@@ -306,9 +275,9 @@ def _integrate_ode(dyn: StepDynamics, x: np.ndarray, t0: float, t1: float,
                    config: SamplerConfig, rescue_noise):
     """Per-particle adaptive Dormand-Prince integration of the drift ODE.
 
-    Every particle carries its own time and step size; particles whose
-    step size underflows are handed to ``rescue_noise`` (an
-    Euler-Maruyama fallback on the remaining window) and flagged.
+    Every particle carries its own time and step size; a particle whose
+    step size underflows is rescued (flagged, and run to ``t1`` by
+    ``_integrate_em`` on its row with the noise ``rescue_noise(pid)``).
     Particles still short of ``t1`` when the round budget runs out are
     left where they are and flagged unfinished.
 
@@ -388,8 +357,8 @@ def _integrate_ode(dyn: StepDynamics, x: np.ndarray, t0: float, t1: float,
         under = hs_next < MIN_STEP_FRACTION * span
         for j in np.nonzero(under & ~done)[0]:
             pid = ids[j]
-            x[pid] = _em_single(dyn, x[pid], t[pid], t1, config.n_em_steps,
-                                rescue_noise(pid))
+            x[pid] = _integrate_em(dyn, x[pid:pid + 1], t[pid], t1, config.n_em_steps,
+                                   rescue_noise(pid)[None])[0]
             rescued[pid] = True
         active[ids] = ~(done | under)
 
@@ -405,20 +374,10 @@ def _integrate_ode(dyn: StepDynamics, x: np.ndarray, t0: float, t1: float,
     return rescued, active.copy(), trace
 
 
-def _em_single(dyn: StepDynamics, x: np.ndarray, t0: float, t1: float,
-               n_steps: int, noise: np.ndarray) -> np.ndarray:
-    x = x[None, :].copy()
-    dt = (t1 - t0) / n_steps
-    amp = dyn.diffusion * np.sqrt(dt)
-    for j in range(n_steps):
-        x = x + dt * dyn.sde_drift(np.array([t0 + j * dt]), x) + amp * noise[j][None, :]
-        x = _reflect(x, dyn.grid)
-    return x[0]
-
-
 def _integrate_em(dyn: StepDynamics, x: np.ndarray, t0: float, t1: float,
                   n_steps: int, noise: np.ndarray) -> np.ndarray:
-    """Shared-clock Euler-Maruyama with reflecting box faces."""
+    """Shared-clock Euler-Maruyama with reflecting box faces; ``noise``
+    is ``(m, n_steps, d)``."""
     dt = (t1 - t0) / n_steps
     amp = dyn.diffusion * np.sqrt(dt)
     t = np.full(x.shape[0], t0)

@@ -169,7 +169,7 @@ def reference_integrate_ode(dyn, x, t0, t1, config, rescue_noise):
     seven drift evaluations per round, with the sampler's rule that every
     step ends at or before the next time node; returns (rescued, unfinished)."""
     from ttjko.sampler import (_DOPRI_A, _DOPRI_B4, _DOPRI_B5, _MIN_FACTOR,
-                               MAX_ODE_ROUNDS, MIN_STEP_FRACTION, _em_single,
+                               MAX_ODE_ROUNDS, MIN_STEP_FRACTION, _integrate_em,
                                _stop_at_nodes)
     m, d = x.shape
     span = t1 - t0
@@ -221,8 +221,8 @@ def reference_integrate_ode(dyn, x, t0, t1, config, rescue_noise):
         under = hs_next < MIN_STEP_FRACTION * span
         for j in np.nonzero(under & ~done)[0]:
             pid = ids[j]
-            x[pid] = _em_single(dyn, x[pid], t[pid], t1, config.n_em_steps,
-                                rescue_noise(pid))
+            x[pid] = _integrate_em(dyn, x[pid:pid + 1], t[pid], t1, config.n_em_steps,
+                                   rescue_noise(pid)[None])[0]
             rescued[pid] = True
         active[ids] = ~(done | under)
     return rescued, active.copy()

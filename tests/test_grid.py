@@ -139,6 +139,16 @@ class TestInterpolate:
         with pytest.raises(ValueError, match="2 columns"):
             interpolate_batch(t, g, [0.5, 0.5, 0.5])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_rejected(self, bad):
+        # rejected by name before the cast to a cell, which would warn and
+        # then fail inside the gather
+        g = Grid.regular(0.0, 1.0, 4, d=2)
+        x = np.full((4, 2), 0.5)
+        x[2, 1] = x[3, 0] = bad
+        with pytest.raises(ValueError, match="point 2 is not finite"):
+            interpolate_batch(tt_ones((4, 4)), g, x)
+
 
 class TestGradients:
     def test_constant_has_zero_gradient(self):
@@ -176,8 +186,11 @@ class TestGradients:
             _, r1, _, r2 = stack.shape
             assert (r1, r2) == (eta.cores[axis].shape[0], eta.cores[axis].shape[2])
             assert dyn._eta[axis].shape[1:3] == (r1, r2)
-            assert dyn._hat[axis].shape[1:3] == (hat.cores[axis].shape[0],
-                                                 hat.cores[axis].shape[2])
+            # eta_hat's half of the table: its own ranks, zero-padded
+            a, b = hat.cores[axis].shape[0], hat.cores[axis].shape[2]
+            hat_half = dyn._tables[axis][:, :, :, 1]                  # (2, r1, r2, K*N)
+            assert hat_half[0, :a, :b].all()
+            assert not hat_half[:, a:].any() and not hat_half[:, :, b:].any()
             grad = np.einsum("ij,kajb->kaib", gradient_matrix(g, axis), stack)
             assert_allclose(dyn._eta[axis][1, :, :, 0],
                             grad.transpose(1, 3, 0, 2).reshape(r1, r2, -1),

@@ -1,5 +1,7 @@
 """Importance-distribution fitting and the self-normalized estimator."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -70,6 +72,17 @@ class TestFitImportance:
         want = np.maximum(want, 0)
         want /= (ww * want).sum()
         assert (ww * np.abs(got - want)).sum() <= 5e-2
+
+    def test_unconverged_step_keeps_kl_history_aligned(self, posterior2):
+        # the step is appended as driver.run appends one: an unconverged
+        # step records a NaN KL, so the history stays one entry per step
+        cfg = posterior2["config"]
+        imp = fit_importance(posterior2["model"], sum_of_parameters(), T=1e3, beta=1e-2,
+                             config=replace(cfg, max_iters=1),
+                             rng=np.random.default_rng(3))
+        assert not imp.steps[-1].converged
+        assert len(imp.kl_history) == len(imp.steps)
+        assert np.isnan(imp.kl_history[-1])
 
     def test_degenerate_functional_rejected(self, posterior2):
         zero = QuantityOfInterest(fn=lambda x: np.zeros(x.shape[0]), name="zero")

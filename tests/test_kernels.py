@@ -288,8 +288,7 @@ def _reference_drifts(dyn, eta, hat, t, x):
     ref_eta = oc.reference_log_grad(eta, dyn.tau, dyn.T, dyn.grid, t, x)
     ref_hat = oc.reference_log_grad(hat, dyn.tau, dyn.T, dyn.grid, t, x)
     return {"ode_drift": dyn.beta * (ref_eta - ref_hat),
-            "sde_drift": 2.0 * dyn.beta * ref_eta,
-            "grad_log_eta": ref_eta, "grad_log_eta_hat": ref_hat}
+            "sde_drift": 2.0 * dyn.beta * ref_eta}
 
 
 class TestDriftKernel:

@@ -13,8 +13,9 @@ from ttjko.driver import FlowModel, GaussianInitial, Schedule, run
 from ttjko.fixed_point import FixedPointConfig, StepState
 from ttjko.cross import CrossConfig
 from ttjko.grid import Grid
+from ttjko.heat import HeatPropagator
 from ttjko.sampler import (MIN_STEP_FRACTION, Ensemble, SamplerConfig, StepDynamics,
-                           _em_single, _integrate_ode, _reflect, sample)
+                           _integrate_em, _integrate_ode, _reflect, sample)
 from ttjko.targets import CachedDensity, Gaussian
 from ttjko.tt import tt_rank_one, tt_ones
 
@@ -76,7 +77,12 @@ class TestDrifts:
         t = rng.uniform(0, state.T, size=60)
         ode = dyn.ode_drift(t, x)
         sde = dyn.sde_drift(t, x)
-        grad_log_rho = dyn.grad_log_eta(t, x) + dyn.grad_log_eta_hat(t, x)
+        stacks = [oc.reference_stacks([HeatPropagator(grid, state.beta * s).apply(p)
+                                       for s in times], grid)
+                  for p, times in ((state.eta_T, state.T - dyn.tau),
+                                   (state.eta_hat_0, dyn.tau))]
+        grad_log_rho = sum(oc.reference_log_grad(st, dyn.tau, dyn.T, grid, t, x)
+                           for st in stacks)
         assert np.max(np.abs(ode - (sde - state.beta * grad_log_rho))) <= 1e-10
 
     def test_constant_eta_gives_pure_brownian_drift(self):
@@ -194,6 +200,12 @@ class TestSample:
         with pytest.raises(ValueError, match="n_em_steps"):
             SamplerConfig(n_em_steps=0)
 
+    @pytest.mark.parametrize("n", [2.5, 0])
+    def test_em_steps_that_are_not_a_positive_integer_are_rejected(self, n):
+        # a float would fail only when sample draws the noise
+        with pytest.raises(ValueError, match="n_em_steps"):
+            SamplerConfig(n_em_steps=n)
+
     @pytest.mark.parametrize("n", [0, 4, 5, 7, 33, 32.0])
     def test_time_nodes_that_would_be_overridden_are_rejected(self, n):
         # below 6 the sub-grid would still have 7 nodes, an odd value
@@ -223,16 +235,37 @@ class TestSample:
 
 
 class TestRescue:
-    def test_em_single_advances_time(self):
+    def test_one_row_em_advances_time(self):
         grid = Grid.regular(-3.0, 3.0, 40, d=2)
         state = gaussian_state(grid, 0.0, 1.0, 0.0, 1.0, T=1.0, beta=0.1)
         dyn = StepDynamics(state, grid, SamplerConfig())
         rng = np.random.default_rng(0)
-        x = np.array([0.2, -0.1])
-        out = _em_single(dyn, x, 0.0, 0.5, 10, rng.standard_normal((10, 2)))
+        x = np.array([[0.2, -0.1]])
+        out = _integrate_em(dyn, x, 0.0, 0.5, 10, rng.standard_normal((1, 10, 2)))[0]
         assert out.shape == (2,)
         assert np.all(np.isfinite(out))
         assert np.all(out >= grid.lower) and np.all(out <= grid.upper)
+
+    def test_rescued_sample(self, fitted, monkeypatch):
+        # raise the rescue threshold just above the smallest step the
+        # controller proposes, so the particle(s) proposing it are rescued
+        base = sample(fitted, 200, SamplerConfig(), seed=7)
+        assert not base.rescued.any()
+        span = (1.0 - SamplerConfig().epsilon_sde) * fitted.steps[0].T
+        monkeypatch.setattr(sampler_module, "MIN_STEP_FRACTION",
+                            1.01 * base.meta["trace"][0]["min_step"] / span)
+        full = sample(fitted, 200, SamplerConfig(), seed=7)
+        assert 0 < full.rescued.sum() < 200
+        assert full.meta["trace"][0]["rescued"] == full.rescued.sum()
+        again = sample(fitted, 200, SamplerConfig(), seed=7)
+        assert_array_equal(again.positions, full.positions)
+        assert_array_equal(again.rescued, full.rescued)
+        part = sample(fitted, 50, SamplerConfig(), seed=7)
+        assert_array_equal(part.positions, full.positions[:50])
+        assert_array_equal(part.rescued, full.rescued[:50])
+        # reflected into the box by the integrator, not clamped afterwards
+        assert not full.clamped[full.rescued].any()
+        assert not full.unfinished.any()
 
 
 class TestTrace:
