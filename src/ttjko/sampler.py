@@ -24,8 +24,9 @@ straddled a node would fail its embedded error estimate there and be
 rejected (Hairer, Norsett & Wanner, Solving ODEs I, II.4-II.6, on
 integrating through known discontinuities).  The integrator reuses the
 last stage of an accepted step, and the first stage of a rejected one,
-as the next step's first stage.  A particle whose step underflows is
-rescued onto the tail's Euler-Maruyama integrator, run on its one row.
+as the next step's first stage.  Particles whose steps underflow are
+rescued onto the tail's Euler-Maruyama integrator, all those of one
+round in one call from their own start times.
 
 Particles are fully independent: per-particle adaptive step control and
 per-particle RNG streams derived from the master seed by counter
@@ -35,12 +36,44 @@ batch composition.  ``sample`` records per proximal step the ODE rounds,
 accepted and rejected steps, accepted steps that ended on a time node,
 drift rows evaluated, the smallest proposed step and the rescued and
 unfinished counts in ``Ensemble.meta["trace"]``.
+
+That independence lets ``sample`` run on more than one CPU.  With ``w``
+workers, worker ``j`` takes the interleaved particles ``j, j + w, ...``
+(interleaved, because a few slow particles with neighbouring indices
+would otherwise keep one worker running alone).  The calling process
+runs worker 0; every other worker is a child made by ``os.fork``, which
+shares the fitted model without pickling it and runs the whole schedule
+for its particles through the same code (``_sample_rows``).  A child
+pickles its positions, flags and per-step trace back through a pipe.
+The merge is exact: positions and flags go back by particle index; a
+particle's rounds, steps and drift rows do not depend on the other
+particles, so the trace's counters are sums over the workers,
+``ode_rounds`` is their maximum and ``min_step`` their minimum.  The
+ensemble, flags and trace are bitwise those of one process.
+
+``w`` is the number of CPUs the process may use (its affinity mask, and
+its cgroup's CPU quota), at most ``n`` and at most two, the widest split
+that has been measured.  Every worker pays each round's fixed drift-call
+cost, so each added worker adds CPU time and gains less than the last.
+``sample`` forks nothing, and runs in one process, where ``w`` is 1,
+where the platform has no ``os.fork`` / ``os.sched_getaffinity``
+(macOS, Windows), and in a process that runs more than one thread.  A
+forked child starts with only the forking thread, so a lock another
+thread held at the fork stays locked in the child, and Python >= 3.12
+warns (``DeprecationWarning``) on ``os.fork`` in such a process.  The
+thread pool numpy's BLAS starts at import on a machine with more than
+one CPU counts, so only a process that set ``OPENBLAS_NUM_THREADS=1``
+(``OMP_NUM_THREADS``, ``MKL_NUM_THREADS`` for other BLAS builds) before
+numpy loaded samples on two CPUs.  To keep such a process to one,
+restrict its affinity mask (``taskset``).
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import os
+import pickle
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -91,8 +124,9 @@ class SamplerConfig:
     def __post_init__(self):
         if not 0.0 <= self.epsilon_sde <= 1.0:
             raise ValueError("epsilon_sde must lie in [0, 1]")
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        # NaN fails both comparisons
+        if not (0 < self.rel_tol < np.inf and 0 < self.abs_tol < np.inf):
+            raise ValueError("tolerances must be positive and finite")
         if not isinstance(self.n_em_steps, (int, np.integer)) or self.n_em_steps < 1:
             raise ValueError("n_em_steps must be an integer >= 1")
         n = self.n_time_nodes
@@ -276,8 +310,9 @@ def _integrate_ode(dyn: StepDynamics, x: np.ndarray, t0: float, t1: float,
     """Per-particle adaptive Dormand-Prince integration of the drift ODE.
 
     Every particle carries its own time and step size; a particle whose
-    step size underflows is rescued (flagged, and run to ``t1`` by
-    ``_integrate_em`` on its row with the noise ``rescue_noise(pid)``).
+    step size underflows is rescued (flagged, and run from its own time
+    to ``t1`` by ``_integrate_em`` with the noise ``rescue_noise(pid)``;
+    one call takes all the particles a round rescues).
     Particles still short of ``t1`` when the round budget runs out are
     left where they are and flagged unfinished.
 
@@ -355,11 +390,11 @@ def _integrate_ode(dyn: StepDynamics, x: np.ndarray, t0: float, t1: float,
         h[ids] = hs_next
         done = ts_new >= t1 * (1.0 - 1e-14) - 1e-300
         under = hs_next < MIN_STEP_FRACTION * span
-        for j in np.nonzero(under & ~done)[0]:
-            pid = ids[j]
-            x[pid] = _integrate_em(dyn, x[pid:pid + 1], t[pid], t1, config.n_em_steps,
-                                   rescue_noise(pid)[None])[0]
-            rescued[pid] = True
+        stuck = ids[under & ~done]
+        if stuck.size:
+            x[stuck] = _integrate_em(dyn, x[stuck], t[stuck], t1, config.n_em_steps,
+                                     np.stack([rescue_noise(pid) for pid in stuck]))
+            rescued[stuck] = True
         active[ids] = ~(done | under)
 
         n_accepted = int(np.count_nonzero(accept))
@@ -374,15 +409,17 @@ def _integrate_ode(dyn: StepDynamics, x: np.ndarray, t0: float, t1: float,
     return rescued, active.copy(), trace
 
 
-def _integrate_em(dyn: StepDynamics, x: np.ndarray, t0: float, t1: float,
+def _integrate_em(dyn: StepDynamics, x: np.ndarray, t0, t1: float,
                   n_steps: int, noise: np.ndarray) -> np.ndarray:
-    """Shared-clock Euler-Maruyama with reflecting box faces; ``noise``
-    is ``(m, n_steps, d)``."""
-    dt = (t1 - t0) / n_steps
-    amp = dyn.diffusion * np.sqrt(dt)
-    t = np.full(x.shape[0], t0)
+    """Euler-Maruyama with reflecting box faces from ``t0`` (one time, or
+    one per row) to ``t1`` in ``n_steps`` equal steps per row; ``noise``
+    is ``(m, n_steps, d)``.  Each row's result is that of a call on its
+    row alone."""
+    t = np.full(x.shape[0], t0, dtype=float)
+    dt = (t1 - t) / n_steps
+    amp = dyn.diffusion * np.sqrt(dt)[:, None]
     for j in range(n_steps):
-        x = x + dt * dyn.sde_drift(t, x) + amp * noise[:, j]
+        x = x + dt[:, None] * dyn.sde_drift(t, x) + amp * noise[:, j]
         x = _reflect(x, dyn.grid)
         t = t + dt
     return x
@@ -396,31 +433,177 @@ def sample(model: FlowModel, n: int, config: SamplerConfig | None = None,
     Gaussian initial density; each proximal step is then integrated per
     particle.  Identical (model, n, config, seed) produce bitwise
     identical ensembles.
+
+    The particles are split over ``w`` workers (``_n_workers``: the CPUs
+    the process may use, at most two and at most ``n``): worker ``j``
+    takes particles ``j, j + w, ...``.  This process runs worker 0 and
+    forks one child per other worker; the ensemble, its flags and its
+    trace are merged by particle index and are bitwise those of a
+    one-process run (see the module docstring).  An exception raised in
+    a child is raised here with its type and message; no child outlives
+    the call.  With one CPU, fewer than two particles, no ``os.fork``, or
+    another thread in the process (a BLAS pool included), nothing is
+    forked.
     """
     if config is None:
         config = SamplerConfig()
     if not model.converged and not force:
         raise ValueError("model has unconverged steps; pass force=True to sample anyway")
     grid = model.grid
+    w = _n_workers(n)
+    chunks = [np.arange(j, n, w) for j in range(w)]
+    results = _run_workers(model, chunks, config, seed)
+
+    x = np.empty((n, grid.d))
+    rescued = np.empty(n, dtype=bool)
+    unfinished = np.empty(n, dtype=bool)
+    for ids, (xs, resc, unfin, _) in zip(chunks, results):
+        x[ids], rescued[ids], unfinished[ids] = xs, resc, unfin
+    trace = [{key: _TRACE_MERGE.get(key, sum)(t[key] for t in steps) for key in steps[0]}
+             for steps in zip(*(r[3] for r in results))]
+    return Ensemble(
+        positions=grid.clamp(x), clamped=grid.outside(x), rescued=rescued, unfinished=unfinished,
+        meta={"n": n, "seed": seed, "epsilon_sde": config.epsilon_sde,
+              "n_em_steps": config.n_em_steps, "rel_tol": config.rel_tol,
+              "abs_tol": config.abs_tol, "steps": len(model.steps), "trace": trace},
+    )
+
+
+# how workers' per-step trace counters combine; every other counter is summed
+_TRACE_MERGE = {"ode_rounds": max, "min_step": min}
+
+
+def _n_workers(n: int) -> int:
+    """How many workers sample ``n`` particles: the CPUs in the affinity
+    mask, at most the cgroup's CPU quota, ``_MAX_WORKERS`` and ``n``.
+    One, so nothing is forked, where the platform cannot fork or where
+    the process runs another thread (see the module docstring)."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")) or _os_threads() != 1:
+        return 1
+    cpus = min(len(os.sched_getaffinity(0)), _cpu_quota())
+    return int(max(1, min(_MAX_WORKERS, cpus, n)))
+
+
+# the widest split measured (a 2-CPU host); more CPUs still get two workers
+_MAX_WORKERS = 2
+
+
+def _os_threads() -> int:
+    """The threads of this process as the kernel counts them, which is how
+    Python >= 3.12 counts them before a fork (BLAS pools included); 0
+    where ``/proc`` cannot say."""
+    try:
+        return len(os.listdir("/proc/self/task"))
+    except OSError:
+        return 0
+
+
+# a cgroup's CFS quota and period, v2 then v1, as a container that has
+# its own cgroup mounted at /sys/fs/cgroup sees them
+_CPU_QUOTA_FILES = (("/sys/fs/cgroup/cpu.max",),
+                    ("/sys/fs/cgroup/cpu/cpu.cfs_quota_us",
+                     "/sys/fs/cgroup/cpu/cpu.cfs_period_us"))
+
+
+def _cpu_quota() -> float:
+    """Whole CPUs the cgroup's CPU quota allows; inf without a quota."""
+    for paths in _CPU_QUOTA_FILES:
+        try:
+            quota, period = " ".join(Path(p).read_text() for p in paths).split()
+        except (OSError, ValueError):
+            continue
+        return np.inf if quota in ("max", "-1") else int(quota) // int(period)
+    return np.inf
+
+
+def _run_workers(model: FlowModel, chunks, config: SamplerConfig, seed: int) -> list:
+    """``_sample_rows`` of every chunk: the first in this process, each
+    other one in a child forked for it.  Every child is reaped before
+    this returns or raises, and killed first if this raises."""
+    children = []       # (pid, read end of the child's pipe)
+    finished = False
+    try:
+        for ids in chunks[1:]:
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                os.close(read_fd)
+                _worker(write_fd, model, ids, config, seed)     # never returns
+            os.close(write_fd)
+            children.append((pid, os.fdopen(read_fd, "rb")))
+        results = [_sample_rows(model, chunks[0], config, seed)]
+        for pid, pipe in children:
+            with pipe:
+                data = pipe.read()
+            if not data:
+                raise RuntimeError(f"sampler worker {pid} exited without a result")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            results.append(value)
+        finished = True
+        return results
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            if not finished:
+                import signal       # here, not at the top: the module is not loaded otherwise
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _worker(fd: int, model: FlowModel, ids, config: SamplerConfig, seed: int):
+    """Body of a forked child: write ``(True, _sample_rows(...))``, or
+    ``(False, exception)``, pickled to the pipe ``fd``, then end the
+    process without returning into the caller's stack."""
+    status = 1
+    try:
+        try:
+            reply = (True, _sample_rows(model, ids, config, seed))
+        except Exception as exc:
+            reply = (False, exc)
+            try:
+                pickle.loads(pickle.dumps(exc))
+            except Exception:
+                reply = (False, RuntimeError(f"{type(exc).__name__}: {exc}"))
+        with os.fdopen(fd, "wb") as pipe:
+            pipe.write(pickle.dumps(reply, pickle.HIGHEST_PROTOCOL))
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _sample_rows(model: FlowModel, ids: np.ndarray, config: SamplerConfig, seed: int):
+    """Run the particles with global indices ``ids`` through the whole
+    schedule; returns their unclamped positions, rescued and unfinished
+    flags, and the per-step trace of these particles alone.  Particle
+    ``i`` draws from ``SeedSequence(entropy=seed, spawn_key=(i,))``."""
+    grid = model.grid
     d = grid.d
     n_steps = len(model.steps)
+    m = ids.size
 
     gens = [np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
-            for i in range(n)]
-    uniforms = np.stack([g.uniform(size=d) for g in gens]) if n else np.zeros((0, d))
+            for i in ids.tolist()]
+    uniforms = np.stack([g.uniform(size=d) for g in gens]) if m else np.zeros((0, d))
     em_noise = np.stack([
         g.standard_normal((n_steps, config.n_em_steps, d)) for g in gens
-    ]) if n else np.zeros((0, n_steps, config.n_em_steps, d))
+    ]) if m else np.zeros((0, n_steps, config.n_em_steps, d))
 
-    x = model.initial.sample_from_uniforms(uniforms, grid) if n else np.zeros((0, d))
-    rescued = np.zeros(n, dtype=bool)
-    unfinished = np.zeros(n, dtype=bool)
+    x = model.initial.sample_from_uniforms(uniforms, grid) if m else np.zeros((0, d))
+    rescued = np.zeros(m, dtype=bool)
+    unfinished = np.zeros(m, dtype=bool)
     trace = []
     for k, state in enumerate(model.steps):
         dyn = StepDynamics(state, grid, config)
         t_switch = (1.0 - config.epsilon_sde) * state.T
         step_trace = {**_NO_ODE_TRACE, "rescued": 0, "unfinished": 0}
-        if t_switch > 0 and n:
+        if t_switch > 0 and m:
             def rescue_noise(pid):
                 return gens[pid].standard_normal((config.n_em_steps, d))
 
@@ -431,13 +614,7 @@ def sample(model: FlowModel, n: int, config: SamplerConfig | None = None,
             step_trace.update(ode_trace, rescued=int(resc.sum()),
                               unfinished=int(unfin.sum()))
         trace.append(step_trace)
-        if config.epsilon_sde > 0 and n:
+        if config.epsilon_sde > 0 and m:
             x = _integrate_em(dyn, x, t_switch, state.T, config.n_em_steps,
                               em_noise[:, k])
-
-    return Ensemble(
-        positions=grid.clamp(x), clamped=grid.outside(x), rescued=rescued, unfinished=unfinished,
-        meta={"n": n, "seed": seed, "epsilon_sde": config.epsilon_sde,
-              "n_em_steps": config.n_em_steps, "rel_tol": config.rel_tol,
-              "abs_tol": config.abs_tol, "steps": n_steps, "trace": trace},
-    )
+    return x, rescued, unfinished, trace

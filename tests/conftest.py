@@ -1,4 +1,14 @@
-"""Shared fixtures: small fitted models reused across test modules."""
+"""Shared fixtures: small fitted models reused across test modules, and a
+check that no test leaves a child process behind.
+
+BLAS runs on one thread, as in the benchmark (``perfbench/run.py``): a
+BLAS thread pool would keep ``sample`` from forking its workers."""
+
+import os
+
+os.environ.update({var: "1" for var in (          # before numpy loads
+    "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+    "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")})
 
 import numpy as np
 import pytest
@@ -8,6 +18,17 @@ from ttjko.driver import GaussianInitial, Schedule, run
 from ttjko.fixed_point import FixedPointConfig
 from ttjko.grid import Grid
 from ttjko.targets import CachedDensity, Gaussian
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail a test that leaves a child process, running or unreaped."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left a child process behind ({pid or 'still running'})")
 
 
 GAUSS2_MEAN = np.array([0.8, -0.5])

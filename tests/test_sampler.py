@@ -1,6 +1,7 @@
 """Hybrid ODE/SDE sampling of fitted models."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -200,6 +201,14 @@ class TestSample:
         with pytest.raises(ValueError, match="n_em_steps"):
             SamplerConfig(n_em_steps=0)
 
+    @pytest.mark.parametrize("value", [0.0, -1e-6, np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["rel_tol", "abs_tol"])
+    def test_tolerances_that_are_not_positive_and_finite_are_rejected(self, name, value):
+        # with rel_tol=nan every error test fails: sample would run the
+        # whole round budget and leave every particle unfinished
+        with pytest.raises(ValueError, match="tolerances"):
+            SamplerConfig(**{name: value})
+
     @pytest.mark.parametrize("n", [2.5, 0])
     def test_em_steps_that_are_not_a_positive_integer_are_rejected(self, n):
         # a float would fail only when sample draws the noise
@@ -246,6 +255,19 @@ class TestRescue:
         assert np.all(np.isfinite(out))
         assert np.all(out >= grid.lower) and np.all(out <= grid.upper)
 
+    def test_per_row_start_times_match_one_row_calls(self):
+        grid = Grid.regular(-3.0, 3.0, 40, d=2)
+        state = gaussian_state(grid, 0.0, 1.0, 0.3, 0.8, T=1.0, beta=0.1)
+        dyn = StepDynamics(state, grid, SamplerConfig())
+        rng = np.random.default_rng(4)
+        x = rng.uniform(-2.5, 2.5, (7, 2))
+        t0 = rng.uniform(0.0, 0.9, 7)
+        noise = rng.standard_normal((7, 10, 2))
+        out = _integrate_em(dyn, x, t0, 1.0, 10, noise)
+        for i in range(7):
+            assert_array_equal(out[i], _integrate_em(dyn, x[i:i + 1], t0[i], 1.0, 10,
+                                                     noise[i:i + 1])[0])
+
     def test_rescued_sample(self, fitted, monkeypatch):
         # raise the rescue threshold just above the smallest step the
         # controller proposes, so the particle(s) proposing it are rescued
@@ -266,6 +288,191 @@ class TestRescue:
         # reflected into the box by the integrator, not clamped afterwards
         assert not full.clamped[full.rescued].any()
         assert not full.unfinished.any()
+
+    def test_one_em_call_per_round_of_rescues(self, fitted, monkeypatch):
+        # every particle is rescued; the rescues of a round share one call,
+        # and each row ends where a call on its row alone would leave it
+        monkeypatch.setattr(sampler_module, "MIN_STEP_FRACTION", 7e-4)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        calls = []
+        drift = StepDynamics.sde_drift
+
+        def counted(self, t, x):
+            calls.append(x.shape[0])
+            return drift(self, t, x)
+
+        monkeypatch.setattr(StepDynamics, "sde_drift", counted)
+        ens = sample(fitted, 200, SamplerConfig(), seed=7)
+        batched = len(calls)
+        assert ens.rescued.all()
+
+        def one_row_rescues(*args):
+            return (*oc.reference_integrate_ode(*args), {})
+
+        calls.clear()
+        monkeypatch.setattr(sampler_module, "_integrate_ode", one_row_rescues)
+        ref = sample(fitted, 200, SamplerConfig(), seed=7)
+        assert_array_equal(ens.positions, ref.positions)
+        assert_array_equal(ens.rescued, ref.rescued)
+        # 200 one-row rescues of n_em_steps calls each, plus the tail's
+        n_em = SamplerConfig().n_em_steps
+        assert len(calls) == 201 * n_em
+        assert batched < len(calls) / 10
+
+
+class TestWorkers:
+    """Particles split over forked workers give the one-process ensemble."""
+
+    @pytest.fixture(autouse=True)
+    def one_thread(self):
+        # conftest.py pins BLAS to one thread; with a BLAS pool running,
+        # sample would not fork and these tests would test nothing
+        assert sampler_module._os_threads() == 1
+
+    @staticmethod
+    def _cpus(monkeypatch, n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+    @staticmethod
+    def _count_forks(monkeypatch):
+        forks = []
+        fork = os.fork
+
+        def counted_fork():
+            forks.append(os.getpid())
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        return forks
+
+    @staticmethod
+    def _forbid_fork(monkeypatch):
+        def no_fork():
+            raise AssertionError("sample forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+
+    @pytest.mark.parametrize("rescue_fraction", [None, 7e-4])
+    def test_ensemble_independent_of_worker_count(self, fitted, monkeypatch,
+                                                  rescue_fraction):
+        if rescue_fraction is not None:
+            monkeypatch.setattr(sampler_module, "MIN_STEP_FRACTION", rescue_fraction)
+        forks = self._count_forks(monkeypatch)
+        runs = []
+        # (CPUs, widest split, forks): more CPUs than the widest split
+        # still make two workers; a widened split makes three
+        for cpus, widest, n_forks in [(1, 2, 0), (2, 2, 1), (3, 2, 1), (3, 3, 2)]:
+            self._cpus(monkeypatch, cpus)
+            monkeypatch.setattr(sampler_module, "_MAX_WORKERS", widest)
+            forks.clear()
+            runs.append(sample(fitted, 61, SamplerConfig(), seed=7))
+            assert len(forks) == n_forks
+        serial = runs[0]
+        assert serial.rescued.any() == (rescue_fraction is not None)
+        for ens in runs[1:]:
+            assert_array_equal(ens.positions, serial.positions)
+            for flag in ("rescued", "unfinished", "clamped"):
+                assert_array_equal(getattr(ens, flag), getattr(serial, flag))
+            assert ens.meta == serial.meta
+        # merged counters keep their types: == alone would take 1.0 for 1
+        assert {k: type(v) for k, v in runs[-1].meta["trace"][0].items()} == \
+            {k: type(v) for k, v in serial.meta["trace"][0].items()}
+
+    def test_fewer_particles_than_cpus(self, fitted, monkeypatch):
+        self._cpus(monkeypatch, 4)
+        monkeypatch.setattr(sampler_module, "_MAX_WORKERS", 4)
+        forks = self._count_forks(monkeypatch)
+        serial = sample(fitted, 3, SamplerConfig(), seed=2)
+        assert len(forks) == 2
+        self._cpus(monkeypatch, 1)
+        assert_array_equal(sample(fitted, 3, SamplerConfig(), seed=2).positions,
+                           serial.positions)
+        self._cpus(monkeypatch, 4)
+        self._forbid_fork(monkeypatch)
+        assert_array_equal(sample(fitted, 1, SamplerConfig(), seed=2).positions,
+                           serial.positions[:1])
+        assert sample(fitted, 0, SamplerConfig(), seed=2).positions.shape == (0, 2)
+
+    def test_cpu_quota_limits_the_workers(self, fitted, monkeypatch):
+        self._cpus(monkeypatch, 4)
+        forks = self._count_forks(monkeypatch)
+        monkeypatch.setattr(sampler_module, "_cpu_quota", lambda: 1)
+        serial = sample(fitted, 9, SamplerConfig(), seed=2)
+        assert forks == []
+        monkeypatch.setattr(sampler_module, "_cpu_quota", lambda: 2)
+        assert_array_equal(sample(fitted, 9, SamplerConfig(), seed=2).positions,
+                           serial.positions)
+        assert len(forks) == 1
+
+    @pytest.mark.parametrize("files, cpus", [
+        ({"cpu.max": "max 100000\n"}, np.inf),
+        ({"cpu.max": "150000 100000\n"}, 1),
+        ({"cpu.max": "200000 100000\n"}, 2),
+        ({"quota": "-1\n", "period": "100000\n"}, np.inf),
+        ({"quota": "250000\n", "period": "100000\n"}, 2),
+        ({}, np.inf),
+    ])
+    def test_cpu_quota_files(self, tmp_path, monkeypatch, files, cpus):
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        monkeypatch.setattr(sampler_module, "_CPU_QUOTA_FILES", (
+            (str(tmp_path / "cpu.max"),),
+            (str(tmp_path / "quota"), str(tmp_path / "period"))))
+        assert sampler_module._cpu_quota() == cpus
+
+    def test_no_fork_beside_another_thread(self, fitted, monkeypatch):
+        # a forked child would hold only the forking thread: any lock the
+        # other thread held would stay locked in it
+        import threading
+        import warnings
+
+        self._cpus(monkeypatch, 2)
+        serial = sample(fitted, 9, SamplerConfig(), seed=3)
+        self._forbid_fork(monkeypatch)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                ens = sample(fitted, 9, SamplerConfig(), seed=3)
+        finally:
+            release.set()
+            other.join()
+        assert_array_equal(ens.positions, serial.positions)
+
+    def test_exception_in_a_worker_reaches_the_caller(self, fitted, monkeypatch):
+        self._cpus(monkeypatch, 2)
+        caller = os.getpid()
+        drift = StepDynamics.ode_drift
+
+        def failing_in_child(self, t, x):
+            if os.getpid() != caller:
+                raise FloatingPointError("drift failed in a worker")
+            return drift(self, t, x)
+
+        monkeypatch.setattr(StepDynamics, "ode_drift", failing_in_child)
+        with pytest.raises(FloatingPointError, match="^drift failed in a worker$"):
+            sample(fitted, 20, SamplerConfig(), seed=1)
+
+    def test_caller_that_raises_kills_its_workers(self, fitted, monkeypatch):
+        # the workers would still be running; the autouse fixture
+        # no_child_left fails the test if one is left
+        self._cpus(monkeypatch, 3)
+        monkeypatch.setattr(sampler_module, "_MAX_WORKERS", 3)
+        forks = self._count_forks(monkeypatch)
+        caller = os.getpid()
+        drift = StepDynamics.ode_drift
+
+        def failing_in_caller(self, t, x):
+            if os.getpid() == caller:
+                raise KeyError("caller failed")
+            return drift(self, t, x)
+
+        monkeypatch.setattr(StepDynamics, "ode_drift", failing_in_caller)
+        with pytest.raises(KeyError, match="caller failed"):
+            sample(fitted, 300, SamplerConfig(), seed=1)
+        assert len(forks) == 2
 
 
 class TestTrace:
