@@ -17,8 +17,7 @@ from .sampler import Ensemble, SamplerConfig, StepDynamics, sample
 from .targets import (CachedDensity, DoubleMoon, Gaussian, GaussianMixture,
                       NonconvexPotential, PosteriorTarget, hyperbolic_posterior,
                       parabolic_posterior)
-from .tt import (TTTensor, tt_axpy, tt_contract_all, tt_eval, tt_from_full,
-                 tt_inner, tt_load, tt_marginal, tt_norm, tt_ones, tt_rank_one,
-                 tt_random, tt_round, tt_save, tt_to_full)
+from .tt import (TTTensor, tt_axpy, tt_contract_all, tt_eval, tt_inner, tt_load,
+                 tt_marginal, tt_ones, tt_rank_one, tt_round, tt_save)
 
 __version__ = "0.1.0"

@@ -118,7 +118,7 @@ def _reference_samples(cfg: RunConfig, n_sets: int, n: int):
     if isinstance(target, GaussianMixture):
         return [target.sample(n, rng) for _ in range(n_sets)], None
     mh_cfg = cfg.diagnostics["mh"]
-    cfg_long = dataclasses.replace(mh_cfg, n_chains=n, thin=max(mh_cfg.thin, 1))
+    cfg_long = dataclasses.replace(mh_cfg, n_chains=n)
     log_density = _log_density(target)
     result = None
     for _ in range(3):
@@ -253,7 +253,7 @@ def cmd_verify(cfg: RunConfig, out: Path) -> int:
     Ts = cfg.verify.get("Ts", [1e2, 1e3, 1e4, 1e5])
     max_iters = int(cfg.verify.get("max_iters", cfg.fixed_point.max_iters))
     rows = []
-    for beta, T in zip(betas, Ts):
+    for beta, T in zip(betas, Ts, strict=True):
         rho_inf = _cached_target(cfg)
         fp = dataclasses.replace(cfg.fixed_point, max_iters=max_iters)
         model = run(cfg.initial, rho_inf, cfg.grid, Schedule([(float(T), float(beta))]),

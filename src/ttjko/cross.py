@@ -50,16 +50,16 @@ class CrossOracleError(ValueError):
 @dataclass
 class CrossConfig:
     max_rank: int = 10
-    tolerance: float = 1e-6          # relative Frobenius target on validation indices
-    max_sweeps: int = 10
+    tolerance: float = 1e-7          # relative Frobenius target on validation indices
+    max_sweeps: int = 6
 
     def __post_init__(self):
-        if self.max_rank < 1:
-            raise ValueError("max_rank must be >= 1")
-        if self.tolerance <= 0:
+        if not isinstance(self.max_rank, (int, np.integer)) or self.max_rank < 1:
+            raise ValueError("max_rank must be an integer >= 1")
+        if not self.tolerance > 0:
             raise ValueError("tolerance must be > 0")
-        if self.max_sweeps < 1:
-            raise ValueError("max_sweeps must be >= 1")
+        if not isinstance(self.max_sweeps, (int, np.integer)) or self.max_sweeps < 1:
+            raise ValueError("max_sweeps must be an integer >= 1")
 
 
 @dataclass

@@ -29,8 +29,8 @@ class SinkhornConfig:
     def __post_init__(self):
         if self.epsilon is not None and self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+        if not isinstance(self.max_iters, (int, np.integer)) or self.max_iters < 1:
+            raise ValueError("max_iters must be an integer >= 1")
         if self.threshold <= 0:
             raise ValueError("threshold must be positive")
 
@@ -334,8 +334,12 @@ class MHConfig:
     def __post_init__(self):
         if self.proposal_std <= 0:
             raise ValueError("proposal_std must be positive")
-        if self.n_chains < 1:
-            raise ValueError("need at least one chain")
+        for name in ("n_chains", "n_steps", "thin"):
+            n = getattr(self, name)
+            if not isinstance(n, (int, np.integer)) or n < 1:
+                raise ValueError(f"{name} must be an integer >= 1")
+        if not 0.0 <= self.burn_in < 1.0:
+            raise ValueError("burn_in must lie in [0, 1)")
 
 
 @dataclass

@@ -261,7 +261,7 @@ def append_step(model: FlowModel, rho_inf, T: float, beta: float,
     return state
 
 
-def kl_estimate(model: FlowModel, cross_tol: float = 1e-10) -> float:
+def kl_estimate(model: FlowModel) -> float:
     """KL of the normalized fitted density against the normalized target.
 
     Uses the converged terminal identity: the density ratio to the
@@ -280,7 +280,7 @@ def kl_estimate(model: FlowModel, cross_tol: float = 1e-10) -> float:
     weights = all_quadrature_weights(grid)
     rho = model.rho_tt
     rank_cap = max(2 * max(rho.max_rank, state.eta_T.max_rank) + 2, 6)
-    cfg = CrossConfig(max_rank=rank_cap, tolerance=cross_tol, max_sweeps=12)
+    cfg = CrossConfig(max_rank=rank_cap, tolerance=1e-10, max_sweeps=12)
     rng = np.random.default_rng(7)
 
     def log_eta(idx, vals, rho_vals):

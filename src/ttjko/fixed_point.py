@@ -56,16 +56,15 @@ class FixedPointConfig:
     tolerance: float = 1e-5
     max_iters: int = 1000
     trunc_tol: float = 1e-8
-    cross: CrossConfig | None = None     # its max_rank caps every rounding too
+    cross: CrossConfig = field(default_factory=CrossConfig)   # its max_rank caps every rounding too
 
     def __post_init__(self):
-        if self.tolerance <= 0:
+        if not self.tolerance > 0:
             raise ValueError("tolerance must be > 0")
-        if self.cross is None:
-            self.cross = CrossConfig(
-                tolerance=min(1e-6, 0.1 * self.tolerance),
-                max_sweeps=6,
-            )
+        if not isinstance(self.max_iters, (int, np.integer)) or self.max_iters < 1:
+            raise ValueError("max_iters must be an integer >= 1")
+        if not self.trunc_tol >= 0:
+            raise ValueError("trunc_tol must be >= 0")
 
 
 @dataclass
@@ -126,7 +125,6 @@ def anderson_alpha(r_norm_sq: float, r_old_norm_sq: float, cross: float) -> floa
 @dataclass
 class CycleResult:
     eta_new: TTTensor
-    eta_0: TTTensor
     eta_hat_0: TTTensor
     eta_hat_T: TTTensor
     terminal_info: CrossInfo     # the terminal stage's cross
@@ -178,8 +176,7 @@ def cycle(eta: TTTensor, rho_prev: TTTensor, rho_inf, grid: Grid, T: float,
     )
     eta_new = tt_round(eta_new, config.trunc_tol, config.cross.max_rank)
     return CycleResult(
-        eta_new=eta_new, eta_0=eta_0, eta_hat_0=eta_hat_0, eta_hat_T=eta_hat_T,
-        terminal_info=info,
+        eta_new=eta_new, eta_hat_0=eta_hat_0, eta_hat_T=eta_hat_T, terminal_info=info,
     )
 
 

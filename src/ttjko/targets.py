@@ -170,6 +170,10 @@ class DoubleMoon:
     dim: int
     a: float = 2.0
 
+    def __post_init__(self):
+        if not isinstance(self.dim, (int, np.integer)) or self.dim < 1:
+            raise ValueError("dim must be an integer >= 1")
+
     def density(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(x)
         shell = np.exp(-2.0 * (np.linalg.norm(x, axis=1) - self.a) ** 2)
@@ -285,14 +289,17 @@ def measurement_grid(n_t: int, n_x: int, t_range, x_range,
                      x_gap=None) -> tuple[np.ndarray, np.ndarray]:
     """Equidistant (t, x) measurement pairs; with ``x_gap`` the spatial
     points are split evenly outside the excluded interval."""
-    t = np.linspace(t_range[0], t_range[1], n_t)
+    t_lo, t_hi = t_range
+    x_lo, x_hi = x_range
+    t = np.linspace(t_lo, t_hi, n_t)
     if x_gap is None:
-        x = np.linspace(x_range[0], x_range[1], n_x)
+        x = np.linspace(x_lo, x_hi, n_x)
     else:
+        gap_lo, gap_hi = x_gap
         half = n_x // 2
         x = np.concatenate([
-            np.linspace(x_range[0], x_gap[0], half, endpoint=False),
-            np.linspace(x_range[1], x_gap[1], n_x - half, endpoint=False)[::-1],
+            np.linspace(x_lo, gap_lo, half, endpoint=False),
+            np.linspace(x_hi, gap_hi, n_x - half, endpoint=False)[::-1],
         ])
     tt, xx = np.meshgrid(t, x, indexing="ij")
     return tt.ravel(), xx.ravel()

@@ -4,8 +4,8 @@ A tensor ``A[i_1, ..., i_d]`` is stored as a chain of order-3 cores
 ``G_n`` of shape ``(r_{n-1}, N_n, r_n)`` with boundary ranks
 ``r_0 = r_d = 1``; an element is the product of the corresponding core
 slices.  Storage is ``O(d N r^2)``.  All functions here are exact (no
-approximation) except :func:`tt_from_full` and :func:`tt_round`, which
-truncate by SVD with a relative Frobenius tolerance.
+approximation) except :func:`tt_round`, which truncates by SVD with a
+relative Frobenius tolerance.
 """
 
 from __future__ import annotations
@@ -17,9 +17,6 @@ import numpy as np
 
 _MAGIC = b"TTJK"
 _FORMAT_VERSION = 1
-
-#: refuse to materialize tensors above this many elements
-DENSE_SIZE_CAP = 10**7
 
 
 class TTTensor:
@@ -95,14 +92,6 @@ def tt_rank_one(vectors: Sequence[np.ndarray]) -> TTTensor:
     return TTTensor([np.asarray(v, dtype=float).reshape(1, -1, 1) for v in vectors])
 
 
-def tt_random(shape: Sequence[int], rank: int, rng: np.random.Generator) -> TTTensor:
-    """Random TT with inner ranks ``rank`` (clipped near the boundary)."""
-    d = len(shape)
-    ranks = [1] + [int(rank)] * (d - 1) + [1]
-    cores = [rng.standard_normal((ranks[n], int(shape[n]), ranks[n + 1])) for n in range(d)]
-    return TTTensor(cores, copy=False)
-
-
 def tt_scale(t: TTTensor, a: float) -> TTTensor:
     cores = [c.copy() for c in t.cores]
     cores[0] = cores[0] * float(a)
@@ -124,51 +113,6 @@ def _chop(s: np.ndarray, delta: float, max_rank: int | None) -> int:
     if max_rank is not None:
         r = min(r, int(max_rank))
     return r
-
-
-def tt_from_full(dense: np.ndarray, tolerance: float = 0.0,
-                 max_rank: int | None = None) -> TTTensor:
-    """Compress a dense array by successive SVDs (TT-SVD).
-
-    The round-trip relative Frobenius error is at most ``tolerance``.
-    """
-    a = np.asarray(dense, dtype=float)
-    if a.ndim == 0:
-        raise ValueError("input must have at least one axis")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("input contains non-finite entries")
-    if tolerance < 0:
-        raise ValueError("tolerance must be >= 0")
-    shape = a.shape
-    d = len(shape)
-    norm = np.linalg.norm(a)
-    delta = tolerance * norm / np.sqrt(max(d - 1, 1))
-    cores = []
-    r_prev = 1
-    mat = a.reshape(r_prev * shape[0], -1)
-    for n in range(d - 1):
-        u, s, vt = np.linalg.svd(mat, full_matrices=False)
-        r = _chop(s, delta, max_rank)
-        cores.append(u[:, :r].reshape(r_prev, shape[n], r))
-        mat = (s[:r, None] * vt[:r]).reshape(r * shape[n + 1], -1)
-        r_prev = r
-    cores.append(mat.reshape(r_prev, shape[-1], 1))
-    return TTTensor(cores, copy=False)
-
-
-def tt_to_full(t: TTTensor, size_cap: int = DENSE_SIZE_CAP) -> np.ndarray:
-    """Materialize as a dense array; refuses above ``size_cap`` elements."""
-    if t.size > size_cap:
-        raise ValueError(
-            f"refusing to materialize {t.size} elements (cap {size_cap}); "
-            "raise size_cap explicitly if this is intended"
-        )
-    out = t.cores[0].reshape(t.shape[0], -1)
-    for core in t.cores[1:]:
-        r1, n, r2 = core.shape
-        out = out @ core.reshape(r1, n * r2)
-        out = out.reshape(-1, r2)
-    return out.reshape(t.shape)
 
 
 def tt_chain_step(v: np.ndarray, core: np.ndarray, col: np.ndarray) -> np.ndarray:
@@ -261,10 +205,6 @@ def tt_inner(x: TTTensor, y: TTTensor) -> float:
         t = (m.T @ xc.reshape(rx1, n * rx2)).reshape(ry1 * n, rx2)
         m = t.T @ yc.reshape(ry1 * n, ry2)
     return float(m[0, 0])
-
-
-def tt_norm(t: TTTensor) -> float:
-    return float(np.sqrt(max(tt_inner(t, t), 0.0)))
 
 
 def tt_round(t: TTTensor, tolerance: float = 0.0, max_rank: int | None = None) -> TTTensor:

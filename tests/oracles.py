@@ -20,16 +20,80 @@ the plain relaxed (Picard) iteration of one proximal step, with or
 without the gauge fix, built from the production cycle, kept to
 measure the Anderson solver against.  ``reference_truncated_normal`` is
 the original inverse-CDF draw of the initial density built on
-``scipy.special``, kept to pin the stdlib one.
+``scipy.special``, kept to pin the stdlib one.  ``tt_from_full``,
+``tt_to_full``, ``tt_random`` and ``tt_norm`` build and materialize the
+small TTs the tests compare against dense arrays; ``tt_from_full``
+truncates by the rank rule ``_chop`` of the production ``tt_round``.
 """
 
 import itertools
+from typing import Sequence
 
 import numpy as np
 import scipy.linalg
 import scipy.special
 
+from ttjko.tt import TTTensor, _chop, tt_inner
+
+#: refuse to materialize tensors above this many elements
 SIZE_CAP = 10**7
+
+
+def tt_random(shape: Sequence[int], rank: int, rng: np.random.Generator) -> TTTensor:
+    """Random TT with inner ranks ``rank`` (clipped near the boundary)."""
+    d = len(shape)
+    ranks = [1] + [int(rank)] * (d - 1) + [1]
+    cores = [rng.standard_normal((ranks[n], int(shape[n]), ranks[n + 1])) for n in range(d)]
+    return TTTensor(cores, copy=False)
+
+
+def tt_from_full(dense: np.ndarray, tolerance: float = 0.0,
+                 max_rank: int | None = None) -> TTTensor:
+    """Compress a dense array by successive SVDs (TT-SVD).
+
+    The round-trip relative Frobenius error is at most ``tolerance``.
+    """
+    a = np.asarray(dense, dtype=float)
+    if a.ndim == 0:
+        raise ValueError("input must have at least one axis")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("input contains non-finite entries")
+    if tolerance < 0:
+        raise ValueError("tolerance must be >= 0")
+    shape = a.shape
+    d = len(shape)
+    norm = np.linalg.norm(a)
+    delta = tolerance * norm / np.sqrt(max(d - 1, 1))
+    cores = []
+    r_prev = 1
+    mat = a.reshape(r_prev * shape[0], -1)
+    for n in range(d - 1):
+        u, s, vt = np.linalg.svd(mat, full_matrices=False)
+        r = _chop(s, delta, max_rank)
+        cores.append(u[:, :r].reshape(r_prev, shape[n], r))
+        mat = (s[:r, None] * vt[:r]).reshape(r * shape[n + 1], -1)
+        r_prev = r
+    cores.append(mat.reshape(r_prev, shape[-1], 1))
+    return TTTensor(cores, copy=False)
+
+
+def tt_to_full(t: TTTensor, size_cap: int = SIZE_CAP) -> np.ndarray:
+    """Materialize as a dense array; refuses above ``size_cap`` elements."""
+    if t.size > size_cap:
+        raise ValueError(
+            f"refusing to materialize {t.size} elements (cap {size_cap}); "
+            "raise size_cap explicitly if this is intended"
+        )
+    out = t.cores[0].reshape(t.shape[0], -1)
+    for core in t.cores[1:]:
+        r1, n, r2 = core.shape
+        out = out @ core.reshape(r1, n * r2)
+        out = out.reshape(-1, r2)
+    return out.reshape(t.shape)
+
+
+def tt_norm(t: TTTensor) -> float:
+    return float(np.sqrt(max(tt_inner(t, t), 0.0)))
 
 
 def reference_maxvol(a: np.ndarray, tol: float = 1.05, max_iters: int = 200) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Command-line front end: schema strictness, determinism, artifacts."""
 
+import dataclasses
+import inspect
 import json
 from pathlib import Path
 
@@ -7,7 +9,11 @@ import numpy as np
 import pytest
 
 from ttjko.cli import main
-from ttjko.config import ConfigError, load_config, parse_config
+from ttjko.config import TARGETS, ConfigError, load_config, parse_config
+from ttjko.cross import CrossConfig
+from ttjko.diagnostics import MHConfig, SinkhornConfig
+from ttjko.fixed_point import FixedPointConfig
+from ttjko.sampler import SamplerConfig
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -81,6 +87,129 @@ class TestConfigSchema:
         path.write_text("{not json")
         assert main(["fit", str(path)]) == 1
         assert "config error" in capsys.readouterr().err
+
+
+def minimal_config(out):
+    return {"target": {"type": "gaussian", "mean": [0.5, -0.3]},
+            "grid": {"lower": -5.0, "upper": 5.0, "nodes": 24},
+            "schedule": [{"T": 1e3, "beta": 1e-2}],
+            "output": str(out)}
+
+
+#: each library section: its path in the config, its constructor, and
+#: where the parsed config holds it
+SECTIONS = {
+    "fixed_point.cross": (("fixed_point", "cross"), CrossConfig,
+                          lambda cfg: cfg.fixed_point.cross),
+    "sampler": (("sampler",), SamplerConfig, lambda cfg: cfg.sampler),
+    "diagnostics.sinkhorn": (("diagnostics", "sinkhorn"), SinkhornConfig,
+                             lambda cfg: cfg.diagnostics["sinkhorn"]),
+    "diagnostics.mh": (("diagnostics", "mh"), MHConfig, lambda cfg: cfg.diagnostics["mh"]),
+}
+
+
+def set_section(cfg, path, value):
+    for key in path[:-1]:
+        cfg = cfg.setdefault(key, {})
+    cfg[path[-1]] = value
+
+
+class TestConstructorSchema:
+    """A section's schema and defaults are its constructor's."""
+
+    def test_omitted_sections_take_the_constructor_defaults(self, tmp_path):
+        cfg = parse_config(minimal_config(tmp_path))
+        assert cfg.fixed_point == FixedPointConfig()
+        assert cfg.sampler == SamplerConfig()
+        assert cfg.diagnostics["sinkhorn"] == SinkhornConfig()
+        assert cfg.diagnostics["mh"] == MHConfig()
+
+    def test_one_default_cross(self, tmp_path):
+        cross = CrossConfig(max_rank=10, tolerance=1e-7, max_sweeps=6)
+        cli = minimal_config(tmp_path)
+        cli["fixed_point"] = {"tolerance": 1e-3}
+        assert CrossConfig() == FixedPointConfig().cross == cross
+        assert FixedPointConfig(tolerance=1e-3).cross == cross
+        assert parse_config(cli).fixed_point.cross == cross
+
+    @pytest.mark.parametrize("name", sorted(SECTIONS))
+    def test_section_takes_exactly_its_constructor_parameters(self, tmp_path, name):
+        path, ctor, parsed = SECTIONS[name]
+        every = {f.name: f.default for f in dataclasses.fields(ctor)}
+        cfg = minimal_config(tmp_path)
+        set_section(cfg, path, every)
+        assert parsed(parse_config(cfg)) == ctor()
+        set_section(cfg, path, {**every, "bogus": 1})
+        with pytest.raises(ConfigError, match=rf"unknown keys \['bogus'\] at {name}$"):
+            parse_config(cfg)
+
+    def test_fixed_point_takes_its_parameters_with_truncation_tolerance(self, tmp_path):
+        default = FixedPointConfig()
+        cfg = minimal_config(tmp_path)
+        cfg["fixed_point"] = {"tolerance": default.tolerance, "max_iters": default.max_iters,
+                              "truncation": {"tolerance": default.trunc_tol}, "cross": {}}
+        assert parse_config(cfg).fixed_point == default
+        cfg["fixed_point"]["trunc_tol"] = 1e-8
+        with pytest.raises(ConfigError, match=r"unknown keys \['trunc_tol'\] at fixed_point$"):
+            parse_config(cfg)
+
+    @pytest.mark.parametrize("kind, allowed, required", [
+        ("gaussian", {"mean", "var", "seed", "d", "mean_half_width"}, set()),
+        ("gaussian_mixture", {"d", "n_components", "var", "half_width", "seed"},
+         {"d", "n_components", "var"}),
+        ("double_moon", {"d", "a"}, {"d"}),
+        ("nonconvex", {"d"}, {"d"}),
+        ("hyperbolic", {"d", "sigma_meas", "sigma_prior", "n_t", "n_x", "t_range",
+                        "x_range", "ordered", "seed"}, {"d"}),
+        ("parabolic", {"d", "sigma_meas", "sigma0", "n_t", "n_x", "t_range", "x_range",
+                       "gap", "seed"}, {"d"}),
+    ])
+    def test_target_keys(self, kind, allowed, required):
+        params = inspect.signature(TARGETS[kind]).parameters
+        assert set(params) == allowed
+        assert {k for k, p in params.items() if p.default is p.empty} == required
+
+    @pytest.mark.parametrize("section, overrides", [
+        pytest.param("initial", {"initial": {"std": -1.0}}, id="negative-std"),
+        pytest.param("grid", {"grid": {"lower": [-5.0] * 3, "upper": 5.0, "nodes": 24}},
+                     id="grid-lower-length"),
+        pytest.param("schedule", {"schedule": [{"T": -1.0, "beta": 1e-2}]}, id="negative-T"),
+        pytest.param("fixed_point.cross", {"fixed_point": {"cross": {"max_rank": 0}}},
+                     id="max-rank-0"),
+        pytest.param("target", {"target": {"type": "gaussian_mixture", "d": 2,
+                                           "n_components": 2, "var": -0.5}},
+                     id="negative-mixture-var"),
+        pytest.param("sampler", {"sampler": {"rel_tol": -1.0}}, id="negative-rel-tol"),
+        pytest.param("fixed_point.cross", {"fixed_point": {"cross": {"max_rank": 2.7}}},
+                     id="float-max-rank"),
+        pytest.param("fixed_point.cross", {"fixed_point": {"cross": {"max_sweeps": 2.5}}},
+                     id="float-max-sweeps"),
+        pytest.param("fixed_point", {"fixed_point": {"max_iters": 0}}, id="max-iters-0"),
+        pytest.param("fixed_point", {"fixed_point": {"max_iters": 2.7}}, id="float-max-iters"),
+        pytest.param("fixed_point", {"fixed_point": {"truncation": {"tolerance": -1e-8}}},
+                     id="negative-trunc-tol"),
+        pytest.param("diagnostics.sinkhorn", {"diagnostics": {"sinkhorn": {"max_iters": 9.5}}},
+                     id="float-sinkhorn-max-iters"),
+        pytest.param("diagnostics.mh", {"diagnostics": {"mh": {"n_chains": 1.5}}},
+                     id="float-n-chains"),
+        pytest.param("diagnostics.mh", {"diagnostics": {"mh": {"n_steps": 0}}}, id="n-steps-0"),
+        pytest.param("diagnostics.mh", {"diagnostics": {"mh": {"thin": 0}}}, id="thin-0"),
+        pytest.param("diagnostics.mh", {"diagnostics": {"mh": {"burn_in": 1.0}}},
+                     id="burn-in-1"),
+        pytest.param("target", {"target": {"type": "double_moon", "d": 2.7}}, id="float-d"),
+        pytest.param("target", {"target": {"type": "parabolic", "d": 2, "gap": []}},
+                     id="empty-gap"),
+        pytest.param("seeds", {"seeds": {"model": 1.5}}, id="float-seed"),
+        pytest.param("verify", {"verify": {"betas": [0.1, 0.01], "Ts": [100.0]}},
+                     id="verify-lengths"),
+    ])
+    def test_rejected_value_is_a_config_error(self, tmp_path, capsys, section, overrides):
+        cfg = {**minimal_config(tmp_path / "o"), **overrides}
+        assert main(["fit", write_config(tmp_path, cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {section}: ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
 
 class TestFitCommand:

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from oracles import tt_random, tt_to_full
 from ttjko.cross import CrossConfig, CrossOracleError, maxvol, tt_cross
-from ttjko.tt import tt_eval, tt_random, tt_to_full
+from ttjko.tt import tt_eval
 
 # documented bound: oracle calls per sweep <= C * d * N * max_rank^2
 CALL_BOUND_CONSTANT = 8
@@ -170,3 +171,9 @@ class TestCrossBehavior:
             CrossConfig(tolerance=0.0)
         with pytest.raises(ValueError, match="max_sweeps"):
             CrossConfig(max_sweeps=0)
+
+    @pytest.mark.parametrize("field", ["max_rank", "max_sweeps"])
+    def test_config_counts_are_integers(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            CrossConfig(**{field: 2.7})
+        assert getattr(CrossConfig(**{field: np.int64(3)}), field) == 3

@@ -68,6 +68,8 @@ class TestSinkhorn:
     def test_config_rejects_empty_budget_and_nonpositive_threshold(self):
         with pytest.raises(ValueError, match="max_iters"):
             SinkhornConfig(max_iters=0)
+        with pytest.raises(ValueError, match="max_iters must be an integer"):
+            SinkhornConfig(max_iters=300.5)
         for threshold in (0.0, -1e-5):
             with pytest.raises(ValueError, match="threshold"):
                 SinkhornConfig(threshold=threshold)
@@ -325,6 +327,19 @@ class TestMetropolisHastings:
                 fwd, bwd = counts[i, j] / total, counts[j, i] / total
                 tol = 4 * np.sqrt(max(fwd, bwd) / total) + 1e-4
                 assert abs(fwd - bwd) <= tol, (i, j, fwd, bwd)
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_chains", 0), ("n_chains", 2.5), ("n_steps", 0), ("n_steps", 100.5),
+        ("thin", 0), ("thin", 1.5),
+    ])
+    def test_config_counts_are_positive_integers(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer >= 1"):
+            MHConfig(**{field: value})
+
+    @pytest.mark.parametrize("burn_in", [-0.1, 1.0, float("nan")])
+    def test_config_burn_in_leaves_a_kept_state(self, burn_in):
+        with pytest.raises(ValueError, match=r"burn_in must lie in \[0, 1\)"):
+            MHConfig(burn_in=burn_in)
 
     def test_zero_density_everywhere_rejected(self):
         rng = np.random.default_rng(15)

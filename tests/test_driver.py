@@ -8,6 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import oracles as oc
+from oracles import tt_from_full, tt_to_full
 from ttjko.config import load_config
 from ttjko.cross import CrossConfig
 from ttjko.driver import (FlowModel, GaussianInitial, Schedule, kl_estimate,
@@ -15,8 +16,7 @@ from ttjko.driver import (FlowModel, GaussianInitial, Schedule, kl_estimate,
 from ttjko.fixed_point import FixedPointConfig, StepState
 from ttjko.grid import Grid, all_quadrature_weights, quadrature_weights
 from ttjko.targets import CachedDensity, Gaussian
-from ttjko.tt import (tt_contract_all, tt_from_full, tt_ones, tt_rank_one,
-                      tt_save, tt_to_full)
+from ttjko.tt import tt_contract_all, tt_ones, tt_rank_one, tt_save
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import oracles as oc
+from oracles import tt_to_full
 from ttjko.cross import CrossConfig
 from ttjko.driver import GaussianInitial
 from ttjko.fixed_point import (DivisionFloorError, FixedPointConfig,
@@ -13,7 +14,7 @@ from ttjko.fixed_point import (DivisionFloorError, FixedPointConfig,
                                terminal_identity_error)
 from ttjko.grid import Grid
 from ttjko.targets import CachedDensity, Gaussian, GaussianMixture
-from ttjko.tt import tt_ones, tt_to_full
+from ttjko.tt import tt_ones
 
 
 def make_problem(n=16, box=4.0, seed=11, k=3):
@@ -74,7 +75,7 @@ class TestCycleVsDense:
                                 grid.spacings, T, beta)
         res = cycle(tt_ones(grid.shape), rho0, rho_inf, grid, T, beta, EXACT,
                     rng=np.random.default_rng(0))
-        for name in ("eta_0", "eta_hat_0", "eta_hat_T", "eta_new"):
+        for name in ("eta_hat_0", "eta_hat_T", "eta_new"):
             got = tt_to_full(getattr(res, name))
             want = stages[name]
             assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want)), name
@@ -117,7 +118,8 @@ class TestSolve:
                     gauss2["rho_inf"], gauss2["grid"], state.T, state.beta,
                     gauss2["config"], rng=np.random.default_rng(2),
                     log_scale=state.log_scale)
-        from ttjko.tt import tt_axpy, tt_norm
+        from ttjko.tt import tt_axpy
+        from oracles import tt_norm
         rel = tt_norm(tt_axpy(-1.0, state.eta_T, res.eta_new)) / tt_norm(state.eta_T)
         assert rel <= 10 * gauss2["config"].tolerance
 
@@ -230,6 +232,16 @@ class TestSolve:
             solve_step(rho0, rho_inf, grid, 10.0, 0.1, cfg, telemetry=records.append)
         assert type(err.value) is RuntimeError
         assert [r["residual"] for r in records] == [1.0]
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"max_iters": 0}, "max_iters must be an integer >= 1"),
+        ({"max_iters": 2.7}, "max_iters must be an integer >= 1"),
+        ({"trunc_tol": -1e-8}, "trunc_tol must be >= 0"),
+        ({"tolerance": 0.0}, "tolerance must be > 0"),
+    ])
+    def test_config_rejects(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            FixedPointConfig(**kwargs)
 
     def test_rejects_bad_step_parameters(self):
         grid, rho0, rho_inf, _ = make_problem()

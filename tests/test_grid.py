@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from oracles import tt_from_full, tt_random
 from ttjko.grid import (Grid, gradient_matrix, interpolate_batch, laplacian_1d,
                         quadrature_weights)
 from ttjko.fixed_point import StepState
 from ttjko.heat import HeatPropagator
 from ttjko.sampler import SamplerConfig, StepDynamics
-from ttjko.tt import TTTensor, tt_eval, tt_from_full, tt_ones, tt_random, tt_rank_one
+from ttjko.tt import TTTensor, tt_eval, tt_ones, tt_rank_one
 
 
 class TestGrid:

@@ -6,10 +6,11 @@ import scipy.linalg
 from numpy.testing import assert_allclose
 
 import oracles as oc
+from oracles import tt_from_full, tt_random, tt_to_full
 from ttjko.grid import Grid, laplacian_1d, quadrature_weights
 from ttjko import heat
 from ttjko.heat import HeatPropagator, heat_factor
-from ttjko.tt import tt_contract_all, tt_from_full, tt_random, tt_rank_one, tt_to_full
+from ttjko.tt import tt_contract_all, tt_rank_one
 
 
 class TestBuild:

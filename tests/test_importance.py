@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import oracles as oc
+from oracles import tt_to_full
 from ttjko.cross import CrossConfig
 from ttjko.driver import GaussianInitial, Schedule, run
 from ttjko.fixed_point import FixedPointConfig
@@ -14,7 +15,7 @@ from ttjko.grid import Grid, all_quadrature_weights
 from ttjko.importance import (QuantityOfInterest, fit_importance,
                               importance_estimate, sum_of_parameters)
 from ttjko.targets import CachedDensity, Gaussian
-from ttjko.tt import tt_contract_all, tt_to_full
+from ttjko.tt import tt_contract_all
 
 
 @pytest.fixture(scope="module")

@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import oracles as oc
+from oracles import tt_random
 from ttjko.cross import (VALIDATION_SIZE, CrossConfig, _block_indices, maxvol,
                          tt_cross, validation_indices)
 from ttjko.fixed_point import StepState
@@ -14,8 +15,7 @@ from ttjko.grid import Grid, interpolate_batch
 from ttjko.heat import HeatPropagator
 from ttjko.sampler import SamplerConfig, StepDynamics
 from ttjko.targets import CachedDensity, DensityEvalError
-from ttjko.tt import (TTTensor, tt_block_eval, tt_chain_step, tt_eval, tt_random,
-                      tt_right_interface)
+from ttjko.tt import TTTensor, tt_block_eval, tt_chain_step, tt_eval, tt_right_interface
 
 
 def _left_interface(t, prefixes):

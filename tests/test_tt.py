@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from ttjko.tt import (TTTensor, tt_axpy, tt_contract_all, tt_eval, tt_from_full,
-                      tt_inner, tt_load, tt_marginal, tt_norm, tt_ones,
-                      tt_random, tt_rank_one, tt_round, tt_save, tt_to_full)
+from oracles import tt_from_full, tt_norm, tt_random, tt_to_full
+from ttjko.tt import (TTTensor, tt_axpy, tt_contract_all, tt_eval, tt_inner, tt_load,
+                      tt_marginal, tt_ones, tt_rank_one, tt_round, tt_save)
 
 
 def random_dense(rng, shape):
