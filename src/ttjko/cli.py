@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import diagnostics as dg
-from .config import ConfigError, RunConfig, load_config
-from .driver import FlowModel, Schedule, marginal_1d, run
+from .config import ConfigError, RunConfig, load_config, seeds_from
+from .driver import FlowModel, marginal_1d, run
 from .importance import compare_estimators, fit_importance, sum_of_parameters
 from .sampler import sample
 from .targets import CachedDensity, GaussianMixture, PosteriorTarget, save_measurements
@@ -230,15 +230,14 @@ def cmd_importance(cfg: RunConfig, out: Path) -> int:
     imp = cfg.importance
     calls_before = rho_inf.unique_calls
     imp_model = fit_importance(
-        model, qoi, T=float(imp.get("T", 1e3)), beta=float(imp.get("beta", 1e-2)),
-        config=cfg.fixed_point, rng=np.random.default_rng(cfg.seeds["model"] + 1))
+        model, qoi, T=imp["T"], beta=imp["beta"], config=cfg.fixed_point,
+        rng=np.random.default_rng(cfg.seeds["model"] + 1))
     assert rho_inf.unique_calls == calls_before, "importance fit must not call the posterior"
     comp = compare_estimators(
-        model, imp_model, qoi, n=int(imp.get("n", 400)),
-        repeats=int(imp.get("repeats", 10)), seed=cfg.seeds["sampling"],
-        sampler_config=cfg.sampler)
-    rows = [[k, f"{comp.plain[k]!r}", f"{comp.weighted[k]!r}"]
-            for k in range(comp.plain.size)]
+        model, imp_model, qoi, n=imp["n"], repeats=imp["repeats"],
+        seed=cfg.seeds["sampling"], sampler_config=cfg.sampler)
+    rows = [[k, repr(float(plain)), repr(float(weighted))]
+            for k, (plain, weighted) in enumerate(zip(comp.plain, comp.weighted))]
     _write_csv(out / "importance.csv", ["trial", "plain_mean", "importance_estimate"], rows)
     _write_sidecar(out / "importance.csv", cfg, {
         "plain_std": comp.plain_std, "weighted_std": comp.weighted_std,
@@ -249,15 +248,12 @@ def cmd_importance(cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_verify(cfg: RunConfig, out: Path) -> int:
-    betas = cfg.verify.get("betas", [1e-1, 1e-2, 1e-3, 1e-4])
-    Ts = cfg.verify.get("Ts", [1e2, 1e3, 1e4, 1e5])
-    max_iters = int(cfg.verify.get("max_iters", cfg.fixed_point.max_iters))
     rows = []
-    for beta, T in zip(betas, Ts, strict=True):
+    for schedule in cfg.verify["sweep"]:
+        ((T, beta),) = schedule
         rho_inf = _cached_target(cfg)
-        fp = dataclasses.replace(cfg.fixed_point, max_iters=max_iters)
-        model = run(cfg.initial, rho_inf, cfg.grid, Schedule([(float(T), float(beta))]),
-                    fp, rng=np.random.default_rng(cfg.seeds["model"]))
+        model = run(cfg.initial, rho_inf, cfg.grid, schedule, cfg.verify["fixed_point"],
+                    rng=np.random.default_rng(cfg.seeds["model"]))
         state = model.steps[0]
         kl = model.kl_history[-1]
         rows.append([f"{beta:g}", f"{T:g}", state.converged, state.iters,
@@ -288,12 +284,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
+        if args.seed is not None:
+            cfg.seeds = seeds_from(args.seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    if args.seed is not None:
-        cfg.seeds = {"model": args.seed, "sampling": args.seed + 1,
-                     "mcmc": args.seed + 2, "reference": args.seed + 3}
     out = Path(args.out) if args.out else cfg.output
     out.mkdir(parents=True, exist_ok=True)
     try:

@@ -7,18 +7,20 @@ only the keys it gives are passed on.  So ``config.py`` restates no
 default: a setting the file omits takes its constructor's default, in
 the CLI and the library alike.  Where a section's JSON keys differ from
 its library constructor's (three targets, the initial density) or no
-library constructor exists (the seeds), a small adapter below is the
-constructor, and its signature holds that section's defaults.  Unknown
-keys anywhere are rejected so typos fail loudly; an unknown or missing
-key, or any value the constructor rejects, is a :class:`ConfigError`
-naming the section.
+library constructor exists (the seeds, the diagnostics counts, the
+importance and verify experiments, the output directory), a small
+adapter below is the constructor, and its signature holds that section's
+defaults.  The scalar top-level keys ``cache_capacity`` and ``output``
+are built the same way, as one-key sections.  Unknown keys anywhere are rejected so
+typos fail loudly; an unknown or missing key, or any value the
+constructor rejects, is a :class:`ConfigError` naming the section.
 """
 
 from __future__ import annotations
 
 import inspect
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,8 +31,8 @@ from .driver import GaussianInitial, Schedule
 from .fixed_point import FixedPointConfig
 from .grid import Grid
 from .sampler import SamplerConfig
-from .targets import (DoubleMoon, Gaussian, GaussianMixture, NonconvexPotential,
-                      hyperbolic_posterior, parabolic_posterior)
+from .targets import (CachedDensity, DoubleMoon, Gaussian, GaussianMixture,
+                      NonconvexPotential, hyperbolic_posterior, parabolic_posterior)
 
 
 class ConfigError(ValueError):
@@ -110,19 +112,31 @@ def build_fixed_point(spec: dict) -> FixedPointConfig:
                   trunc_tol=trunc.get("tolerance", FixedPointConfig.trunc_tol))
 
 
+def _check_counts(least: int, **counts) -> None:
+    for name, n in counts.items():
+        if not isinstance(n, int) or n < least:
+            raise ValueError(f"{name} must be an integer >= {least}")
+
+
+def _diagnostics(sinkhorn: SinkhornConfig, mh: MHConfig, n_sample_sets=20,
+                 sample_size=400) -> dict:
+    """The benchmark's solvers and its ``n_sample_sets`` sets of ``sample_size``
+    samples per method."""
+    _check_counts(1, n_sample_sets=n_sample_sets, sample_size=sample_size)
+    return {"sinkhorn": sinkhorn, "mh": mh, "n_sample_sets": n_sample_sets,
+            "sample_size": sample_size}
+
+
 def build_diagnostics(spec: dict) -> dict:
-    _require_keys(spec, {"sinkhorn", "mh", "n_sample_sets", "sample_size"}, set(),
-                  "diagnostics")
-    diagnostics = {
-        "sinkhorn": _build("diagnostics.sinkhorn", SinkhornConfig, spec.get("sinkhorn", {})),
-        "mh": _build("diagnostics.mh", MHConfig, spec.get("mh", {})),
-        "n_sample_sets": spec.get("n_sample_sets", 20),
-        "sample_size": spec.get("sample_size", 400),
-    }
-    for key in ("n_sample_sets", "sample_size"):
-        if not isinstance(diagnostics[key], int) or diagnostics[key] < 1:
-            raise ConfigError(f"diagnostics: {key} must be an integer >= 1")
-    return diagnostics
+    """The ``diagnostics`` section; its ``sinkhorn`` and ``mh`` keys are sections
+    of their own."""
+    if not isinstance(spec, dict):
+        raise ConfigError("diagnostics must be a JSON object")
+    counts = {k: v for k, v in spec.items() if k not in ("sinkhorn", "mh")}
+    return _build("diagnostics", _diagnostics, counts,
+                  sinkhorn=_build("diagnostics.sinkhorn", SinkhornConfig,
+                                  spec.get("sinkhorn", {})),
+                  mh=_build("diagnostics.mh", MHConfig, spec.get("mh", {})))
 
 
 def _initial(d, mean=0.0, std=1.0) -> GaussianInitial:
@@ -133,10 +147,43 @@ def _initial(d, mean=0.0, std=1.0) -> GaussianInitial:
 def _seeds(model=0, sampling=1, mcmc=2, reference=3) -> dict:
     """Base seeds of the fit, the sampler, the short MH chain and the reference sets."""
     seeds = {"model": model, "sampling": sampling, "mcmc": mcmc, "reference": reference}
-    for name, seed in seeds.items():
-        if not isinstance(seed, int) or seed < 0:
-            raise ValueError(f"{name} must be an integer >= 0")
+    _check_counts(0, **seeds)
     return seeds
+
+
+def seeds_from(base: int) -> dict:
+    """The seeds ``--seed base`` sets: each default seed plus ``base``."""
+    return _build("seeds", _seeds, {name: base + seed for name, seed in _seeds().items()})
+
+
+def _importance(T=1e3, beta=1e-2, n=400, repeats=10) -> dict:
+    """The importance experiment: one proximal step ``(T, beta)`` toward ``|F|``
+    times the fit, then ``repeats`` trials of ``n`` samples of each estimator
+    (their spread is a sample std, so it needs two)."""
+    ((T, beta),) = Schedule([(T, beta)])
+    _check_counts(1, n=n)
+    _check_counts(2, repeats=repeats)
+    return {"T": T, "beta": beta, "n": n, "repeats": repeats}
+
+
+def _verify(fixed_point: FixedPointConfig, betas=(1e-1, 1e-2, 1e-3, 1e-4),
+            Ts=(1e2, 1e3, 1e4, 1e5), max_iters=None) -> dict:
+    """The verification sweep: one single-step fit per ``(betas[k], Ts[k])``,
+    each with the fit's ``fixed_point`` config, whose ``max_iters`` this may
+    override."""
+    if len(betas) != len(Ts):
+        raise ValueError("betas and Ts must be lists of one length")
+    if max_iters is not None:
+        fixed_point = replace(fixed_point, max_iters=max_iters)
+    return {"sweep": [Schedule([(T, beta)]) for beta, T in zip(betas, Ts)],
+            "fixed_point": fixed_point}
+
+
+def _output(output="runs/out") -> Path:
+    """The output directory."""
+    if not isinstance(output, str):
+        raise TypeError(f"output must be a path string, not {output!r}")
+    return Path(output)
 
 
 @dataclass
@@ -151,8 +198,8 @@ class RunConfig:
     seeds: dict
     cache_capacity: int | None
     output: Path
-    importance: dict = field(default_factory=dict)
-    verify: dict = field(default_factory=dict)
+    importance: dict
+    verify: dict
     echo: dict = field(default_factory=dict)
 
 
@@ -163,34 +210,33 @@ def parse_config(raw: dict) -> RunConfig:
     _require_keys(raw, _TOP_KEYS, {"target", "grid", "schedule"}, "<top>")
     target = build_target(raw["target"])
     d = target.dim
+    grid = _build("grid", Grid.regular, raw["grid"], d=d)
+    fixed_point = build_fixed_point(raw.get("fixed_point", {}))
 
     if not isinstance(raw["schedule"], list):
         raise ConfigError("schedule must be a list of {T, beta} objects")
     steps = [_build(f"schedule[{k}]", lambda T, beta: (T, beta), s)
              for k, s in enumerate(raw["schedule"])]
 
-    importance = raw.get("importance", {})
-    _require_keys(importance, {"T", "beta", "n", "repeats"}, set(), "importance")
-    verify = raw.get("verify", {})
-    _require_keys(verify, {"betas", "Ts", "max_iters"}, set(), "verify")
-    betas, Ts = verify.get("betas", []), verify.get("Ts", [])
-    if not (isinstance(betas, list) and isinstance(Ts, list) and len(betas) == len(Ts)):
-        raise ConfigError("verify: betas and Ts must be given together, as lists of "
-                          "one length")
+    def scalar(key, param):
+        """The top-level ``key`` as a section whose one key is ``param``."""
+        return {param: raw[key]} if key in raw else {}
 
     return RunConfig(
         target=target,
-        grid=_build("grid", Grid.regular, raw["grid"], d=d),
+        grid=grid,
         schedule=_build("schedule", Schedule, {"steps": steps}),
-        fixed_point=build_fixed_point(raw.get("fixed_point", {})),
+        fixed_point=fixed_point,
         sampler=_build("sampler", SamplerConfig, raw.get("sampler", {})),
         diagnostics=build_diagnostics(raw.get("diagnostics", {})),
         initial=_build("initial", _initial, raw.get("initial", {}), d=d),
         seeds=_build("seeds", _seeds, raw.get("seeds", {})),
-        cache_capacity=raw.get("cache_capacity"),
-        output=Path(raw.get("output", "runs/out")),
-        importance=importance,
-        verify=verify,
+        # checked by the cache it configures, as the fit builds it
+        cache_capacity=_build("cache_capacity", CachedDensity,
+                              scalar("cache_capacity", "capacity"), fn=None, grid=grid).capacity,
+        output=_build("output", _output, scalar("output", "output")),
+        importance=_build("importance", _importance, raw.get("importance", {})),
+        verify=_build("verify", _verify, raw.get("verify", {}), fixed_point=fixed_point),
         echo=raw,
     )
 

@@ -33,7 +33,10 @@ class Grid:
     def __post_init__(self):
         lower = np.atleast_1d(np.asarray(self.lower, dtype=float))
         upper = np.atleast_1d(np.asarray(self.upper, dtype=float))
-        nodes = np.atleast_1d(np.asarray(self.nodes, dtype=int))
+        nodes = np.atleast_1d(np.asarray(self.nodes))
+        if nodes.dtype.kind not in "iu":
+            raise ValueError("nodes must be integers")
+        nodes = nodes.astype(int)
         if not (lower.shape == upper.shape == nodes.shape):
             raise ValueError("lower, upper, nodes must have identical lengths")
         if np.any(upper <= lower):
@@ -49,7 +52,7 @@ class Grid:
         """Build from per-axis values or scalars broadcast to dimension d."""
         lower = np.atleast_1d(np.asarray(lower, dtype=float))
         upper = np.atleast_1d(np.asarray(upper, dtype=float))
-        nodes = np.atleast_1d(np.asarray(nodes, dtype=int))
+        nodes = np.atleast_1d(nodes)
         if d is None:
             d = max(lower.size, upper.size, nodes.size)
         return cls(

@@ -445,6 +445,8 @@ def sample(model: FlowModel, n: int, config: SamplerConfig | None = None,
     another thread in the process (a BLAS pool included), nothing is
     forked.
     """
+    if not isinstance(n, (int, np.integer)) or n < 0:
+        raise ValueError(f"n must be an integer >= 0, not {n!r}")
     if config is None:
         config = SamplerConfig()
     if not model.converged and not force:

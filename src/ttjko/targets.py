@@ -45,6 +45,9 @@ class CachedDensity:
                  "_nodes", "_min_nodes", "_row_dtype", "_store")
 
     def __init__(self, fn, grid: Grid, capacity: int | None = None):
+        if capacity is not None and (not isinstance(capacity, (int, np.integer))
+                                     or capacity < 0):
+            raise ValueError("capacity must be None or an integer >= 0")
         self.fn = fn
         self.grid = grid
         self.capacity = capacity

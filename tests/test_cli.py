@@ -1,6 +1,5 @@
 """Command-line front end: schema strictness, determinism, artifacts."""
 
-import dataclasses
 import inspect
 import json
 from pathlib import Path
@@ -8,10 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ttjko import config
 from ttjko.cli import main
 from ttjko.config import TARGETS, ConfigError, load_config, parse_config
 from ttjko.cross import CrossConfig
 from ttjko.diagnostics import MHConfig, SinkhornConfig
+from ttjko.driver import Schedule
 from ttjko.fixed_point import FixedPointConfig
 from ttjko.sampler import SamplerConfig
 
@@ -96,15 +97,23 @@ def minimal_config(out):
             "output": str(out)}
 
 
-#: each library section: its path in the config, its constructor, and
-#: where the parsed config holds it
+#: each section: its path in the config, its constructor, the arguments
+#: the parser fills in itself (here at their defaults), and where the
+#: parsed config holds it
 SECTIONS = {
-    "fixed_point.cross": (("fixed_point", "cross"), CrossConfig,
+    "fixed_point.cross": (("fixed_point", "cross"), CrossConfig, {},
                           lambda cfg: cfg.fixed_point.cross),
-    "sampler": (("sampler",), SamplerConfig, lambda cfg: cfg.sampler),
-    "diagnostics.sinkhorn": (("diagnostics", "sinkhorn"), SinkhornConfig,
+    "sampler": (("sampler",), SamplerConfig, {}, lambda cfg: cfg.sampler),
+    "diagnostics.sinkhorn": (("diagnostics", "sinkhorn"), SinkhornConfig, {},
                              lambda cfg: cfg.diagnostics["sinkhorn"]),
-    "diagnostics.mh": (("diagnostics", "mh"), MHConfig, lambda cfg: cfg.diagnostics["mh"]),
+    "diagnostics.mh": (("diagnostics", "mh"), MHConfig, {},
+                       lambda cfg: cfg.diagnostics["mh"]),
+    "diagnostics": (("diagnostics",), config._diagnostics,
+                    {"sinkhorn": SinkhornConfig(), "mh": MHConfig()},
+                    lambda cfg: cfg.diagnostics),
+    "importance": (("importance",), config._importance, {}, lambda cfg: cfg.importance),
+    "verify": (("verify",), config._verify, {"fixed_point": FixedPointConfig()},
+               lambda cfg: cfg.verify),
 }
 
 
@@ -114,15 +123,77 @@ def set_section(cfg, path, value):
     cfg[path[-1]] = value
 
 
+#: the section an error names, and a config value its constructor rejects
+REJECTED = [
+    pytest.param("initial", {"initial": {"std": -1.0}}, id="negative-std"),
+    pytest.param("grid", {"grid": {"lower": [-5.0] * 3, "upper": 5.0, "nodes": 24}},
+                 id="grid-lower-length"),
+    pytest.param("schedule", {"schedule": [{"T": -1.0, "beta": 1e-2}]}, id="negative-T"),
+    pytest.param("fixed_point.cross", {"fixed_point": {"cross": {"max_rank": 0}}},
+                 id="max-rank-0"),
+    pytest.param("target", {"target": {"type": "gaussian_mixture", "d": 2,
+                                       "n_components": 2, "var": -0.5}},
+                 id="negative-mixture-var"),
+    pytest.param("sampler", {"sampler": {"rel_tol": -1.0}}, id="negative-rel-tol"),
+    pytest.param("fixed_point.cross", {"fixed_point": {"cross": {"max_rank": 2.7}}},
+                 id="float-max-rank"),
+    pytest.param("fixed_point.cross", {"fixed_point": {"cross": {"max_sweeps": 2.5}}},
+                 id="float-max-sweeps"),
+    pytest.param("fixed_point", {"fixed_point": {"max_iters": 0}}, id="max-iters-0"),
+    pytest.param("fixed_point", {"fixed_point": {"max_iters": 2.7}}, id="float-max-iters"),
+    pytest.param("fixed_point", {"fixed_point": {"truncation": {"tolerance": -1e-8}}},
+                 id="negative-trunc-tol"),
+    pytest.param("diagnostics.sinkhorn", {"diagnostics": {"sinkhorn": {"max_iters": 9.5}}},
+                 id="float-sinkhorn-max-iters"),
+    pytest.param("diagnostics.mh", {"diagnostics": {"mh": {"n_chains": 1.5}}},
+                 id="float-n-chains"),
+    pytest.param("diagnostics.mh", {"diagnostics": {"mh": {"n_steps": 0}}}, id="n-steps-0"),
+    pytest.param("diagnostics.mh", {"diagnostics": {"mh": {"thin": 0}}}, id="thin-0"),
+    pytest.param("diagnostics.mh", {"diagnostics": {"mh": {"burn_in": 1.0}}},
+                 id="burn-in-1"),
+    pytest.param("target", {"target": {"type": "double_moon", "d": 2.7}}, id="float-d"),
+    pytest.param("target", {"target": {"type": "parabolic", "d": 2, "gap": []}},
+                 id="empty-gap"),
+    pytest.param("seeds", {"seeds": {"model": 1.5}}, id="float-seed"),
+    pytest.param("verify", {"verify": {"betas": [0.1, 0.01], "Ts": [100.0]}},
+                 id="verify-lengths"),
+    pytest.param("verify", {"verify": {"max_iters": 0}}, id="verify-max-iters-0"),
+    pytest.param("verify", {"verify": {"max_iters": 2.7}}, id="verify-float-max-iters"),
+    pytest.param("verify", {"verify": {"betas": ["a"], "Ts": [100.0]}}, id="verify-str-beta"),
+    pytest.param("importance", {"importance": {"n": 2.7}}, id="importance-float-n"),
+    pytest.param("importance", {"importance": {"n": 0}}, id="importance-n-0"),
+    pytest.param("importance", {"importance": {"repeats": 1}}, id="importance-repeats-1"),
+    pytest.param("importance", {"importance": {"T": -1}}, id="importance-negative-T"),
+    pytest.param("diagnostics", {"diagnostics": {"n_sample_sets": 1.5}},
+                 id="float-n-sample-sets"),
+    pytest.param("diagnostics", {"diagnostics": {"sample_size": 0}}, id="sample-size-0"),
+    pytest.param("cache_capacity", {"cache_capacity": 2.5}, id="float-cache-capacity"),
+    pytest.param("cache_capacity", {"cache_capacity": -5}, id="negative-cache-capacity"),
+    pytest.param("grid", {"grid": {"lower": -5.0, "upper": 5.0, "nodes": 16.7}},
+                 id="float-grid-nodes"),
+    pytest.param("output", {"output": 5}, id="non-string-output"),
+]
+
+
 class TestConstructorSchema:
     """A section's schema and defaults are its constructor's."""
 
     def test_omitted_sections_take_the_constructor_defaults(self, tmp_path):
-        cfg = parse_config(minimal_config(tmp_path))
+        raw = minimal_config(tmp_path)
+        del raw["output"]
+        cfg = parse_config(raw)
         assert cfg.fixed_point == FixedPointConfig()
         assert cfg.sampler == SamplerConfig()
-        assert cfg.diagnostics["sinkhorn"] == SinkhornConfig()
-        assert cfg.diagnostics["mh"] == MHConfig()
+        assert cfg.diagnostics == {"sinkhorn": SinkhornConfig(), "mh": MHConfig(),
+                                   "n_sample_sets": 20, "sample_size": 400}
+        assert cfg.importance == {"T": 1e3, "beta": 1e-2, "n": 400, "repeats": 10}
+        assert cfg.verify == {
+            "sweep": [Schedule([(T, beta)]) for T, beta in
+                      ((1e2, 1e-1), (1e3, 1e-2), (1e4, 1e-3), (1e5, 1e-4))],
+            "fixed_point": FixedPointConfig()}
+        assert cfg.seeds == {"model": 0, "sampling": 1, "mcmc": 2, "reference": 3}
+        assert cfg.cache_capacity is None
+        assert cfg.output == Path("runs/out")
 
     def test_one_default_cross(self, tmp_path):
         cross = CrossConfig(max_rank=10, tolerance=1e-7, max_sweeps=6)
@@ -134,11 +205,12 @@ class TestConstructorSchema:
 
     @pytest.mark.parametrize("name", sorted(SECTIONS))
     def test_section_takes_exactly_its_constructor_parameters(self, tmp_path, name):
-        path, ctor, parsed = SECTIONS[name]
-        every = {f.name: f.default for f in dataclasses.fields(ctor)}
+        path, ctor, fixed, parsed = SECTIONS[name]
+        every = {key: p.default for key, p in inspect.signature(ctor).parameters.items()
+                 if key not in fixed}
         cfg = minimal_config(tmp_path)
-        set_section(cfg, path, every)
-        assert parsed(parse_config(cfg)) == ctor()
+        set_section(cfg, path, json.loads(json.dumps(every)))
+        assert parsed(parse_config(cfg)) == ctor(**fixed)
         set_section(cfg, path, {**every, "bogus": 1})
         with pytest.raises(ConfigError, match=rf"unknown keys \['bogus'\] at {name}$"):
             parse_config(cfg)
@@ -169,40 +241,7 @@ class TestConstructorSchema:
         assert set(params) == allowed
         assert {k for k, p in params.items() if p.default is p.empty} == required
 
-    @pytest.mark.parametrize("section, overrides", [
-        pytest.param("initial", {"initial": {"std": -1.0}}, id="negative-std"),
-        pytest.param("grid", {"grid": {"lower": [-5.0] * 3, "upper": 5.0, "nodes": 24}},
-                     id="grid-lower-length"),
-        pytest.param("schedule", {"schedule": [{"T": -1.0, "beta": 1e-2}]}, id="negative-T"),
-        pytest.param("fixed_point.cross", {"fixed_point": {"cross": {"max_rank": 0}}},
-                     id="max-rank-0"),
-        pytest.param("target", {"target": {"type": "gaussian_mixture", "d": 2,
-                                           "n_components": 2, "var": -0.5}},
-                     id="negative-mixture-var"),
-        pytest.param("sampler", {"sampler": {"rel_tol": -1.0}}, id="negative-rel-tol"),
-        pytest.param("fixed_point.cross", {"fixed_point": {"cross": {"max_rank": 2.7}}},
-                     id="float-max-rank"),
-        pytest.param("fixed_point.cross", {"fixed_point": {"cross": {"max_sweeps": 2.5}}},
-                     id="float-max-sweeps"),
-        pytest.param("fixed_point", {"fixed_point": {"max_iters": 0}}, id="max-iters-0"),
-        pytest.param("fixed_point", {"fixed_point": {"max_iters": 2.7}}, id="float-max-iters"),
-        pytest.param("fixed_point", {"fixed_point": {"truncation": {"tolerance": -1e-8}}},
-                     id="negative-trunc-tol"),
-        pytest.param("diagnostics.sinkhorn", {"diagnostics": {"sinkhorn": {"max_iters": 9.5}}},
-                     id="float-sinkhorn-max-iters"),
-        pytest.param("diagnostics.mh", {"diagnostics": {"mh": {"n_chains": 1.5}}},
-                     id="float-n-chains"),
-        pytest.param("diagnostics.mh", {"diagnostics": {"mh": {"n_steps": 0}}}, id="n-steps-0"),
-        pytest.param("diagnostics.mh", {"diagnostics": {"mh": {"thin": 0}}}, id="thin-0"),
-        pytest.param("diagnostics.mh", {"diagnostics": {"mh": {"burn_in": 1.0}}},
-                     id="burn-in-1"),
-        pytest.param("target", {"target": {"type": "double_moon", "d": 2.7}}, id="float-d"),
-        pytest.param("target", {"target": {"type": "parabolic", "d": 2, "gap": []}},
-                     id="empty-gap"),
-        pytest.param("seeds", {"seeds": {"model": 1.5}}, id="float-seed"),
-        pytest.param("verify", {"verify": {"betas": [0.1, 0.01], "Ts": [100.0]}},
-                     id="verify-lengths"),
-    ])
+    @pytest.mark.parametrize("section, overrides", REJECTED)
     def test_rejected_value_is_a_config_error(self, tmp_path, capsys, section, overrides):
         cfg = {**minimal_config(tmp_path / "o"), **overrides}
         assert main(["fit", write_config(tmp_path, cfg)]) == 1
@@ -210,6 +249,21 @@ class TestConstructorSchema:
         assert err.startswith(f"config error: {section}: ")
         assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
+
+    def test_every_top_key_has_a_rejected_value(self):
+        """A new top-level key cannot skip its constructor's checks."""
+        assert config._TOP_KEYS <= {key for case in REJECTED for key in case.values[1]}
+
+    def test_negative_seed_flag_is_a_config_error(self, tmp_path, capsys):
+        path = write_config(tmp_path, minimal_config(tmp_path / "o"))
+        assert main(["fit", path, "--seed", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: seeds: model must be an integer >= 0")
+        assert not (tmp_path / "o").exists()
+
+    def test_seed_flag_offsets_the_default_seeds(self, tmp_path):
+        assert config.seeds_from(7) == {"model": 7, "sampling": 8, "mcmc": 9,
+                                        "reference": 10}
 
 
 class TestFitCommand:
@@ -292,6 +346,20 @@ class TestVerifyCommand:
         assert lines[0] == "beta,T,converged,n_fp,kl,unique,total"
         assert len(lines) == 2
         assert json.loads((out / "verify.json").read_text())["config"]
+
+
+class TestImportanceCommand:
+    def test_trials_csv(self, tmp_path):
+        out = tmp_path / "imp"
+        cfg = tiny_gaussian_config(out, importance={"n": 50, "repeats": 2})
+        assert main(["importance", write_config(tmp_path, cfg)]) == 0
+        header, *rows = (out / "importance.csv").read_text().strip().split("\n")
+        assert header == "trial,plain_mean,importance_estimate"
+        assert len(rows) == 2
+        for row in rows:
+            [float(cell) for cell in row.split(",")]      # plain floats, not np.float64(...)
+        sidecar = json.loads((out / "importance.json").read_text())
+        assert sidecar["posterior_calls_during_importance_fit"] == 0
 
 
 class TestBenchmarkCommand:

@@ -25,6 +25,12 @@ class TestGrid:
         with pytest.raises(ValueError, match="2 nodes"):
             Grid.regular(0.0, 1.0, 1, d=1)
 
+    @pytest.mark.parametrize("nodes", [16.7, 16.0, [16, 16.5], True, "16"])
+    def test_nodes_that_are_not_integers_are_rejected(self, nodes):
+        # a cast would fit on 16 nodes what asked for 16.7
+        with pytest.raises(ValueError, match="nodes must be integers"):
+            Grid.regular(0.0, 1.0, nodes, d=2)
+
     def test_points_from_indices(self):
         g = Grid.regular([0.0, -1.0], [1.0, 1.0], [3, 5])
         pts = g.points(np.array([[0, 0], [2, 4]]))

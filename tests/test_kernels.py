@@ -155,6 +155,12 @@ class TestArrayKeyedCache:
         assert cd.unique_calls == 6
         assert cd.total_calls == 9
 
+    @pytest.mark.parametrize("capacity", [2.5, -5, "10"])
+    def test_capacity_that_is_not_none_or_a_count_is_rejected(self, capacity):
+        # -5 would turn the cache off, 2.5 fail at the first fill
+        with pytest.raises(ValueError, match="capacity must be None or an integer >= 0"):
+            CachedDensity(_density, Grid.regular(0.0, 4.0, 5, d=2), capacity=capacity)
+
     def test_zero_capacity_pays_for_every_batch(self):
         grid = Grid.regular(0.0, 4.0, 5, d=2)
         cd, seen = self.make(grid, capacity=0)

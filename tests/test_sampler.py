@@ -176,6 +176,11 @@ class TestSample:
         ens = sample(fitted, 0, SamplerConfig(), seed=0)
         assert ens.positions.shape == (0, 2)
 
+    @pytest.mark.parametrize("n", [-3, 2.5])
+    def test_particle_count_that_is_not_a_count_is_rejected(self, fitted, n):
+        with pytest.raises(ValueError, match="n must be an integer >= 0"):
+            sample(fitted, n, SamplerConfig(), seed=0)
+
     def test_unconverged_model_refused(self, fitted):
         bad_state = StepState(**{**fitted.steps[0].__dict__, "converged": False,
                                  "residual_history": []})
