@@ -12,6 +12,7 @@ genuine model error from the finite-sample noise floor.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -27,12 +28,13 @@ class SinkhornConfig:
     threshold: float = 1e-5          # sup-norm change of the dual potentials
 
     def __post_init__(self):
-        if self.epsilon is not None and self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        # NaN fails every comparison
+        if self.epsilon is not None and not 0 < self.epsilon < np.inf:
+            raise ValueError("epsilon must be positive and finite")
         if not isinstance(self.max_iters, (int, np.integer)) or self.max_iters < 1:
             raise ValueError("max_iters must be an integer >= 1")
-        if self.threshold <= 0:
-            raise ValueError("threshold must be positive")
+        if not 0 < self.threshold < np.inf:
+            raise ValueError("threshold must be positive and finite")
 
 
 def median_sq_distance(x: np.ndarray, y: np.ndarray | None = None,
@@ -332,8 +334,10 @@ class MHConfig:
     auto_tune: bool = False
 
     def __post_init__(self):
-        if self.proposal_std <= 0:
-            raise ValueError("proposal_std must be positive")
+        # NaN fails every comparison
+        for name in ("proposal_std", "init_std"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
         for name in ("n_chains", "n_steps", "thin"):
             n = getattr(self, name)
             if not isinstance(n, (int, np.integer)) or n < 1:
@@ -346,10 +350,16 @@ class MHConfig:
 class MHResult:
     chains: np.ndarray            # (n_chains, n_kept, d) thinned, post burn-in
     acceptance_rate: float
-    tau: float                    # integrated autocorrelation time, unthinned units
     n_calls: int                  # posterior evaluations: n_chains * n_steps
     proposal_std: float
     thin: int = 1
+
+    @cached_property
+    def tau(self) -> float:
+        """Integrated autocorrelation time in unthinned steps: the largest
+        over coordinates of the thinned trace's, times ``thin``."""
+        return float(max(self.thin * integrated_autocorr(self.chains[:, :, j])
+                         for j in range(self.chains.shape[2])))
 
     def states(self, n_states: int, spacing_steps: float) -> list:
         """Last ``n_states`` ensemble snapshots, at least ``spacing_steps``
@@ -389,6 +399,15 @@ def metropolis_hastings(density, d: int, config: MHConfig,
     ``log_density`` override avoids underflow for concentrated targets.
     The reported call count follows the budget convention of one call
     per proposal (n_chains * n_steps).
+
+    The chains are a function of ``rng``'s stream, drawn in this order:
+    the pilot runs of ``auto_tune``, then ``standard_normal((n_chains,
+    d))`` for the initial states, then per step one
+    ``standard_normal((n_chains, d))`` for the proposal and one uniform
+    vector of length ``n_chains`` for the accept test.  The loop updates
+    preallocated buffers in place: every step passes ``log_density`` the
+    same proposal array, so it must not keep its argument.  The result's
+    ``tau`` is computed from the kept states on first read.
     """
     if log_density is None:
         def log_density(x):
@@ -399,33 +418,37 @@ def metropolis_hastings(density, d: int, config: MHConfig,
     if cfg.auto_tune:
         cfg = _tune_proposal(density, d, cfg, rng, log_density)
 
-    x = cfg.init_std * rng.standard_normal((cfg.n_chains, d))
-    logp = np.asarray(log_density(x), dtype=float)
+    n = cfg.n_chains
+    x = cfg.init_std * rng.standard_normal((n, d))
+    logp = np.empty(n)
+    logp[...] = log_density(x)          # an owned copy: x and logp update in place
     if np.all(np.isneginf(logp)):
         raise ValueError("target density is zero at every initial point")
     keep_from = int(cfg.burn_in * cfg.n_steps)
-    kept = []
+    chains = np.empty((n, len(range(keep_from, cfg.n_steps, cfg.thin)), d))
+    prop = np.empty((n, d))
+    logu = np.empty(n)
+    accept = np.empty(n, dtype=bool)
     accepted = 0
     # a chain outside the support compares -inf - -inf = NaN: a reject
     with np.errstate(invalid="ignore"):
         for step in range(cfg.n_steps):
-            prop = x + cfg.proposal_std * rng.standard_normal((cfg.n_chains, d))
+            rng.standard_normal(out=prop)
+            prop *= cfg.proposal_std
+            prop += x
             logp_prop = np.asarray(log_density(prop), dtype=float)
-            logu = np.log(rng.uniform(size=cfg.n_chains))
-            accept = logu < (logp_prop - logp)
-            x = np.where(accept[:, None], prop, x)
-            logp = np.where(accept, logp_prop, logp)
-            accepted += int(accept.sum())
-            if step >= keep_from and (step - keep_from) % cfg.thin == 0:
-                kept.append(x.copy())
-    chains = np.stack(kept, axis=1)
-    # tau from the thinned trace, rescaled to unthinned step units
-    taus = [cfg.thin * integrated_autocorr(chains[:, :, j]) for j in range(d)]
+            np.log(rng.random(out=logu), out=logu)
+            np.less(logu, logp_prop - logp, out=accept)
+            np.copyto(x, prop, where=accept[:, None])
+            np.copyto(logp, logp_prop, where=accept)
+            accepted += np.count_nonzero(accept)
+            kept, off = divmod(step - keep_from, cfg.thin)
+            if kept >= 0 and off == 0:
+                chains[:, kept] = x
     return MHResult(
         chains=chains,
-        acceptance_rate=accepted / (cfg.n_chains * cfg.n_steps),
-        tau=float(max(taus)),
-        n_calls=cfg.n_chains * cfg.n_steps,
+        acceptance_rate=accepted / (n * cfg.n_steps),
+        n_calls=n * cfg.n_steps,
         proposal_std=cfg.proposal_std,
         thin=cfg.thin,
     )

@@ -41,7 +41,7 @@ class Schedule:
     def __post_init__(self):
         cleaned = []
         for T, beta in self.steps:
-            if T <= 0 or beta <= 0:
+            if not (T > 0 and beta > 0):       # NaN fails both
                 raise ValueError("schedule entries need T > 0 and beta > 0")
             cleaned.append((float(T), float(beta)))
         self.steps = cleaned

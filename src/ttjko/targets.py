@@ -138,10 +138,13 @@ class GaussianMixture:
     def __post_init__(self):
         self.means = np.atleast_2d(np.asarray(self.means, dtype=float))
         self.weights = np.atleast_1d(np.asarray(self.weights, dtype=float))
-        if self.var <= 0:
-            raise ValueError("component variance must be positive")
-        if np.any(self.weights <= 0):
-            raise ValueError("mixture weights must be positive")
+        # NaN fails every comparison
+        if not 0 < self.var < np.inf:
+            raise ValueError("component variance must be positive and finite")
+        if not np.all((self.weights > 0) & (self.weights < np.inf)):
+            raise ValueError("mixture weights must be positive and finite")
+        if not np.all(np.isfinite(self.means)):
+            raise ValueError("mixture means must be finite")
         if self.weights.size != self.means.shape[0]:
             raise ValueError("one weight per component required")
 
@@ -157,11 +160,27 @@ class GaussianMixture:
         return self.means.shape[1]
 
     def density(self, x: np.ndarray) -> np.ndarray:
+        """Mixture density at the rows of ``x``, computed points-last.
+
+        The differences are one ``(d, K, M)`` array, squared in place;
+        the squared distances add its ``d`` rows in coordinate order and
+        the mixture adds its ``K`` weighted rows in component order.
+        ``np.sum`` along a contiguous axis of 8 or more elements adds in
+        blocks of 8, so for ``d < 8`` and ``K < 8`` the values are
+        bitwise those of ``(w * exp(-0.5 * sq / var)).sum(axis=1)`` on
+        the row-major ``(M, K, d)`` form; beyond that they differ from it
+        in the last bits.
+        """
         x = np.atleast_2d(x)
-        d = self.dim
-        norm = (2.0 * np.pi * self.var) ** (d / 2.0)
-        sq = ((x[:, None, :] - self.means[None, :, :]) ** 2).sum(axis=2)
-        return (self.weights * np.exp(-0.5 * sq / self.var)).sum(axis=1) / norm
+        norm = (2.0 * np.pi * self.var) ** (self.dim / 2.0)
+        diff = np.ascontiguousarray(x.T)[:, None, :] - self.means.T[:, :, None]
+        np.square(diff, out=diff)
+        terms = np.add.reduce(diff, axis=0)                  # (K, M)
+        terms *= -0.5
+        terms /= self.var
+        np.exp(terms, out=terms)
+        terms *= self.weights[:, None]
+        return np.add.reduce(terms, axis=0) / norm
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         comp = rng.choice(self.weights.size, size=n, p=self.weights / self.weights.sum())

@@ -20,19 +20,27 @@ the plain relaxed (Picard) iteration of one proximal step, with or
 without the gauge fix, built from the production cycle, kept to
 measure the Anderson solver against.  ``reference_truncated_normal`` is
 the original inverse-CDF draw of the initial density built on
-``scipy.special``, kept to pin the stdlib one.  ``tt_from_full``,
-``tt_to_full``, ``tt_random`` and ``tt_norm`` build and materialize the
-small TTs the tests compare against dense arrays; ``tt_from_full``
-truncates by the rank rule ``_chop`` of the production ``tt_round``.
+``scipy.special``, kept to pin the stdlib one.
+``reference_metropolis_hastings`` is the original MH loop (a fresh
+proposal array per step, a list of kept states stacked at the end and
+``tau`` computed at once), kept to pin the chains of the production
+loop over preallocated buffers, and ``reference_mixture_density`` the
+original ``(M, K, d)`` broadcast mixture density, kept to pin the
+points-last one.  ``tt_from_full``, ``tt_to_full``, ``tt_random`` and
+``tt_norm`` build and materialize the small TTs the tests compare
+against dense arrays; ``tt_from_full`` truncates by the rank rule
+``_chop`` of the production ``tt_round``.
 """
 
 import itertools
+from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
 import scipy.linalg
 import scipy.special
 
+from ttjko.diagnostics import ACCEPTANCE_BAND, MHConfig, integrated_autocorr
 from ttjko.tt import TTTensor, _chop, tt_inner
 
 #: refuse to materialize tensors above this many elements
@@ -480,6 +488,80 @@ def reference_entropic_ot(x: np.ndarray, y: np.ndarray, epsilon: float,
     cost = float((pi * c).sum())
     kl = float((pi * (log_pi - log_mu - log_nu)).sum())
     return cost + epsilon * kl, converged
+
+
+def reference_mixture_density(mixture, x: np.ndarray) -> np.ndarray:
+    """Gaussian mixture density by one ``(M, K, d)`` broadcast, summed
+    along its last axes."""
+    x = np.atleast_2d(x)
+    norm = (2.0 * np.pi * mixture.var) ** (mixture.dim / 2.0)
+    sq = ((x[:, None, :] - mixture.means[None, :, :]) ** 2).sum(axis=2)
+    return (mixture.weights * np.exp(-0.5 * sq / mixture.var)).sum(axis=1) / norm
+
+
+def reference_metropolis_hastings(density, d: int, config, rng: np.random.Generator,
+                                  log_density=None) -> dict:
+    """Random-walk MH that keeps a list of state copies, stacks them and
+    computes ``tau`` at once; its pilot runs for ``auto_tune`` are its own."""
+    if log_density is None:
+        def log_density(x):
+            with np.errstate(divide="ignore"):
+                return np.log(np.asarray(density(x), dtype=float))
+
+    cfg = config
+    if cfg.auto_tune:
+        cfg = _reference_tune_proposal(density, d, cfg, rng, log_density)
+
+    x = cfg.init_std * rng.standard_normal((cfg.n_chains, d))
+    logp = np.asarray(log_density(x), dtype=float)
+    if np.all(np.isneginf(logp)):
+        raise ValueError("target density is zero at every initial point")
+    keep_from = int(cfg.burn_in * cfg.n_steps)
+    kept = []
+    accepted = 0
+    with np.errstate(invalid="ignore"):
+        for step in range(cfg.n_steps):
+            prop = x + cfg.proposal_std * rng.standard_normal((cfg.n_chains, d))
+            logp_prop = np.asarray(log_density(prop), dtype=float)
+            logu = np.log(rng.uniform(size=cfg.n_chains))
+            accept = logu < (logp_prop - logp)
+            x = np.where(accept[:, None], prop, x)
+            logp = np.where(accept, logp_prop, logp)
+            accepted += int(accept.sum())
+            if step >= keep_from and (step - keep_from) % cfg.thin == 0:
+                kept.append(x.copy())
+    chains = np.stack(kept, axis=1)
+    taus = [cfg.thin * integrated_autocorr(chains[:, :, j]) for j in range(d)]
+    return {
+        "chains": chains,
+        "acceptance_rate": accepted / (cfg.n_chains * cfg.n_steps),
+        "tau": float(max(taus)),
+        "n_calls": cfg.n_chains * cfg.n_steps,
+        "proposal_std": cfg.proposal_std,
+    }
+
+
+def _reference_tune_proposal(density, d, config, rng, log_density):
+    lo_band, hi_band = ACCEPTANCE_BAND
+    std = config.proposal_std
+    lo, hi = None, None
+    pilot = MHConfig(
+        n_chains=min(config.n_chains, 64), n_steps=200, proposal_std=std,
+        burn_in=0.0, init_std=config.init_std,
+    )
+    for _ in range(24):
+        pilot.proposal_std = std
+        rate = reference_metropolis_hastings(density, d, pilot, rng,
+                                             log_density=log_density)["acceptance_rate"]
+        if lo_band <= rate <= hi_band:
+            break
+        if rate > hi_band:
+            lo = std
+            std = std * 2.0 if hi is None else 0.5 * (std + hi)
+        else:
+            hi = std
+            std = std * 0.5 if lo is None else 0.5 * (std + lo)
+    return replace(config, proposal_std=std, auto_tune=False)
 
 
 def gaussian_kl(m1, v1, m2, v2) -> float:

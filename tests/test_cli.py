@@ -129,6 +129,8 @@ REJECTED = [
     pytest.param("grid", {"grid": {"lower": [-5.0] * 3, "upper": 5.0, "nodes": 24}},
                  id="grid-lower-length"),
     pytest.param("schedule", {"schedule": [{"T": -1.0, "beta": 1e-2}]}, id="negative-T"),
+    pytest.param("schedule", {"schedule": [{"T": float("nan"), "beta": 1e-2}]}, id="nan-T"),
+    pytest.param("schedule", {"schedule": [{"T": 1e3, "beta": float("nan")}]}, id="nan-beta"),
     pytest.param("fixed_point.cross", {"fixed_point": {"cross": {"max_rank": 0}}},
                  id="max-rank-0"),
     pytest.param("target", {"target": {"type": "gaussian_mixture", "d": 2,
@@ -164,6 +166,9 @@ REJECTED = [
     pytest.param("importance", {"importance": {"n": 0}}, id="importance-n-0"),
     pytest.param("importance", {"importance": {"repeats": 1}}, id="importance-repeats-1"),
     pytest.param("importance", {"importance": {"T": -1}}, id="importance-negative-T"),
+    pytest.param("importance", {"importance": {"T": float("nan")}}, id="importance-nan-T"),
+    pytest.param("importance", {"importance": {"beta": float("nan")}},
+                 id="importance-nan-beta"),
     pytest.param("diagnostics", {"diagnostics": {"n_sample_sets": 1.5}},
                  id="float-n-sample-sets"),
     pytest.param("diagnostics", {"diagnostics": {"sample_size": 0}}, id="sample-size-0"),

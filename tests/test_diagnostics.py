@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import oracles as oc
-from ttjko import diagnostics
+from ttjko import GaussianMixture, diagnostics
 from ttjko.diagnostics import (MHConfig, SinkhornConfig, double_ot_protocol,
                                entropic_ot, integrated_autocorr, map_and_hdi,
                                median_sq_distance, metropolis_hastings,
@@ -73,6 +73,16 @@ class TestSinkhorn:
         for threshold in (0.0, -1e-5):
             with pytest.raises(ValueError, match="threshold"):
                 SinkhornConfig(threshold=threshold)
+
+    @pytest.mark.parametrize("name, value", [
+        ("epsilon", 0.0), ("epsilon", -1.0), ("epsilon", np.nan), ("epsilon", np.inf),
+        ("threshold", np.nan), ("threshold", np.inf),
+    ])
+    def test_config_rejects_values_that_are_not_positive_and_finite(self, name, value):
+        # a NaN threshold fails every convergence test: each solve would
+        # run to max_iters
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            SinkhornConfig(**{name: value})
 
 
 def _median_eps(x, y):
@@ -341,11 +351,100 @@ class TestMetropolisHastings:
         with pytest.raises(ValueError, match=r"burn_in must lie in \[0, 1\)"):
             MHConfig(burn_in=burn_in)
 
+    @pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["proposal_std", "init_std"])
+    def test_config_scales_are_positive_and_finite(self, name, value):
+        # proposal_std=nan would reject every move without a word
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            MHConfig(**{name: value})
+
     def test_zero_density_everywhere_rejected(self):
         rng = np.random.default_rng(15)
         cfg = MHConfig(n_chains=4, n_steps=10, proposal_std=1.0)
         with pytest.raises(ValueError, match="zero at every"):
             metropolis_hastings(lambda x: np.zeros(x.shape[0]), 2, cfg, rng)
+
+
+def _mixture(d, k=2):
+    return GaussianMixture.random(d, k, var=0.5, half_width=1.5,
+                                  rng=np.random.default_rng(d)).density
+
+
+def _half_space(x):
+    """Standard normal log-density on x_0 > 0, -inf elsewhere."""
+    return np.where(x[:, 0] > 0, -0.5 * np.sum(x**2, axis=1), -np.inf)
+
+
+def _read_only(x):
+    out = -0.5 * np.sum(x**2, axis=1)
+    out.flags.writeable = False
+    return out
+
+
+def _flat(x):
+    return np.broadcast_to(0.0, x.shape[:1])
+
+
+class TestMetropolisHastingsMatchesReference:
+    """The in-place chain against the list-and-stack loop, bitwise."""
+
+    @staticmethod
+    def check(d, cfg, seed, log_density=None):
+        density = _mixture(d)
+        res = metropolis_hastings(density, d, cfg, np.random.default_rng(seed),
+                                  log_density=log_density)
+        ref = oc.reference_metropolis_hastings(density, d, cfg, np.random.default_rng(seed),
+                                               log_density=log_density)
+        assert res.chains.shape == ref["chains"].shape
+        assert res.chains.tobytes() == ref["chains"].tobytes()
+        for name in ("acceptance_rate", "n_calls", "proposal_std", "tau"):
+            assert getattr(res, name) == ref[name], name
+        return res
+
+    @pytest.mark.parametrize("burn_in", [0.0, 0.3])
+    @pytest.mark.parametrize("thin", [1, 3])
+    def test_thinning_and_burn_in(self, thin, burn_in):
+        cfg = MHConfig(n_chains=20, n_steps=101, proposal_std=0.7, burn_in=burn_in,
+                       thin=thin)
+        res = self.check(3, cfg, seed=20)
+        assert res.chains.shape[1] == len(range(int(burn_in * 101), 101, thin))
+
+    def test_auto_tune(self):
+        cfg = MHConfig(n_chains=30, n_steps=300, proposal_std=8.0, burn_in=0.3,
+                       thin=5, auto_tune=True)
+        res = self.check(6, cfg, seed=21)
+        assert res.proposal_std != 8.0
+
+    def test_one_coordinate(self):
+        cfg = MHConfig(n_chains=16, n_steps=200, proposal_std=1.5, thin=2)
+        self.check(1, cfg, seed=22)
+
+    def test_chains_that_start_outside_the_support(self):
+        cfg = MHConfig(n_chains=16, n_steps=150, proposal_std=0.8, burn_in=0.0)
+        rng = np.random.default_rng(23)
+        assert np.isneginf(_half_space(rng.standard_normal((16, 2)))).any()
+        res = self.check(2, cfg, seed=23, log_density=_half_space)
+        assert np.all(res.chains[:, -1, 0] > 0)
+
+    @pytest.mark.parametrize("log_density", [_read_only, _flat],
+                             ids=["read-only", "broadcast"])
+    def test_log_density_returns_a_read_only_array(self, log_density):
+        cfg = MHConfig(n_chains=12, n_steps=80, proposal_std=1.0, burn_in=0.0)
+        self.check(2, cfg, seed=24, log_density=log_density)
+
+    def test_tau_is_computed_on_first_read(self, monkeypatch):
+        calls = []
+
+        def counted(traces, c=5.0):
+            calls.append(traces.shape)
+            return integrated_autocorr(traces, c)
+
+        monkeypatch.setattr(diagnostics, "integrated_autocorr", counted)
+        cfg = MHConfig(n_chains=16, n_steps=300, proposal_std=4.0, auto_tune=True)
+        res = metropolis_hastings(_mixture(4), 4, cfg, np.random.default_rng(25))
+        assert calls == []
+        tau = res.tau
+        assert res.tau == tau and len(calls) == 4
 
 
 class TestAutocorr:

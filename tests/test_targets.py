@@ -146,6 +146,55 @@ class TestSyntheticDensities:
         assert_allclose(nc.density(x), np.exp(-np.abs(x[:, 0])), rtol=1e-12)
 
 
+class TestMixtureDensity:
+    """The points-last density against the ``(M, K, d)`` broadcast."""
+
+    @staticmethod
+    def make(d, k, seed):
+        rng = np.random.default_rng(seed)
+        return GaussianMixture(means=rng.uniform(-1.5, 1.5, size=(k, d)), var=0.5,
+                               weights=rng.uniform(0.1, 1.0, size=k)), rng
+
+    @pytest.mark.parametrize("m", [1, 7, 200])
+    @pytest.mark.parametrize("d, k", [(1, 1), (1, 7), (2, 3), (6, 3), (7, 1), (7, 7)])
+    def test_bitwise_below_eight_coordinates_and_components(self, d, k, m):
+        g, rng = self.make(d, k, seed=10 * d + k)
+        x = 2.0 * rng.standard_normal((m, d))
+        x[::3] *= 60.0                  # far out: the density underflows to 0
+        got = g.density(x)
+        assert got.tobytes() == oc.reference_mixture_density(g, x).tobytes()
+        assert got[0] == 0.0 and got.shape == (m,)
+
+    @pytest.mark.parametrize("d, k", [(8, 3), (16, 1), (3, 8), (6, 9), (8, 8), (16, 9)])
+    def test_close_from_eight_coordinates_or_components(self, d, k):
+        # a sum of 8 or more contiguous terms adds in blocks of 8, the
+        # points-last form in order: the values differ in the last bits
+        g, rng = self.make(d, k, seed=10 * d + k)
+        x = rng.standard_normal((200, d))
+        assert_allclose(g.density(x), oc.reference_mixture_density(g, x),
+                        rtol=1e-13, atol=0)
+
+    def test_one_point_as_a_vector(self):
+        g, rng = self.make(3, 2, seed=0)
+        x = rng.standard_normal(3)
+        got = g.density(x)
+        assert got.shape == (1,)
+        assert got.tobytes() == oc.reference_mixture_density(g, x[None]).tobytes()
+
+    @pytest.mark.parametrize("bad, match", [
+        ({"var": 0.0}, "variance"), ({"var": -1.0}, "variance"),
+        ({"var": np.nan}, "variance"), ({"var": np.inf}, "variance"),
+        ({"weights": [np.nan, 1.0]}, "weights"), ({"weights": [np.inf, 1.0]}, "weights"),
+        ({"weights": [0.0, 1.0]}, "weights"), ({"weights": [-1.0, 1.0]}, "weights"),
+        ({"means": [[0.0, np.nan], [1.0, 1.0]]}, "means"),
+        ({"means": [[0.0, np.inf], [1.0, 1.0]]}, "means"),
+    ])
+    def test_rejects_bad_parameters(self, bad, match):
+        params = {"means": [[0.0, 0.0], [1.0, 1.0]], "var": 0.5, "weights": [0.5, 0.5]}
+        with pytest.raises(ValueError, match=match):
+            GaussianMixture(**{**params, **bad})
+
+
 class TestPosteriors:
     def test_ordered_density_zero_off_cone(self):
         post = hyperbolic_posterior(d=3, seed=0)
