@@ -181,13 +181,13 @@ def cmd_benchmark(cfg: RunConfig, out: Path) -> int:
     return 0
 
 
-def _mcmc_marginal_hdi(samples: np.ndarray, nodes: np.ndarray, mass: float = 0.89):
+def _mcmc_marginal_hdi(samples: np.ndarray, nodes: np.ndarray):
     """MAP/HDI of a 1-d sample via a histogram on the grid cells."""
     h = nodes[1] - nodes[0]
     edges = np.concatenate([nodes - h / 2, [nodes[-1] + h / 2]])
     counts, _ = np.histogram(samples, bins=edges)
     dens = counts / max(counts.sum() * h, 1e-300)
-    return dg.map_and_hdi(dens, nodes, mass)
+    return dg.map_and_hdi(dens, nodes)
 
 
 def cmd_invert(cfg: RunConfig, out: Path) -> int:

@@ -21,7 +21,7 @@ index set, until every bond reaches the cap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,8 +32,9 @@ from .tt import TTTensor, tt_block_eval, tt_chain_step, tt_eval, tt_right_interf
 _RANK_EPS = 1e-14
 
 #: maxvol stops swapping rows once no entry of the coefficient matrix
-#: exceeds this in magnitude
+#: exceeds this in magnitude, or after MAXVOL_ITERS swaps
 MAXVOL_TOL = 1.05
+MAXVOL_ITERS = 200
 
 #: largest validation set a cross measures its error on
 VALIDATION_SIZE = 1000
@@ -68,8 +69,6 @@ class CrossInfo:
     sweeps: int = 0
     converged: bool = False
     rel_error: float = np.inf        # on the validation index set
-    ranks: tuple = ()
-    history: list = field(default_factory=list)
 
 
 def _pivot_rows(a: np.ndarray) -> np.ndarray:
@@ -98,13 +97,14 @@ def _pivot_rows(a: np.ndarray) -> np.ndarray:
     return order[:r]
 
 
-def maxvol(a: np.ndarray, tol: float = MAXVOL_TOL, max_iters: int = 200) -> np.ndarray:
+def maxvol(a: np.ndarray) -> np.ndarray:
     """Indices of a quasi-dominant r x r submatrix of a tall n x r matrix.
 
     Starts from the pivot rows of partial-pivoting elimination and swaps
-    one row at a time while some entry of ``a @ inv(a[rows])`` exceeds
-    ``tol`` in magnitude.  For r = 1 the first pivot, ``argmax |a|``, is
-    already dominant and is returned as is.
+    one row at a time (at most ``MAXVOL_ITERS``) while some entry of
+    ``a @ inv(a[rows])`` exceeds ``MAXVOL_TOL`` in magnitude.  For r = 1
+    the first pivot, ``argmax |a|``, is already dominant and is returned
+    as is.
     """
     a = np.asarray(a, dtype=float)
     n, r = a.shape
@@ -119,9 +119,9 @@ def maxvol(a: np.ndarray, tol: float = MAXVOL_TOL, max_iters: int = 200) -> np.n
         b = a @ np.linalg.inv(a[ind])
     except np.linalg.LinAlgError:
         b = np.linalg.lstsq(a[ind].T, a.T, rcond=None)[0].T
-    for _ in range(max_iters):
+    for _ in range(MAXVOL_ITERS):
         i, j = divmod(int(np.abs(b).argmax()), r)
-        if abs(b[i, j]) <= tol:
+        if abs(b[i, j]) <= MAXVOL_TOL:
             break
         bi = b[i].copy()
         bi[j] -= 1.0
@@ -248,9 +248,7 @@ def tt_cross(f, mode_sizes, config: CrossConfig,
         info.converged = True
         info.sweeps = 1
         info.rel_error = 0.0
-        tt = TTTensor([vals.reshape(1, -1, 1)], copy=False)
-        info.ranks = tt.ranks
-        return tt, info
+        return TTTensor([vals.reshape(1, -1, 1)], copy=False), info
 
     if initial_guess is not None:
         if tuple(initial_guess.shape) != tuple(shape):
@@ -346,7 +344,6 @@ def tt_cross(f, mode_sizes, config: CrossConfig,
         if not np.isfinite(error):
             error = np.inf
         info.rel_error = error
-        info.history.append(error)
         if error < config.tolerance:
             info.converged = True
             break
@@ -373,5 +370,4 @@ def tt_cross(f, mode_sizes, config: CrossConfig,
             if not grown:
                 break        # stable at the rank cap: return best effort
 
-    info.ranks = tt.ranks
     return tt, info

@@ -37,13 +37,12 @@ class SinkhornConfig:
             raise ValueError("threshold must be positive and finite")
 
 
-def median_sq_distance(x: np.ndarray, y: np.ndarray | None = None,
-                       cap: int = 512, seed: int = 0) -> float:
-    pool = x if y is None else np.concatenate([x, y], axis=0)
-    if pool.shape[0] > cap:
-        rng = np.random.default_rng(seed)
-        pool = pool[rng.choice(pool.shape[0], size=cap, replace=False)]
-    sq = _sq_dists(pool, pool)
+def median_sq_distance(x: np.ndarray) -> float:
+    """Median squared distance between distinct points of ``x`` (or 1.0)."""
+    if x.shape[0] > MEDIAN_POOL:
+        rng = np.random.default_rng(MEDIAN_SEED)
+        x = x[rng.choice(x.shape[0], size=MEDIAN_POOL, replace=False)]
+    sq = _sq_dists(x, x)
     off = sq[~np.eye(sq.shape[0], dtype=bool)]
     med = float(np.median(off))
     return med if med > 0 else 1.0
@@ -59,6 +58,8 @@ def _sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 #: once either drifts this many epsilons from the absorbed pair, which
 #: keeps every scaling ``exp`` far from overflow
 ABSORB_BOUND = 50.0
+#: ``median_sq_distance`` subsamples a larger ``x`` to this many points, by this seed
+MEDIAN_POOL, MEDIAN_SEED = 512, 0
 _TINY = np.finfo(float).tiny
 
 
@@ -74,11 +75,12 @@ def _usable(s: np.ndarray) -> bool:
 
 
 def entropic_ot(x: np.ndarray, y: np.ndarray, epsilon: float,
-                max_iters: int = 2000, threshold: float = 1e-6):
+                max_iters: int, threshold: float):
     """Entropic transport cost between uniform empirical measures.
 
     Returns the primal objective (quadratic cost plus epsilon times the
-    KL of the plan to the product measure) and a convergence flag.
+    KL of the plan to the product measure) and a convergence flag
+    (``SinkhornConfig`` holds the defaults of ``max_iters`` and ``threshold``).
     Epsilon annealing makes small epsilon both safe and affordable.  The
     Sinkhorn updates run in the stabilised scaling domain: the dual
     potentials ``f, g`` are held as the pair ``f_bar, g_bar`` last
@@ -203,18 +205,17 @@ class DoubleOTReport:
         return out
 
 
-def double_ot_protocol(groups: dict, config: SinkhornConfig | None = None,
-                       ref_label: str = "ref") -> DoubleOTReport:
+def double_ot_protocol(groups: dict, config: SinkhornConfig | None = None) -> DoubleOTReport:
     """Pairwise Sinkhorn divergences within/between labeled sample groups.
 
     All pairs share one epsilon (from the pooled scale) so values are
-    comparable.  The scalar per method label is the exact 1-d OT
-    distance between the ref-ref and ref-method divergence-value
+    comparable.  The scalar per label other than ``"ref"`` is the exact
+    1-d OT distance between the ref-ref and ref-label divergence-value
     distributions.  The report counts the ``entropic_ot`` solves behind
     the values and how many of them stopped at ``max_iters``.
     """
-    if ref_label not in groups:
-        raise ValueError(f"missing reference label {ref_label!r}")
+    if "ref" not in groups:
+        raise ValueError("missing reference label 'ref'")
     dims = set()
     for label, samples in groups.items():
         if len(samples) < 2:
@@ -232,7 +233,7 @@ def double_ot_protocol(groups: dict, config: SinkhornConfig | None = None,
         pool = np.concatenate([groups[lab][0] for lab in sorted(groups)], axis=0)
         eps = 0.01 * median_sq_distance(pool)
 
-    refs = groups[ref_label]
+    refs = groups["ref"]
     self_cost: dict = {}
     flags: list = []
 
@@ -259,7 +260,7 @@ def double_ot_protocol(groups: dict, config: SinkhornConfig | None = None,
         within_ref=PairStats(float(ref_vals.mean()), float(ref_vals.std()), ref_vals),
     )
     for label in sorted(groups):
-        if label == ref_label:
+        if label == "ref":
             continue
         vals = np.array([s2(r, s) for r in refs for s in groups[label]])
         report.to_ref[label] = PairStats(float(vals.mean()), float(vals.std()), vals)
@@ -273,8 +274,12 @@ def double_ot_protocol(groups: dict, config: SinkhornConfig | None = None,
 # MAP and highest-density interval
 
 
-def map_and_hdi(density: np.ndarray, nodes: np.ndarray, mass: float = 0.89):
-    """MAP node and the shortest contiguous node interval holding ``mass``.
+#: probability mass of the highest-density intervals ``map_and_hdi`` reports
+HDI_MASS = 0.89
+
+
+def map_and_hdi(density: np.ndarray, nodes: np.ndarray):
+    """MAP node and the shortest contiguous node interval holding ``HDI_MASS``.
 
     Interval masses are subinterval trapezoid sums; ties resolve to the
     leftmost interval.  Returns ``(map_value, (lo, hi))``.
@@ -289,7 +294,7 @@ def map_and_hdi(density: np.ndarray, nodes: np.ndarray, mass: float = 0.89):
     total = np.trapezoid(rho, dx=h)
     if total <= 0:
         raise ValueError("density has zero mass")
-    target = mass * total
+    target = HDI_MASS * total
     csum = np.concatenate([[0.0], np.cumsum(rho)])
 
     def interval_mass(i, j):
@@ -321,6 +326,8 @@ def map_and_hdi(density: np.ndarray, nodes: np.ndarray, mass: float = 0.89):
 
 #: pilot acceptance rates the auto-tuned proposal scale must land between
 ACCEPTANCE_BAND = (0.2, 0.3)
+#: Sokal's window: ``integrated_autocorr`` sums the lags below this many taus
+AUTOCORR_WINDOW = 5.0
 
 
 @dataclass
@@ -352,7 +359,7 @@ class MHResult:
     acceptance_rate: float
     n_calls: int                  # posterior evaluations: n_chains * n_steps
     proposal_std: float
-    thin: int = 1
+    thin: int
 
     @cached_property
     def tau(self) -> float:
@@ -372,7 +379,7 @@ class MHResult:
         return [self.chains[:, int(i), :] for i in idx[::-1]]
 
 
-def integrated_autocorr(traces: np.ndarray, c: float = 5.0) -> float:
+def integrated_autocorr(traces: np.ndarray) -> float:
     """Self-consistent windowed autocorrelation time of (n_chains, n_steps)."""
     traces = np.atleast_2d(traces)
     n = traces.shape[1]
@@ -385,7 +392,7 @@ def integrated_autocorr(traces: np.ndarray, c: float = 5.0) -> float:
         return 1.0
     rho = acf / acf[0]
     tau = 2.0 * np.cumsum(rho) - 1.0
-    window = np.arange(n) < c * tau
+    window = np.arange(n) < AUTOCORR_WINDOW * tau
     m = int(np.argmin(window)) if not window.all() else n - 1
     return float(max(tau[m], 1.0))
 

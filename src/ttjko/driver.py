@@ -66,8 +66,11 @@ class GaussianInitial:
         self.std = np.broadcast_to(
             np.asarray(self.std, dtype=float), self.mean.shape
         ).copy()
-        if np.any(self.std <= 0):
-            raise ValueError("std must be positive")
+        if not np.all(np.isfinite(self.mean)):
+            raise ValueError("mean must be finite")
+        # NaN fails both comparisons
+        if not np.all((self.std > 0) & (self.std < np.inf)):
+            raise ValueError("std must be positive and finite")
 
     @classmethod
     def standard(cls, d: int) -> "GaussianInitial":

@@ -114,11 +114,13 @@ def guarded_ratio(num: np.ndarray, den: np.ndarray, indices: np.ndarray) -> np.n
     return out
 
 
-def anderson_alpha(r_norm_sq: float, r_old_norm_sq: float, cross: float) -> float:
-    """Closed-form minimizer of || a*r + (1-a)*r_old ||^2 over a."""
+def anderson_alpha(r_norm_sq: float, r_old_norm_sq: float, cross: float) -> float | None:
+    """Closed-form minimizer of || a*r + (1-a)*r_old ||^2 over a, with
+    ``cross`` = <r, r_old>; ``None`` unless || r - r_old ||^2 exceeds
+    1e-28 || r ||^2 (the residuals are numerically identical)."""
     diff_sq = r_norm_sq - 2.0 * cross + r_old_norm_sq
-    if diff_sq <= 0:
-        raise ValueError("residuals are numerically identical")
+    if not diff_sq > 1e-28 * r_norm_sq:
+        return None
     return (r_old_norm_sq - cross) / diff_sq
 
 
@@ -267,10 +269,8 @@ def solve_step(rho_prev: TTTensor, rho_inf, grid: Grid, T: float, beta: float,
             r_old = tt_axpy(-1.0, x_old, g_old)
             r_old_sq = max(tt_inner(r_old, r_old), 0.0)
             if r_norm_sq <= 1.5 * r_old_sq:
-                cross_rr = tt_inner(r_old, r)
-                diff_sq = r_norm_sq - 2.0 * cross_rr + r_old_sq
-                if diff_sq > (1e-14**2) * r_norm_sq and diff_sq > 0:
-                    alpha = anderson_alpha(r_norm_sq, r_old_sq, cross_rr)
+                alpha = anderson_alpha(r_norm_sq, r_old_sq, tt_inner(r_old, r))
+                if alpha is not None:
                     cand = tt_axpy(alpha, g, tt_scale(g_old, 1.0 - alpha))
                     probe = tt_eval(cand, validation)
                     if probe.min() >= -0.03 * np.max(np.abs(probe)):

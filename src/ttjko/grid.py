@@ -39,6 +39,8 @@ class Grid:
         nodes = nodes.astype(int)
         if not (lower.shape == upper.shape == nodes.shape):
             raise ValueError("lower, upper, nodes must have identical lengths")
+        if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
+            raise ValueError("lower and upper must be finite")
         if np.any(upper <= lower):
             raise ValueError("upper must exceed lower on every axis")
         if np.any(nodes < 2):

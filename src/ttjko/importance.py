@@ -131,10 +131,9 @@ def compare_estimators(posterior_model: FlowModel, importance_model: FlowModel,
 
     Each trial draws fresh samples from both models; the particle
     batches for all trials are integrated jointly (particles are
-    independent), then split.
+    independent), then split.  Both models are sampled with
+    ``sampler_config`` (``None``: :func:`~ttjko.sampler.sample`'s default).
     """
-    if sampler_config is None:
-        sampler_config = SamplerConfig()
     post = sample(posterior_model, n * repeats, sampler_config, seed=seed)
     imp = sample(importance_model, n * repeats, sampler_config, seed=seed + 1)
     plain = np.empty(repeats)

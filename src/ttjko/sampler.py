@@ -106,6 +106,8 @@ _MIN_FACTOR = 0.2
 MAX_ODE_ROUNDS = 20000
 #: a particle whose step falls below this fraction of the window is rescued
 MIN_STEP_FRACTION = 1e-12
+# the time sub-grid's first interior node, as a fraction of the step
+_TIME_EDGE = 1e-4
 
 # per-step ODE counters of the sampler trace, before any round
 _NO_ODE_TRACE = {"ode_rounds": 0, "accepted": 0, "rejected": 0, "node_stops": 0,
@@ -140,16 +142,8 @@ class Ensemble:
     positions: np.ndarray
     clamped: np.ndarray
     rescued: np.ndarray
-    unfinished: np.ndarray = None
+    unfinished: np.ndarray
     meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.unfinished is None:
-            self.unfinished = np.zeros(self.positions.shape[0], dtype=bool)
-
-    @property
-    def n(self) -> int:
-        return self.positions.shape[0]
 
     def save(self, path) -> None:
         path = Path(path)
@@ -167,12 +161,12 @@ class Ensemble:
             json.dump(sidecar, fh, indent=2, sort_keys=True)
 
 
-def _time_fractions(n_intervals: int, edge: float = 1e-4) -> np.ndarray:
+def _time_fractions(n_intervals: int) -> np.ndarray:
     """``n_intervals + 1`` fractions of [0, 1] (``n_intervals`` even)
-    geometrically clustered toward both endpoints, where the
-    semigroup-propagated potentials vary fastest."""
+    geometrically clustered toward both endpoints (from ``_TIME_EDGE``),
+    where the semigroup-propagated potentials vary fastest."""
     half = n_intervals // 2
-    left = np.geomspace(edge, 0.5, half)
+    left = np.geomspace(_TIME_EDGE, 0.5, half)
     fracs = np.concatenate([[0.0], left, 1.0 - left[::-1], [1.0]])
     return np.unique(fracs)
 

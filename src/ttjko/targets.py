@@ -20,6 +20,7 @@ from itertools import islice
 import numpy as np
 
 from .grid import Grid
+from .tt import checked_indices
 
 
 class DensityEvalError(ValueError):
@@ -42,7 +43,7 @@ class CachedDensity:
     """
 
     __slots__ = ("fn", "grid", "capacity", "unique_calls", "total_calls",
-                 "_nodes", "_min_nodes", "_row_dtype", "_store")
+                 "_shape", "_row_dtype", "_store")
 
     def __init__(self, fn, grid: Grid, capacity: int | None = None):
         if capacity is not None and (not isinstance(capacity, (int, np.integer))
@@ -51,25 +52,16 @@ class CachedDensity:
         self.fn = fn
         self.grid = grid
         self.capacity = capacity
-        self._nodes = np.asarray(grid.nodes, dtype=np.uint64)
-        self._min_nodes = self._nodes.min()
+        self._shape = grid.shape
         self._row_dtype = np.dtype((np.void, grid.d * np.dtype(np.intp).itemsize))
         self._store: dict[bytes, float] = {}
         self.unique_calls = 0
         self.total_calls = 0
 
     def eval_batch(self, indices: np.ndarray) -> np.ndarray:
-        idx = np.asarray(indices, dtype=np.intp)
-        if idx.ndim == 1:
-            idx = idx[None, :]
-        if idx.shape[1] != self.grid.d:
-            raise ValueError(f"expected multi-indices of length {self.grid.d}")
-        # negative entries read as huge unsigned values, so one test covers
-        # both bounds; the per-axis test runs only if the largest entry fails
-        # the smallest axis
-        uidx = idx.view(np.uint64)
-        if uidx.max(initial=0) >= self._min_nodes and (uidx >= self._nodes).any():
-            raise ValueError("multi-index outside the grid shape")
+        """Densities at grid multi-indices, checked by
+        :func:`~ttjko.tt.checked_indices`, shape (M, d) -> (M,)."""
+        idx = checked_indices(indices, self._shape)
         self.total_calls += idx.shape[0]
 
         keys = np.ascontiguousarray(idx).view(self._row_dtype).ravel().tolist()
@@ -115,8 +107,11 @@ class Gaussian:
         self.var = np.broadcast_to(
             np.asarray(self.var, dtype=float), self.mean.shape
         ).copy()
-        if np.any(self.var <= 0):
-            raise ValueError("variances must be positive")
+        if not np.all(np.isfinite(self.mean)):
+            raise ValueError("mean must be finite")
+        # NaN fails both comparisons
+        if not np.all((self.var > 0) & (self.var < np.inf)):
+            raise ValueError("variances must be positive and finite")
 
     @property
     def dim(self) -> int:

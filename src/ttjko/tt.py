@@ -133,14 +133,41 @@ def _partial_products(cores: Sequence[np.ndarray], idx: np.ndarray) -> np.ndarra
     return v
 
 
-def tt_eval(t: TTTensor, indices: np.ndarray) -> np.ndarray:
-    """Evaluate elements at a batch of multi-indices, shape (M, d) -> (M,)."""
-    idx = np.asarray(indices, dtype=np.intp)
+def checked_indices(indices: np.ndarray, shape: tuple) -> np.ndarray:
+    """``indices`` as an ``(M, d)`` ``intp`` array of multi-indices into
+    ``shape``; a 1-d ``indices`` is one multi-index.
+
+    Raises ``ValueError`` unless the dtype is an integer one (``bool`` is
+    not) and every row lies in the shape, ``0 <= i_k < shape[k]``; the
+    message names the first row that does not.
+    """
+    idx = np.asarray(indices)
+    if idx.dtype.kind not in "iu":
+        raise ValueError(f"multi-indices must have an integer dtype, not {idx.dtype}")
+    idx = idx.astype(np.intp, copy=False)
     if idx.ndim == 1:
         idx = idx[None, :]
-    if idx.shape[1] != t.d:
-        raise ValueError(f"expected multi-indices of length {t.d}, got {idx.shape[1]}")
-    return _partial_products(t.cores, idx)[:, 0]
+    if idx.ndim != 2 or idx.shape[1] != len(shape):
+        raise ValueError(f"expected multi-indices of length {len(shape)}, got shape {idx.shape}")
+    # negative entries read as huge unsigned values, so one test covers
+    # both bounds; the per-axis test runs only if the largest entry fails
+    # the smallest axis
+    uidx = idx.view(np.uint64)
+    if uidx.max(initial=0) >= min(shape):
+        outside = (uidx >= np.asarray(shape, dtype=np.uint64)).any(axis=1)
+        if outside.any():
+            row = int(outside.argmax())
+            raise ValueError(f"multi-index row {row}, {tuple(idx[row].tolist())}, "
+                             f"lies outside the grid shape {shape}")
+    return idx
+
+
+def tt_eval(t: TTTensor, indices: np.ndarray) -> np.ndarray:
+    """Evaluate elements at a batch of multi-indices, shape (M, d) -> (M,).
+
+    The indices are checked by :func:`checked_indices`.
+    """
+    return _partial_products(t.cores, checked_indices(indices, t.shape))[:, 0]
 
 
 def tt_right_interface(t: TTTensor, suffixes: np.ndarray) -> np.ndarray:

@@ -126,6 +126,16 @@ def set_section(cfg, path, value):
 #: the section an error names, and a config value its constructor rejects
 REJECTED = [
     pytest.param("initial", {"initial": {"std": -1.0}}, id="negative-std"),
+    pytest.param("initial", {"initial": {"std": float("nan")}}, id="nan-initial-std"),
+    pytest.param("initial", {"initial": {"mean": float("inf")}}, id="infinite-initial-mean"),
+    pytest.param("grid", {"grid": {"lower": float("nan"), "upper": 5.0, "nodes": 24}},
+                 id="nan-grid-lower"),
+    pytest.param("grid", {"grid": {"lower": -5.0, "upper": float("inf"), "nodes": 24}},
+                 id="infinite-grid-upper"),
+    pytest.param("target", {"target": {"type": "gaussian", "mean": [0.5, -0.3],
+                                       "var": float("nan")}}, id="nan-target-var"),
+    pytest.param("target", {"target": {"type": "gaussian", "mean": [float("nan"), 0.0]}},
+                 id="nan-target-mean"),
     pytest.param("grid", {"grid": {"lower": [-5.0] * 3, "upper": 5.0, "nodes": 24}},
                  id="grid-lower-length"),
     pytest.param("schedule", {"schedule": [{"T": -1.0, "beta": 1e-2}]}, id="negative-T"),

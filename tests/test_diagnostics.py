@@ -17,7 +17,7 @@ def s2(x, y, epsilon=None, max_iters=300, threshold=1e-5):
     divergence ``double_ot_protocol`` compares samples by (epsilon
     defaults to 0.01 times the pooled median squared distance)."""
     if epsilon is None:
-        epsilon = 0.01 * median_sq_distance(x, y)
+        epsilon = 0.01 * median_sq_distance(np.concatenate([x, y], axis=0))
 
     def ot(a, b):
         return entropic_ot(a, b, epsilon, max_iters, threshold)[0]
@@ -247,7 +247,7 @@ class TestMapHdi:
     def test_standard_normal_interval(self):
         x = np.linspace(-6, 6, 601)
         dens = np.exp(-x**2 / 2)
-        map_val, (lo, hi) = map_and_hdi(dens, x, 0.89)
+        map_val, (lo, hi) = map_and_hdi(dens, x)
         assert abs(map_val) <= 0.02
         # central 89% of N(0,1) is +-1.598; the discrete interval overshoots
         # the mass and the leftmost tie rule skews one endpoint by a node
@@ -259,21 +259,21 @@ class TestMapHdi:
         x = np.linspace(0, 1, 11)
         dens = np.zeros(11)
         dens[4] = 5.0
-        map_val, (lo, hi) = map_and_hdi(dens, x, 0.89)
+        map_val, (lo, hi) = map_and_hdi(dens, x)
         assert map_val == pytest.approx(x[4])
         assert (lo, hi) == (pytest.approx(x[3]), pytest.approx(x[5]))
 
     def test_uniform_returns_leftmost(self):
         x = np.linspace(0, 1, 101)
         dens = np.ones(101)
-        _, (lo, hi) = map_and_hdi(dens, x, 0.89)
+        _, (lo, hi) = map_and_hdi(dens, x)
         assert lo == pytest.approx(0.0)
         assert hi <= 0.90 + 0.02
 
     def test_interval_contains_map_when_unimodal(self):
         x = np.linspace(-4, 4, 201)
         dens = np.exp(-((x - 0.7) ** 2))
-        map_val, (lo, hi) = map_and_hdi(dens, x, 0.89)
+        map_val, (lo, hi) = map_and_hdi(dens, x)
         assert lo <= map_val <= hi
 
     def test_zero_mass_rejected(self):
@@ -435,9 +435,9 @@ class TestMetropolisHastingsMatchesReference:
     def test_tau_is_computed_on_first_read(self, monkeypatch):
         calls = []
 
-        def counted(traces, c=5.0):
+        def counted(traces):
             calls.append(traces.shape)
-            return integrated_autocorr(traces, c)
+            return integrated_autocorr(traces)
 
         monkeypatch.setattr(diagnostics, "integrated_autocorr", counted)
         cfg = MHConfig(n_chains=16, n_steps=300, proposal_std=4.0, auto_tune=True)

@@ -61,6 +61,12 @@ class TestAndersonAlpha:
             vals = [np.sum((a * r + (1 - a) * r_old) ** 2) for a in grid_a]
             assert abs(grid_a[int(np.argmin(vals))] - alpha) <= 1.1e-3
 
+    def test_identical_or_zero_residuals_have_no_step(self):
+        r = np.random.default_rng(1).standard_normal(30)
+        assert anderson_alpha(r @ r, r @ r, r @ r) is None
+        assert anderson_alpha(0.0, 0.0, 0.0) is None
+        assert anderson_alpha(0.0, r @ r, 0.0) == 1.0
+
 
 #: full rank on the 16 x 16 grid; adaptive crosses get the sweeps to reach it
 EXACT = FixedPointConfig(trunc_tol=1e-14,

@@ -236,6 +236,34 @@ class TestArrayKeyedCache:
             bad.eval_batch(np.array([[1, 2]]))
 
 
+def _eval_funcs(shape):
+    """tt_eval and CachedDensity.eval_batch on one index shape."""
+    t = tt_random(shape, 2, np.random.default_rng(12))
+    cd = CachedDensity(_density, Grid.regular(0.0, 1.0, shape))
+    return [lambda idx: tt_eval(t, idx), cd.eval_batch]
+
+
+class TestIndexCheck:
+    """tt_eval and the density cache share one index check."""
+
+    @pytest.mark.parametrize("idx, match", [
+        (np.array([[1, 2], [-1, 0]]), r"row 1, \(-1, 0\)"),
+        (np.array([[3, 4], [0, 4], [4, 0]]), r"row 2, \(4, 0\)"),
+        (np.array([[0, 5]]), r"row 0, \(0, 5\)"),
+        (np.array([[1.7, 0.0]]), "integer dtype"),
+        (np.array([[True, False]]), "integer dtype"),
+    ], ids=["negative", "N-of-the-smallest-axis", "N", "float", "bool"])
+    def test_index_outside_the_shape_or_not_an_integer_is_rejected(self, idx, match):
+        for f in _eval_funcs((4, 5)):
+            with pytest.raises(ValueError, match=match):
+                f(idx)
+
+    def test_largest_entry_past_the_smallest_axis_is_checked_per_axis(self):
+        idx = np.array([[3, 4], [0, 4]], dtype=np.uint8)
+        for f in _eval_funcs((4, 5)):
+            assert f(idx).shape == (2,)
+
+
 class TestMaxvol:
     def test_pivots_match_reference(self):
         rng = np.random.default_rng(12)
