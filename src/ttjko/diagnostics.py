@@ -205,7 +205,7 @@ class DoubleOTReport:
         return out
 
 
-def double_ot_protocol(groups: dict, config: SinkhornConfig | None = None) -> DoubleOTReport:
+def double_ot_protocol(groups: dict, config: SinkhornConfig) -> DoubleOTReport:
     """Pairwise Sinkhorn divergences within/between labeled sample groups.
 
     All pairs share one epsilon (from the pooled scale) so values are
@@ -226,8 +226,6 @@ def double_ot_protocol(groups: dict, config: SinkhornConfig | None = None) -> Do
             dims.add(sample.shape[1])
     if len(dims) > 1:
         raise ValueError(f"samples must share the dimension, got {sorted(dims)}")
-    if config is None:
-        config = SinkhornConfig()
     eps = config.epsilon
     if eps is None:
         pool = np.concatenate([groups[lab][0] for lab in sorted(groups)], axis=0)

@@ -190,6 +190,8 @@ class DoubleMoon:
     def __post_init__(self):
         if not isinstance(self.dim, (int, np.integer)) or self.dim < 1:
             raise ValueError("dim must be an integer >= 1")
+        if not np.isfinite(self.a):
+            raise ValueError("a must be finite")
 
     def density(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(x)
@@ -279,8 +281,13 @@ class PosteriorTarget:
         self.t_meas = np.asarray(self.t_meas, dtype=float).reshape(-1)
         self.x_meas = np.asarray(self.x_meas, dtype=float).reshape(-1)
         self.data = np.asarray(self.data, dtype=float).reshape(-1)
-        if self.sigma_meas <= 0 or np.any(self.sigma_prior <= 0):
-            raise ValueError("scale parameters must be positive")
+        # NaN fails both comparisons
+        if not (0 < self.sigma_meas < np.inf
+                and np.all((0 < self.sigma_prior) & (self.sigma_prior < np.inf))):
+            raise ValueError("scale parameters must be positive and finite")
+        if not all(np.all(np.isfinite(v)) for v in
+                   (self.theta_star, self.t_meas, self.x_meas, self.data)):
+            raise ValueError("theta_star, measurement points and data must be finite")
 
     @property
     def dim(self) -> int:
@@ -326,8 +333,8 @@ def synthesize_measurements(forward, theta_star: np.ndarray, t_meas: np.ndarray,
                             x_meas: np.ndarray, sigma_meas: float,
                             rng: np.random.Generator) -> np.ndarray:
     """Exact forward values plus iid Gaussian noise of std sigma_meas."""
-    if sigma_meas <= 0:
-        raise ValueError("sigma_meas must be positive")
+    if not 0 < sigma_meas < np.inf:
+        raise ValueError("sigma_meas must be positive and finite")
     clean = forward(np.atleast_2d(theta_star), t_meas, x_meas)[0]
     return clean + sigma_meas * rng.standard_normal(clean.shape)
 
@@ -366,6 +373,8 @@ def parabolic_posterior(d: int, sigma_meas: float = 0.05, sigma0: float = 1.5,
     ``gap=(-0.5, 0.5)`` removes sensors from the central interval (the
     importance-sampling case study layout).
     """
+    if not 0 < sigma0 < np.inf:
+        raise ValueError("sigma0 must be positive and finite")
     rng = np.random.default_rng(seed)
     sigma_prior = sigma0 / (np.arange(d) + 1.0)
     theta_star = rng.normal(0.0, 1.0, size=d) * sigma_prior

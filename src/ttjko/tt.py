@@ -98,8 +98,9 @@ def tt_scale(t: TTTensor, a: float) -> TTTensor:
     return TTTensor(cores, copy=False)
 
 
-def _chop(s: np.ndarray, delta: float, max_rank: int | None) -> int:
-    """Smallest kept rank so the dropped singular-value tail is below delta."""
+def _chop(s: np.ndarray, delta: float, max_rank: int) -> int:
+    """Smallest kept rank so the dropped singular-value tail is below delta,
+    at most ``max_rank``."""
     if s.size == 0 or s[0] <= 0.0:
         r = 1
     elif delta <= 0.0:
@@ -109,10 +110,7 @@ def _chop(s: np.ndarray, delta: float, max_rank: int | None) -> int:
         tail = np.sqrt(np.cumsum(scaled[::-1] ** 2))[::-1]
         keep = np.nonzero(tail > delta / s[0])[0]
         r = int(keep[-1] + 1) if keep.size else 0
-    r = max(r, 1)
-    if max_rank is not None:
-        r = min(r, int(max_rank))
-    return r
+    return min(max(r, 1), int(max_rank))
 
 
 def tt_chain_step(v: np.ndarray, core: np.ndarray, col: np.ndarray) -> np.ndarray:
@@ -234,15 +232,15 @@ def tt_inner(x: TTTensor, y: TTTensor) -> float:
     return float(m[0, 0])
 
 
-def tt_round(t: TTTensor, tolerance: float = 0.0, max_rank: int | None = None) -> TTTensor:
+def tt_round(t: TTTensor, tolerance: float, max_rank: int) -> TTTensor:
     """SVD re-compression; never increases ranks.
 
-    With an unbinding ``max_rank`` the relative Frobenius error is at
-    most ``tolerance``.
+    With an unbinding ``max_rank`` (``t.max_rank`` binds nothing) the
+    relative Frobenius error is at most ``tolerance``.
     """
     if tolerance < 0:
         raise ValueError("tolerance must be >= 0")
-    if max_rank is not None and max_rank < 1:
+    if max_rank < 1:
         raise ValueError("max_rank must be >= 1")
     d = t.d
     if d == 1:

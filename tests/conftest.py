@@ -1,8 +1,9 @@
 """Shared fixtures: small fitted models reused across test modules, and a
 check that no test leaves a child process behind.
 
-BLAS runs on one thread, as in the benchmark (``perfbench/run.py``): a
-BLAS thread pool would keep ``sample`` from forking its workers."""
+BLAS runs on one thread, as in the benchmark (``perfbench/run.py``), so
+a fit here sums in the order the benchmark's does: a threaded BLAS may
+split its sums differently and move the last bits of a fit."""
 
 import os
 

@@ -55,8 +55,7 @@ def tt_random(shape: Sequence[int], rank: int, rng: np.random.Generator) -> TTTe
     return TTTensor(cores, copy=False)
 
 
-def tt_from_full(dense: np.ndarray, tolerance: float = 0.0,
-                 max_rank: int | None = None) -> TTTensor:
+def tt_from_full(dense: np.ndarray, tolerance: float = 0.0) -> TTTensor:
     """Compress a dense array by successive SVDs (TT-SVD).
 
     The round-trip relative Frobenius error is at most ``tolerance``.
@@ -77,7 +76,7 @@ def tt_from_full(dense: np.ndarray, tolerance: float = 0.0,
     mat = a.reshape(r_prev * shape[0], -1)
     for n in range(d - 1):
         u, s, vt = np.linalg.svd(mat, full_matrices=False)
-        r = _chop(s, delta, max_rank)
+        r = _chop(s, delta, s.size)
         cores.append(u[:, :r].reshape(r_prev, shape[n], r))
         mat = (s[:r, None] * vt[:r]).reshape(r * shape[n + 1], -1)
         r_prev = r

@@ -166,6 +166,16 @@ REJECTED = [
     pytest.param("target", {"target": {"type": "double_moon", "d": 2.7}}, id="float-d"),
     pytest.param("target", {"target": {"type": "parabolic", "d": 2, "gap": []}},
                  id="empty-gap"),
+    pytest.param("target", {"target": {"type": "parabolic", "d": 2,
+                                       "sigma_meas": float("nan")}}, id="nan-sigma-meas"),
+    pytest.param("target", {"target": {"type": "parabolic", "d": 2,
+                                       "sigma0": float("inf")}}, id="infinite-sigma0"),
+    pytest.param("target", {"target": {"type": "hyperbolic", "d": 2,
+                                       "sigma_prior": float("nan")}}, id="nan-sigma-prior"),
+    pytest.param("target", {"target": {"type": "hyperbolic", "d": 2,
+                                       "t_range": [float("nan"), 2.0]}}, id="nan-t-range"),
+    pytest.param("target", {"target": {"type": "double_moon", "d": 2, "a": float("nan")}},
+                 id="nan-moon-a"),
     pytest.param("seeds", {"seeds": {"model": 1.5}}, id="float-seed"),
     pytest.param("verify", {"verify": {"betas": [0.1, 0.01], "Ts": [100.0]}},
                  id="verify-lengths"),

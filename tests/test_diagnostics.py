@@ -61,9 +61,9 @@ class TestSinkhorn:
 
     def test_rejects_empty_or_mismatched(self):
         with pytest.raises(ValueError, match="nonempty"):
-            double_ot_protocol({"ref": [np.zeros((0, 2)), np.zeros((3, 2))]})
+            double_ot_protocol({"ref": [np.zeros((0, 2)), np.zeros((3, 2))]}, SinkhornConfig())
         with pytest.raises(ValueError, match="dimension"):
-            double_ot_protocol({"ref": [np.zeros((3, 2)), np.zeros((3, 3))]})
+            double_ot_protocol({"ref": [np.zeros((3, 2)), np.zeros((3, 3))]}, SinkhornConfig())
 
     def test_config_rejects_empty_budget_and_nonpositive_threshold(self):
         with pytest.raises(ValueError, match="max_iters"):
@@ -212,7 +212,7 @@ class TestDoubleOT:
         refs = [rng.standard_normal((60, 2)) for _ in range(4)]
         near = [rng.standard_normal((60, 2)) for _ in range(3)]
         far = [rng.standard_normal((60, 2)) + 5.0 for _ in range(3)]
-        report = double_ot_protocol({"ref": refs, "near": near, "far": far})
+        report = double_ot_protocol({"ref": refs, "near": near, "far": far}, SinkhornConfig())
         assert report.to_ref["far"].mean > report.to_ref["near"].mean
         assert report.double_ot["far"] > report.double_ot["near"]
 
@@ -220,7 +220,7 @@ class TestDoubleOT:
         rng = np.random.default_rng(9)
         refs = [rng.standard_normal((80, 2)) for _ in range(5)]
         same = [rng.standard_normal((80, 2)) for _ in range(5)]
-        report = double_ot_protocol({"ref": refs, "same": same})
+        report = double_ot_protocol({"ref": refs, "same": same}, SinkhornConfig())
         assert abs(report.to_ref["same"].mean - report.within_ref.mean) \
             <= 3 * (report.within_ref.std + report.to_ref["same"].std + 1e-12)
 
@@ -240,7 +240,7 @@ class TestDoubleOT:
     def test_requires_two_samples_per_label(self):
         rng = np.random.default_rng(10)
         with pytest.raises(ValueError, match="at least 2"):
-            double_ot_protocol({"ref": [rng.standard_normal((10, 2))]})
+            double_ot_protocol({"ref": [rng.standard_normal((10, 2))]}, SinkhornConfig())
 
 
 class TestMapHdi:

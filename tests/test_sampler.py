@@ -1,7 +1,6 @@
 """Hybrid ODE/SDE sampling of fitted models."""
 
 import json
-import os
 
 import numpy as np
 import pytest
@@ -172,6 +171,18 @@ class TestSample:
         g = fitted.grid
         assert np.all(ens.positions >= g.lower) and np.all(ens.positions <= g.upper)
 
+    def test_ode_error_is_a_fifth_of_the_node_error(self, fitted):
+        # the default tolerance leaves the integrator's error well below
+        # that of interpolating the potentials between the time nodes
+        tight = {"rel_tol": 1e-10, "abs_tol": 1e-12}
+        x = sample(fitted, 40, SamplerConfig(), seed=5).positions
+        ref = sample(fitted, 40, SamplerConfig(**tight), seed=5).positions
+        fine = sample(fitted, 40, SamplerConfig(**tight, n_time_nodes=128), seed=5).positions
+        ode = np.linalg.norm(x - ref, axis=1)
+        node = np.linalg.norm(ref - fine, axis=1)
+        assert ode.mean() <= node.mean() / 5
+        assert ode.max() <= node.max() / 5
+
     def test_zero_particles(self, fitted):
         ens = sample(fitted, 0, SamplerConfig(), seed=0)
         assert ens.positions.shape == (0, 2)
@@ -275,19 +286,21 @@ class TestRescue:
 
     def test_rescued_sample(self, fitted, monkeypatch):
         # raise the rescue threshold just above the smallest step the
-        # controller proposes, so the particle(s) proposing it are rescued
-        base = sample(fitted, 200, SamplerConfig(), seed=7)
+        # controller proposes, so the particle(s) proposing it are rescued;
+        # at the default tolerance every particle proposes that same step
+        cfg = SamplerConfig(rel_tol=1e-6)
+        base = sample(fitted, 200, cfg, seed=7)
         assert not base.rescued.any()
-        span = (1.0 - SamplerConfig().epsilon_sde) * fitted.steps[0].T
+        span = (1.0 - cfg.epsilon_sde) * fitted.steps[0].T
         monkeypatch.setattr(sampler_module, "MIN_STEP_FRACTION",
                             1.01 * base.meta["trace"][0]["min_step"] / span)
-        full = sample(fitted, 200, SamplerConfig(), seed=7)
+        full = sample(fitted, 200, cfg, seed=7)
         assert 0 < full.rescued.sum() < 200
         assert full.meta["trace"][0]["rescued"] == full.rescued.sum()
-        again = sample(fitted, 200, SamplerConfig(), seed=7)
+        again = sample(fitted, 200, cfg, seed=7)
         assert_array_equal(again.positions, full.positions)
         assert_array_equal(again.rescued, full.rescued)
-        part = sample(fitted, 50, SamplerConfig(), seed=7)
+        part = sample(fitted, 50, cfg, seed=7)
         assert_array_equal(part.positions, full.positions[:50])
         assert_array_equal(part.rescued, full.rescued[:50])
         # reflected into the box by the integrator, not clamped afterwards
@@ -298,7 +311,6 @@ class TestRescue:
         # every particle is rescued; the rescues of a round share one call,
         # and each row ends where a call on its row alone would leave it
         monkeypatch.setattr(sampler_module, "MIN_STEP_FRACTION", 7e-4)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         calls = []
         drift = StepDynamics.sde_drift
 
@@ -323,161 +335,6 @@ class TestRescue:
         n_em = SamplerConfig().n_em_steps
         assert len(calls) == 201 * n_em
         assert batched < len(calls) / 10
-
-
-class TestWorkers:
-    """Particles split over forked workers give the one-process ensemble."""
-
-    @pytest.fixture(autouse=True)
-    def one_thread(self):
-        # conftest.py pins BLAS to one thread; with a BLAS pool running,
-        # sample would not fork and these tests would test nothing
-        assert sampler_module._os_threads() == 1
-
-    @staticmethod
-    def _cpus(monkeypatch, n):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-
-    @staticmethod
-    def _count_forks(monkeypatch):
-        forks = []
-        fork = os.fork
-
-        def counted_fork():
-            forks.append(os.getpid())
-            return fork()
-
-        monkeypatch.setattr(os, "fork", counted_fork)
-        return forks
-
-    @staticmethod
-    def _forbid_fork(monkeypatch):
-        def no_fork():
-            raise AssertionError("sample forked")
-
-        monkeypatch.setattr(os, "fork", no_fork)
-
-    @pytest.mark.parametrize("rescue_fraction", [None, 7e-4])
-    def test_ensemble_independent_of_worker_count(self, fitted, monkeypatch,
-                                                  rescue_fraction):
-        if rescue_fraction is not None:
-            monkeypatch.setattr(sampler_module, "MIN_STEP_FRACTION", rescue_fraction)
-        forks = self._count_forks(monkeypatch)
-        runs = []
-        # (CPUs, widest split, forks): more CPUs than the widest split
-        # still make two workers; a widened split makes three
-        for cpus, widest, n_forks in [(1, 2, 0), (2, 2, 1), (3, 2, 1), (3, 3, 2)]:
-            self._cpus(monkeypatch, cpus)
-            monkeypatch.setattr(sampler_module, "_MAX_WORKERS", widest)
-            forks.clear()
-            runs.append(sample(fitted, 61, SamplerConfig(), seed=7))
-            assert len(forks) == n_forks
-        serial = runs[0]
-        assert serial.rescued.any() == (rescue_fraction is not None)
-        for ens in runs[1:]:
-            assert_array_equal(ens.positions, serial.positions)
-            for flag in ("rescued", "unfinished", "clamped"):
-                assert_array_equal(getattr(ens, flag), getattr(serial, flag))
-            assert ens.meta == serial.meta
-        # merged counters keep their types: == alone would take 1.0 for 1
-        assert {k: type(v) for k, v in runs[-1].meta["trace"][0].items()} == \
-            {k: type(v) for k, v in serial.meta["trace"][0].items()}
-
-    def test_fewer_particles_than_cpus(self, fitted, monkeypatch):
-        self._cpus(monkeypatch, 4)
-        monkeypatch.setattr(sampler_module, "_MAX_WORKERS", 4)
-        forks = self._count_forks(monkeypatch)
-        serial = sample(fitted, 3, SamplerConfig(), seed=2)
-        assert len(forks) == 2
-        self._cpus(monkeypatch, 1)
-        assert_array_equal(sample(fitted, 3, SamplerConfig(), seed=2).positions,
-                           serial.positions)
-        self._cpus(monkeypatch, 4)
-        self._forbid_fork(monkeypatch)
-        assert_array_equal(sample(fitted, 1, SamplerConfig(), seed=2).positions,
-                           serial.positions[:1])
-        assert sample(fitted, 0, SamplerConfig(), seed=2).positions.shape == (0, 2)
-
-    def test_cpu_quota_limits_the_workers(self, fitted, monkeypatch):
-        self._cpus(monkeypatch, 4)
-        forks = self._count_forks(monkeypatch)
-        monkeypatch.setattr(sampler_module, "_cpu_quota", lambda: 1)
-        serial = sample(fitted, 9, SamplerConfig(), seed=2)
-        assert forks == []
-        monkeypatch.setattr(sampler_module, "_cpu_quota", lambda: 2)
-        assert_array_equal(sample(fitted, 9, SamplerConfig(), seed=2).positions,
-                           serial.positions)
-        assert len(forks) == 1
-
-    @pytest.mark.parametrize("files, cpus", [
-        ({"cpu.max": "max 100000\n"}, np.inf),
-        ({"cpu.max": "150000 100000\n"}, 1),
-        ({"cpu.max": "200000 100000\n"}, 2),
-        ({"quota": "-1\n", "period": "100000\n"}, np.inf),
-        ({"quota": "250000\n", "period": "100000\n"}, 2),
-        ({}, np.inf),
-    ])
-    def test_cpu_quota_files(self, tmp_path, monkeypatch, files, cpus):
-        for name, text in files.items():
-            (tmp_path / name).write_text(text)
-        monkeypatch.setattr(sampler_module, "_CPU_QUOTA_FILES", (
-            (str(tmp_path / "cpu.max"),),
-            (str(tmp_path / "quota"), str(tmp_path / "period"))))
-        assert sampler_module._cpu_quota() == cpus
-
-    def test_no_fork_beside_another_thread(self, fitted, monkeypatch):
-        # a forked child would hold only the forking thread: any lock the
-        # other thread held would stay locked in it
-        import threading
-        import warnings
-
-        self._cpus(monkeypatch, 2)
-        serial = sample(fitted, 9, SamplerConfig(), seed=3)
-        self._forbid_fork(monkeypatch)
-        release = threading.Event()
-        other = threading.Thread(target=release.wait)
-        other.start()
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                ens = sample(fitted, 9, SamplerConfig(), seed=3)
-        finally:
-            release.set()
-            other.join()
-        assert_array_equal(ens.positions, serial.positions)
-
-    def test_exception_in_a_worker_reaches_the_caller(self, fitted, monkeypatch):
-        self._cpus(monkeypatch, 2)
-        caller = os.getpid()
-        drift = StepDynamics.ode_drift
-
-        def failing_in_child(self, t, x):
-            if os.getpid() != caller:
-                raise FloatingPointError("drift failed in a worker")
-            return drift(self, t, x)
-
-        monkeypatch.setattr(StepDynamics, "ode_drift", failing_in_child)
-        with pytest.raises(FloatingPointError, match="^drift failed in a worker$"):
-            sample(fitted, 20, SamplerConfig(), seed=1)
-
-    def test_caller_that_raises_kills_its_workers(self, fitted, monkeypatch):
-        # the workers would still be running; the autouse fixture
-        # no_child_left fails the test if one is left
-        self._cpus(monkeypatch, 3)
-        monkeypatch.setattr(sampler_module, "_MAX_WORKERS", 3)
-        forks = self._count_forks(monkeypatch)
-        caller = os.getpid()
-        drift = StepDynamics.ode_drift
-
-        def failing_in_caller(self, t, x):
-            if os.getpid() == caller:
-                raise KeyError("caller failed")
-            return drift(self, t, x)
-
-        monkeypatch.setattr(StepDynamics, "ode_drift", failing_in_caller)
-        with pytest.raises(KeyError, match="caller failed"):
-            sample(fitted, 300, SamplerConfig(), seed=1)
-        assert len(forks) == 2
 
 
 class TestTrace:

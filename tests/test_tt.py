@@ -112,14 +112,14 @@ class TestRound:
     def test_unbound_round_preserves_values(self):
         rng = np.random.default_rng(5)
         t = tt_random((5, 5, 5, 5), 4, rng)
-        r = tt_round(t, 1e-14)
+        r = tt_round(t, 1e-14, t.max_rank)
         rel = np.linalg.norm(tt_to_full(r) - tt_to_full(t)) / tt_norm(t)
         assert rel <= 1e-12
 
     def test_never_increases_ranks(self):
         rng = np.random.default_rng(6)
         t = tt_random((5, 5, 5), 4, rng)
-        r = tt_round(t, 0.5)
+        r = tt_round(t, 0.5, t.max_rank)
         assert all(a <= b for a, b in zip(r.ranks, t.ranks))
 
 
