@@ -188,8 +188,9 @@ def _right_sets_from_guess(guess: TTTensor, max_rank: int) -> list:
     right[d] = np.zeros((1, 0), dtype=np.intp)
     carry = np.ones((1, 1))
     for n in range(d - 1, 0, -1):
-        core = np.einsum("aib,bc->aic", guess.cores[n], carry, optimize=True)
-        r1, N, rc = core.shape
+        r1, N, _ = guess.cores[n].shape
+        core = guess.cores[n].reshape(r1 * N, -1) @ carry      # (r1 N, rc)
+        rc = core.shape[1]
         mat = core.reshape(r1, N * rc).T          # rows ordered (i, suffix slot)
         q = _orth_columns(mat, max_rank)
         rows = maxvol(q)

@@ -1,16 +1,19 @@
 """Sample-quality metrics, posterior interval statistics and the MCMC baseline.
 
 The Sinkhorn divergence here is the debiased entropic transport cost
-between uniform empirical measures, iterated in the stabilised scaling
-domain (one kernel mat-vec per half-update, with a log-domain fallback
-where the kernel product under- or overflows); the "double OT"
-statistic compares the *distributions* of divergence values across
-repeated samples by exact one-dimensional transport, which separates
-genuine model error from the finite-sample noise floor.
+between uniform empirical measures.  Its solve iterates on the scalings
+of an absorbed kernel: a half-update is one kernel mat-vec and one
+division per point, and one min/max range check of the kernel product
+decides when to re-absorb the potentials and when to redo the update in
+the log domain.  The "double OT" statistic compares the *distributions*
+of divergence values across repeated samples by exact one-dimensional
+transport, which separates genuine model error from the finite-sample
+noise floor.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -39,6 +42,8 @@ class SinkhornConfig:
 
 def median_sq_distance(x: np.ndarray) -> float:
     """Median squared distance between distinct points of ``x`` (or 1.0)."""
+    if x.shape[0] < 2:
+        return 1.0
     if x.shape[0] > MEDIAN_POOL:
         rng = np.random.default_rng(MEDIAN_SEED)
         x = x[rng.choice(x.shape[0], size=MEDIAN_POOL, replace=False)]
@@ -56,7 +61,7 @@ def _sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 #: the scaling-domain Sinkhorn absorbs the dual potentials into its kernel
 #: once either drifts this many epsilons from the absorbed pair, which
-#: keeps every scaling ``exp`` far from overflow
+#: keeps every scaling within ``exp(+-ABSORB_BOUND)``
 ABSORB_BOUND = 50.0
 #: ``median_sq_distance`` subsamples a larger ``x`` to this many points, by this seed
 MEDIAN_POOL, MEDIAN_SEED = 512, 0
@@ -68,10 +73,14 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     return (m + np.log(np.sum(np.exp(a - m), axis=axis, keepdims=True))).squeeze(axis)
 
 
-def _usable(s: np.ndarray) -> bool:
-    """Whether every kernel product is a normal, finite positive number,
-    so that its logarithm keeps full precision."""
-    return bool(s.min() >= _TINY and s.max() < np.inf)
+def _median(a: np.ndarray) -> float:
+    """``np.median(a)`` bit for bit, from one partition instead of two."""
+    flat = a.ravel()
+    k = flat.size // 2
+    part = np.partition(flat, k)
+    if flat.size % 2:
+        return float(part[k])
+    return 0.5 * (float(part[:k].max()) + float(part[k]))
 
 
 def entropic_ot(x: np.ndarray, y: np.ndarray, epsilon: float,
@@ -81,15 +90,25 @@ def entropic_ot(x: np.ndarray, y: np.ndarray, epsilon: float,
     Returns the primal objective (quadratic cost plus epsilon times the
     KL of the plan to the product measure) and a convergence flag
     (``SinkhornConfig`` holds the defaults of ``max_iters`` and ``threshold``).
-    Epsilon annealing makes small epsilon both safe and affordable.  The
-    Sinkhorn updates run in the stabilised scaling domain: the dual
-    potentials ``f, g`` are held as the pair ``f_bar, g_bar`` last
-    absorbed into the kernel ``K = exp((f_bar + g_bar - c) / eps)`` plus
-    scalings, so a half-update is one kernel mat-vec and one ``exp`` per
-    point, with the iterates of the log-domain updates.  The kernel is
-    rebuilt when epsilon changes and when a potential drifts more than
-    ``ABSORB_BOUND * eps`` from its absorbed value; a half-update whose
-    kernel product under- or overflows is redone in the log domain.
+    Epsilon annealing makes small epsilon both safe and affordable.
+
+    The iterates are those of the log-domain updates of the dual
+    potentials ``f, g``, held as the pair ``f_bar, g_bar`` last absorbed
+    into the kernel ``K = exp((f_bar + g_bar - c) / eps)`` (one buffer,
+    rebuilt in place) and the scalings ``u = exp((f - f_bar) / eps)``,
+    ``v = exp((g - g_bar) / eps)``.  A half-update is ``u = m / (K v)``,
+    then ``v = n / (u^T K)``: one kernel mat-vec and one division per
+    point.  The min and max of the kernel product ``s`` decide the rest.
+    A product that under- or overflows redoes the half-update in the log
+    domain.  One outside ``[m e^-B, m e^B]`` (``B = ABSORB_BOUND``) would
+    move the potential more than ``B`` epsilons from its absorbed value,
+    so the new potential ``f_bar - eps (log s - log m)`` is absorbed into
+    the kernel, taken from ``log s`` because ``m / s`` may overflow.  The
+    convergence test reads the potentials' sup-norm change as ``eps``
+    times the largest ``|log|`` of the new scalings over the old ones,
+    which is exactly 0 at a fixed point of the updates.  The potentials
+    ``f_bar + eps log u``, ``g_bar + eps log v`` are formed only to absorb
+    them, when epsilon changes and for the primal value.
     """
     # canonical argument order: the cost is symmetric, but the alternating
     # dual updates are not at finite convergence, so fix the roles by content
@@ -100,44 +119,76 @@ def entropic_ot(x: np.ndarray, y: np.ndarray, epsilon: float,
     c = _sq_dists(x, y)
     log_mu = -np.log(n)
     log_nu = -np.log(m)
-    f = np.zeros(n)
-    g = np.zeros(m)
-    f_bar, g_bar, kernel, kernel_eps = f, g, None, None
+    kernel = np.empty((n, m))
+    u, v = np.ones(n), np.ones(m)
+    s_f, s_g = np.empty(n), np.empty(m)
+    f_bar, g_bar, kernel_eps = np.zeros(n), np.zeros(m), None
+    # kernel products outside these bounds re-absorb the potentials
+    f_range = (m * math.exp(-ABSORB_BOUND), m * math.exp(ABSORB_BOUND))
+    g_range = (n * math.exp(-ABSORB_BOUND), n * math.exp(ABSORB_BOUND))
+
+    def potentials():
+        return f_bar + kernel_eps * np.log(u), g_bar + kernel_eps * np.log(v)
 
     def absorb(eps, f_abs, g_abs):
-        nonlocal f_bar, g_bar, kernel, kernel_eps
+        nonlocal f_bar, g_bar, kernel_eps
         f_bar, g_bar, kernel_eps = f_abs, g_abs, eps
-        kernel = np.add.outer(f_abs, g_abs)
-        kernel -= c
-        kernel /= eps
+        np.add.outer(f_abs, g_abs, out=kernel)
+        np.subtract(kernel, c, out=kernel)
+        np.divide(kernel, eps, out=kernel)
         np.exp(kernel, out=kernel)
+        u.fill(1.0)
+        v.fill(1.0)
 
-    def update(eps):
-        nonlocal f, g
-        if eps != kernel_eps or np.abs(g - g_bar).max() > ABSORB_BOUND * eps:
-            absorb(eps, f, g)
-        s = kernel @ np.exp((g - g_bar) / eps)
-        if _usable(s):
-            f_new = f_bar - eps * (np.log(s) + log_nu)
+    def rescale(a, s, size, eps, tol):
+        """``a = size / s``, overwriting both; whether that moved the
+        potential of ``a`` by less than ``tol`` in sup norm (False without
+        a ``tol``)."""
+        np.divide(size, s, out=s)
+        still = False
+        if tol is not None:
+            r = s / a
+            still = eps * math.log(r.max()) < tol and -eps * math.log(r.min()) < tol
+        a[...] = s
+        return still
+
+    def update(eps, tol=None):
+        """One update at ``eps``; whether it moved both potentials by less
+        than ``tol`` in sup norm (False without a ``tol``)."""
+        if eps != kernel_eps:
+            absorb(eps, *potentials())
+        s = np.dot(kernel, v, out=s_f)
+        lo, hi = s.min(), s.max()
+        if f_range[0] <= lo and hi <= f_range[1]:
+            still = rescale(u, s, m, eps, tol)
         else:
-            f_new = -eps * _logsumexp((g[None, :] - c) / eps + log_nu, axis=1)
+            f, g = potentials()
+            if _TINY <= lo and hi < np.inf:
+                f_new = f_bar - eps * (np.log(s) + log_nu)
+            else:
+                f_new = -eps * _logsumexp((g[None, :] - c) / eps + log_nu, axis=1)
             absorb(eps, f_new, g)
-        if np.abs(f_new - f_bar).max() > ABSORB_BOUND * eps:
-            absorb(eps, f_new, g)
-        s = np.exp((f_new - f_bar) / eps) @ kernel
-        if _usable(s):
-            g_new = g_bar - eps * (np.log(s) + log_mu)
+            still = tol is not None and np.abs(f_new - f).max() < tol
+        tol = tol if still else None      # a moved f already fails the test
+        s = np.dot(u, kernel, out=s_g)
+        lo, hi = s.min(), s.max()
+        if g_range[0] <= lo and hi <= g_range[1]:
+            still = rescale(v, s, n, eps, tol)
         else:
-            g_new = -eps * _logsumexp((f_new[:, None] - c) / eps + log_mu, axis=0)
-            absorb(eps, f_new, g_new)
-        delta = max(np.abs(f_new - f).max(), np.abs(g_new - g).max())
-        f, g = f_new, g_new
-        return delta
+            f, g = potentials()
+            if _TINY <= lo and hi < np.inf:
+                g_new = g_bar - eps * (np.log(s) + log_mu)
+            else:
+                g_new = -eps * _logsumexp((f[:, None] - c) / eps + log_mu, axis=0)
+            absorb(eps, f, g_new)
+            still = tol is not None and np.abs(g_new - g).max() < tol
+        return still
 
     # annealed regularization: a couple of updates per level keeps the duals
     # warm all the way down, then polish at the target epsilon
-    start = max(float(np.median(c)), epsilon)
+    start = max(_median(c), epsilon)
     n_levels = max(int(np.ceil(np.log(start / epsilon) / np.log(1.0 / 0.7))), 0)
+    absorb(start, f_bar, g_bar)
     used = 0
     for eps in start * 0.7 ** np.arange(n_levels):
         for _ in range(2):
@@ -146,9 +197,10 @@ def entropic_ot(x: np.ndarray, y: np.ndarray, epsilon: float,
     converged = False
     while used < max_iters:
         used += 1
-        if update(epsilon) < threshold:
+        if update(epsilon, threshold):
             converged = True
             break
+    f, g = potentials()
     log_pi = (f[:, None] + g[None, :] - c) / epsilon + log_mu + log_nu
     pi = np.exp(log_pi)
     cost = float((pi * c).sum())

@@ -48,7 +48,9 @@ class _SurrogateTarget:
     def eval_batch(self, indices: np.ndarray) -> np.ndarray:
         idx = np.atleast_2d(np.asarray(indices, dtype=np.intp))
         points = self.model.grid.points(idx)
-        return np.abs(self.qoi(points)) * tt_eval(self.model.rho_tt, idx)
+        # rho_tt's rounding noise below 0 would reach the terminal stage's
+        # ratio ** gamma as a NaN
+        return np.abs(self.qoi(points)) * np.maximum(tt_eval(self.model.rho_tt, idx), 0.0)
 
 
 def fit_importance(model: FlowModel, qoi: QuantityOfInterest, T: float, beta: float,

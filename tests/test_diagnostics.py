@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import oracles as oc
@@ -159,6 +161,63 @@ class TestEntropicKernel:
         far = np.concatenate([np.linspace(-1, 1, far_size - 1), [far_point]])[:, None]
         self.check(near, far, eps, 50, 1e-8)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 12), st.integers(1, 3),
+           st.sampled_from([1e-3, 1.0, 1e3]), st.floats(0.005, 2.0),
+           st.sampled_from([0.0, 1e3, 4e3]), st.integers(0, 2**32 - 1))
+    def test_property_matches_log_domain(self, n, m, d, scale, eps_frac, reach, seed):
+        # sizes, scales and far outliers: an outlier whose costs reach
+        # past 745 epsilons has an underflowing kernel row or column, which
+        # sends half-updates to the log domain.  Costs stay within about
+        # 1e4 epsilons, where rounding moves the plan by under 1e-12.
+        rng = np.random.default_rng(seed)
+        x = scale * rng.standard_normal((n, d))
+        y = scale * (rng.standard_normal((m, d)) + 0.5)
+        eps = 100 * eps_frac * max(_median_eps(x, y), 1e-3 * scale**2)
+        x[0, 0] += np.sqrt(reach * eps)
+        y[-1, -1] -= np.sqrt(reach * eps)
+        self.check(x, y, eps, 300, 1e-7 * scale**2)
+
+    @pytest.mark.parametrize("x, y, eps", [
+        (np.zeros((1, 2)), np.zeros((1, 2)), 0.5),
+        (np.zeros((1, 2)), np.ones((1, 2)), 0.01),
+        (np.zeros((3, 2)), np.zeros((3, 2)), 0.5),
+        (np.zeros((1, 2)), np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]), 0.1),
+    ])
+    @pytest.mark.parametrize("threshold_frac", [1e-300, 1e-17])
+    def test_exact_fixed_point_converges_below_double_spacing(self, x, y, eps,
+                                                              threshold_frac):
+        # the updates reach a fixed point bit for bit, so the potentials'
+        # change is exactly 0 and beats a threshold below their spacing
+        assert self.check(x, y, eps, 200, threshold_frac * eps)[1] is True
+
+    def test_no_fixed_point_below_double_spacing_stays_unconverged(self):
+        rng = np.random.default_rng(25)
+        x = rng.standard_normal((6, 2))
+        y = rng.standard_normal((5, 2))
+        for eps in (0.05, 0.2):
+            assert self.check(x, y, eps, 30, 1e-17 * eps)[1] is False
+
+    def test_protocol_matches_log_domain(self, monkeypatch):
+        # diag6's protocol at a reduced size: d = 6 mixture reference sets
+        # against shifted ones, at the benchmark's Sinkhorn settings
+        target = GaussianMixture.random(d=6, k=3, var=0.5, half_width=1.5,
+                                        rng=np.random.default_rng(0))
+        rng = np.random.default_rng(26)
+        groups = {"ref": [target.sample(40, rng) for _ in range(3)],
+                  "mcmc": [target.sample(40, rng) + 0.2 for _ in range(3)]}
+        config = SinkhornConfig(max_iters=150, threshold=1e-4)
+        got = double_ot_protocol(groups, config)
+        monkeypatch.setattr(diagnostics, "entropic_ot", oc.reference_entropic_ot)
+        want = double_ot_protocol(groups, config)
+        scale = np.abs(want.to_ref["mcmc"].values).max()
+        assert_allclose(got.within_ref.values, want.within_ref.values,
+                        rtol=1e-10, atol=1e-12 * scale)
+        assert_allclose(got.to_ref["mcmc"].values, want.to_ref["mcmc"].values,
+                        rtol=1e-10, atol=1e-12 * scale)
+        assert (got.solves, got.unconverged) == (want.solves, want.unconverged)
+        assert 0 < got.unconverged < got.solves
+
 
 def sliced_sq(x, y, n_projections, rng):
     """Largest projected 1-d W2^2 over random unit directions (the exact
@@ -236,6 +295,15 @@ class TestDoubleOT:
         assert starved.to_dict()["unconverged"] == 9
         ample = double_ot_protocol(groups, SinkhornConfig(max_iters=5000, threshold=1e-4))
         assert (ample.solves, ample.unconverged) == (9, 0)
+
+    def test_single_point_samples(self):
+        # one point per pooled sample leaves no pairwise distance for the
+        # epsilon, which falls back to 0.01 times 1.0
+        report = double_ot_protocol({"ref": [np.zeros((1, 2)), np.ones((1, 2))]},
+                                    SinkhornConfig())
+        assert report.epsilon == 0.01
+        assert_allclose(report.within_ref.values, [2.0], rtol=1e-12)
+        assert median_sq_distance(np.zeros((1, 3))) == 1.0
 
     def test_requires_two_samples_per_label(self):
         rng = np.random.default_rng(10)

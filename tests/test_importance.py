@@ -12,10 +12,10 @@ from ttjko.cross import CrossConfig
 from ttjko.driver import GaussianInitial, Schedule, run
 from ttjko.fixed_point import FixedPointConfig
 from ttjko.grid import Grid, all_quadrature_weights
-from ttjko.importance import (QuantityOfInterest, fit_importance,
+from ttjko.importance import (QuantityOfInterest, _SurrogateTarget, fit_importance,
                               importance_estimate, sum_of_parameters)
 from ttjko.targets import CachedDensity, Gaussian
-from ttjko.tt import tt_contract_all
+from ttjko.tt import TTTensor, tt_contract_all
 
 
 @pytest.fixture(scope="module")
@@ -90,6 +90,23 @@ class TestFitImportance:
         with pytest.raises(ValueError, match="vanishes"):
             fit_importance(posterior2["model"], zero, T=1e3, beta=1e-2,
                            config=posterior2["config"])
+
+    def test_surrogate_clips_negative_density_noise(self):
+        # a rank-3 TT whose values are exactly ``dense``, with one entry of
+        # rounding-noise size below 0; a fractional power of it is NaN
+        from ttjko.driver import FlowModel
+        dense = np.array([[1.0, 2.0, 0.5], [0.25, 1.5, -1e-17], [3.0, 0.1, 2.0]])
+        rho_tt = TTTensor([np.eye(3)[None], dense[:, :, None]])
+        grid = Grid.regular(-1.0, 1.0, 3, d=2)
+        model = FlowModel(grid=grid, initial=GaussianInitial.standard(2), steps=[],
+                          rho_tt=rho_tt)
+        idx = np.stack(np.unravel_index(np.arange(9), (3, 3)), axis=1)
+        qoi = sum_of_parameters()
+        values = _SurrogateTarget(model, qoi).eval_batch(idx)
+        want = np.abs(qoi(grid.points(idx))) * np.maximum(dense.ravel(), 0.0)
+        assert_allclose(values, want, rtol=1e-15)
+        assert values[5] == 0.0
+        assert np.all(np.isfinite(values ** 0.5))
 
     def test_unconverged_base_rejected(self, posterior2):
         from ttjko.driver import FlowModel
