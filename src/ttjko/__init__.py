@@ -18,6 +18,6 @@ from .targets import (CachedDensity, DoubleMoon, Gaussian, GaussianMixture,
                       NonconvexPotential, PosteriorTarget, hyperbolic_posterior,
                       parabolic_posterior)
 from .tt import (TTTensor, tt_axpy, tt_contract_all, tt_eval, tt_inner, tt_load,
-                 tt_marginal, tt_ones, tt_rank_one, tt_round, tt_save)
+                 tt_marginal, tt_ones, tt_rank_one, tt_round, tt_sample, tt_save)
 
 __version__ = "0.1.0"

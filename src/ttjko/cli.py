@@ -78,6 +78,7 @@ def cmd_fit(cfg: RunConfig, out: Path) -> int:
     summary = {
         "converged": model.converged,
         "kl_history": model.kl_history,
+        "kl_stderr": model.kl_stderr,
         "unique_calls": rho_inf.unique_calls,
         "total_calls": rho_inf.total_calls,
         "ranks": [list(s.eta_T.ranks) for s in model.steps],
@@ -87,7 +88,8 @@ def cmd_fit(cfg: RunConfig, out: Path) -> int:
     with open(out / "fit.json", "w") as fh:
         json.dump({"config": cfg.echo, "summary": summary}, fh, indent=2,
                   sort_keys=True, default=str)
-    print(f"fit: converged={model.converged} KL={model.kl_history} "
+    kl = ", ".join(f"{v:.4g} ± {se:.2g}" for v, se in zip(model.kl_history, model.kl_stderr))
+    print(f"fit: converged={model.converged} KL=[{kl}] "
           f"unique={rho_inf.unique_calls} total={rho_inf.total_calls}")
     return 0
 
@@ -255,12 +257,12 @@ def cmd_verify(cfg: RunConfig, out: Path) -> int:
         model = run(cfg.initial, rho_inf, cfg.grid, schedule, cfg.verify["fixed_point"],
                     rng=np.random.default_rng(cfg.seeds["model"]))
         state = model.steps[0]
-        kl = model.kl_history[-1]
         rows.append([f"{beta:g}", f"{T:g}", state.converged, state.iters,
-                     f"{kl:.4g}", rho_inf.unique_calls, rho_inf.total_calls])
+                     f"{model.kl_history[-1]:.4g}", f"{model.kl_stderr[-1]:.2g}",
+                     rho_inf.unique_calls, rho_inf.total_calls])
         print("verify:", rows[-1])
     _write_csv(out / "verify.csv",
-               ["beta", "T", "converged", "n_fp", "kl", "unique", "total"], rows)
+               ["beta", "T", "converged", "n_fp", "kl", "kl_se", "unique", "total"], rows)
     _write_sidecar(out / "verify.csv", cfg)
     return 0
 

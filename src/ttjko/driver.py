@@ -2,9 +2,9 @@
 
 The model carries the grid, the initial density (a truncated diagonal
 Gaussian, exactly sampleable), one :class:`StepState` per proximal step
-and the final fitted density.  KL to the target is tracked after every
-step from the fitted potentials alone, with zero additional target
-evaluations.
+and the final fitted density.  KL to the target is estimated after every
+step, with a Monte Carlo standard error, from exact grid draws of the
+fitted density and the fitted potentials alone: zero target evaluations.
 """
 
 from __future__ import annotations
@@ -17,12 +17,11 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .cross import CrossConfig, tt_cross
+from .cross import tt_cross
 from .fixed_point import FixedPointConfig, StepState, solve_step
 from .grid import Grid, all_quadrature_weights
-from .tt import (TTTensor, tt_contract_all, tt_load, tt_marginal, tt_rank_one,
-                 tt_round, tt_save, tt_scale)
-from .tt import tt_eval  # noqa: F401  (kept as driver.tt_eval; perfbench/layers.py wraps it)
+from .tt import (TTTensor, tt_contract_all, tt_eval, tt_load, tt_marginal, tt_rank_one,
+                 tt_round, tt_sample, tt_save, tt_scale)
 
 _MODEL_META = "model.json"
 _SQRT1_2 = math.sqrt(0.5)
@@ -30,6 +29,8 @@ _INV_CDF = NormalDist().inv_cdf
 #: the potentials saved per step (older model directories also hold an
 #: unread ``eta_0``)
 _STEP_TENSORS = ("eta_T", "eta_hat_0", "eta_hat_T")
+#: grid draws of the fitted density per KL estimate
+KL_SAMPLES = 4096
 
 
 @dataclass
@@ -132,6 +133,7 @@ class FlowModel:
     steps: list              # of StepState
     rho_tt: TTTensor
     kl_history: list = field(default_factory=list)
+    kl_stderr: list = field(default_factory=list)     # parallel to kl_history
 
     @property
     def converged(self) -> bool:
@@ -144,6 +146,7 @@ class FlowModel:
             "grid": self.grid.to_dict(),
             "initial": self.initial.to_dict(),
             "kl_history": [float(v) for v in self.kl_history],
+            "kl_stderr": [float(v) for v in self.kl_stderr],
             "steps": [
                 {
                     "T": s.T, "beta": s.beta, "converged": s.converged,
@@ -179,8 +182,11 @@ class FlowModel:
                 log_scale=sm.get("log_scale", 0.0), **tensors,
             ))
         rho_tt = tt_load(path / "rho_tt.tt")
+        kl_history = meta["kl_history"]
+        # models saved before the standard error was tracked read it as NaN
+        kl_stderr = meta.get("kl_stderr", [math.nan] * len(kl_history))
         return cls(grid=grid, initial=initial, steps=steps, rho_tt=rho_tt,
-                   kl_history=meta["kl_history"])
+                   kl_history=kl_history, kl_stderr=kl_stderr)
 
 
 def product_density(state: StepState, grid: Grid, config: FixedPointConfig,
@@ -239,9 +245,10 @@ def append_step(model: FlowModel, rho_inf, T: float, beta: float,
                 **solve_kwargs) -> StepState:
     """Solve one proximal step from ``model.rho_tt`` toward ``rho_inf``
     and append it to ``model``: the step's state, its product density
-    (which must have positive finite mass) and its KL, which is NaN for
-    an unconverged step or one whose KL estimate fails.  ``solve_kwargs``
-    go to ``solve_step``.  Returns the step's state.
+    (which must have positive finite mass) and its KL with standard
+    error, both NaN for an unconverged step or one whose KL estimate
+    fails.  ``solve_kwargs`` go to ``solve_step``.  Returns the step's
+    state.
     """
     k = len(model.steps)
     state = solve_step(model.rho_tt, rho_inf, model.grid, T, beta, config, rng=rng,
@@ -252,70 +259,68 @@ def append_step(model: FlowModel, rho_inf, T: float, beta: float,
     if not (np.isfinite(mass) and mass > 0):
         raise RuntimeError(f"step {k}: fitted density has invalid mass {mass}")
     model.rho_tt = rho
-    kl = float("nan")
+    kl = se = float("nan")
     if state.converged:
         try:
-            kl = kl_estimate(model)
+            kl, se = kl_estimate(model)
         except ValueError:
-            # rank-limited intermediate fits can lose pointwise positivity
-            # of the potential; the tracked KL is informational only
+            # rank-limited intermediate fits can lose pointwise positivity of
+            # the potential or of the density; the fit itself does not use the
+            # estimate, so its step stands without one
             pass
     model.kl_history.append(kl)
+    model.kl_stderr.append(se)
     return state
 
 
-def kl_estimate(model: FlowModel) -> float:
-    """KL of the normalized fitted density against the normalized target.
+def kl_estimate(model: FlowModel) -> tuple[float, float]:
+    """KL of the normalized fitted density against the normalized target,
+    and its Monte Carlo standard error: :func:`kl_from_uniforms` on
+    ``KL_SAMPLES`` uniforms from ``default_rng(7)``.  Deterministic for a
+    given model; draws nothing from the fit's generator."""
+    u = np.random.default_rng(7).random((KL_SAMPLES, model.grid.d))
+    return kl_from_uniforms(model, u)
 
-    Uses the converged terminal identity: the density ratio to the
-    target equals ``eta_T^(-2 beta)``, so both the divergence integrand
-    and the target's grid mass are available from the model itself —
-    no target evaluations.  The returned value is exact only up to the
-    fixed-point residual and is flagged approximate in that sense.
+
+def kl_from_uniforms(model: FlowModel, u: np.ndarray) -> tuple[float, float]:
+    """KL(ρ‖π) of the model's last step, and its standard error, from the
+    grid draws :func:`tt_sample` makes of ``u``.
+
+    A converged step satisfies the terminal identity ``π ∝ ρ η_T^(2β)``
+    on the grid, so with ``X = 2β log η_T``,
+    ``KL = -E_ρ[X] + log E_ρ[e^X] = log E_ρ[e^(X - E_ρ X)]``: no target
+    evaluations.  The estimate replaces ``E_ρ`` by the mean over exact
+    draws from the grid law ``ρ·w`` (``w`` the trapezoid weights), so by
+    Jensen it is never negative.  The standard error is the delta
+    method's, ``sd(e^(X-X̄)/mean(e^(X-X̄)) - (X-X̄)) / sqrt(n)``.  The
+    value is exact only up to the fixed-point residual of the identity.
+
+    Where ``η_T <= 0`` (rounding noise) at a draw whose density is below
+    1e-4 of the draws' peak, the draw is left out; anywhere else it raises
+    ``ValueError``, as does a step that has not converged.
     """
     if not model.steps:
         raise ValueError("model has no proximal steps")
     state = model.steps[-1]
     if not state.converged:
         raise ValueError("last step did not converge; KL estimate undefined")
-    beta = state.beta
-    grid = model.grid
-    weights = all_quadrature_weights(grid)
-    rho = model.rho_tt
-    rank_cap = max(2 * max(rho.max_rank, state.eta_T.max_rank) + 2, 6)
-    cfg = CrossConfig(max_rank=rank_cap, tolerance=1e-10, max_sweeps=12)
-    rng = np.random.default_rng(7)
-
-    def log_eta(idx, vals, rho_vals):
-        """log eta_T where the density carries mass; sign flips from rounding
-        noise at negligible-mass points contribute (essentially) zero."""
-        bad = vals <= 0
-        if np.any(bad):
-            peak = float(np.max(rho_vals)) if rho_vals.size else 0.0
-            serious = bad & (rho_vals > 1e-4 * peak)
-            if np.any(serious):
-                row = int(np.nonzero(serious)[0][0])
-                raise ValueError(
-                    f"eta_T is nonpositive at index {tuple(np.atleast_2d(idx)[row])}; "
-                    "log undefined"
-                )
-        return np.log(np.maximum(vals, np.finfo(float).tiny))
-
-    def weighted_log(idx, eta_vals, rho_vals):
-        return log_eta(idx, eta_vals, rho_vals) * rho_vals
-
-    def weighted_ratio(idx, eta_vals, rho_vals):
-        return np.exp(2.0 * beta * log_eta(idx, eta_vals, rho_vals)) * rho_vals
-
-    factors = (state.eta_T, rho)
-    num, _ = tt_cross(weighted_log, grid.shape, cfg, initial_guess=rho, rng=rng,
-                      factors=factors)
-    mass_target, _ = tt_cross(weighted_ratio, grid.shape, cfg, initial_guess=rho,
-                              rng=rng, factors=factors)
-    z_rho = tt_contract_all(rho, weights)
-    z_inf = tt_contract_all(mass_target, weights)
-    mean_log_eta = tt_contract_all(num, weights) / z_rho
-    return float(-2.0 * beta * mean_log_eta + np.log(z_inf / z_rho))
+    idx = tt_sample(model.rho_tt, all_quadrature_weights(model.grid), u)
+    eta = tt_eval(state.eta_T, idx)
+    bad = eta <= 0
+    if np.any(bad):
+        rho = tt_eval(model.rho_tt, idx)
+        serious = bad & (rho > 1e-4 * rho.max())
+        if np.any(serious):
+            row = int(serious.argmax())
+            raise ValueError(f"eta_T is nonpositive at index {tuple(idx[row].tolist())}; "
+                             "log undefined")
+        eta = eta[~bad]
+    x = 2.0 * state.beta * np.log(eta)
+    x -= x.mean()
+    ratio = np.exp(x)
+    mean_ratio = ratio.mean()
+    se = np.std(ratio / mean_ratio - x, ddof=1) / math.sqrt(x.size)
+    return float(np.log(mean_ratio)), float(se)
 
 
 def marginals(model: FlowModel, axes) -> TTTensor:

@@ -75,7 +75,8 @@ def fit_importance(model: FlowModel, qoi: QuantityOfInterest, T: float, beta: fl
         raise ValueError("quantity of interest vanishes on the grid; degenerate target")
 
     out = FlowModel(grid=grid, initial=model.initial, steps=list(model.steps),
-                    rho_tt=model.rho_tt, kl_history=list(model.kl_history))
+                    rho_tt=model.rho_tt, kl_history=list(model.kl_history),
+                    kl_stderr=list(model.kl_stderr))
     append_step(out, _SurrogateTarget(model, qoi), T, beta, config, rng)
     return out
 

@@ -343,14 +343,17 @@ def _integrate_ode(dyn: StepDynamics, x: np.ndarray, t0: float, t1: float,
         _combine(_DOPRI_B5, k, xs, hs, x5, tmp)
         x4 = _combine(_DOPRI_B4, k, xs, hs, xi, tmp)
         scale = config.abs_tol + config.rel_tol * np.maximum(np.abs(xs), np.abs(x5))
-        err = np.sqrt(np.mean(((x5 - x4) / scale) ** 2, axis=1))
+        with np.errstate(over="ignore"):             # an infinite error is rejected
+            err = np.sqrt(np.mean(((x5 - x4) / scale) ** 2, axis=1))
         accept = err <= 1.0
         ts_new = np.where(accept, times[6], ts)
         xs = np.where(accept[:, None], x5, xs)
         k_first[ids] = np.where(accept[:, None], k[6], k[0])
         with np.errstate(divide="ignore"):
-            factor = 0.9 * err ** (-0.2)
-        factor = np.clip(np.where(np.isfinite(factor), factor, 5.0), _MIN_FACTOR, 5.0)
+            factor = 0.9 * err ** (-0.2)              # inf at err == 0, 0 at err == inf
+        # a NaN error (a non-finite drift) is no evidence for a step size:
+        # the step is rejected and shrunk as far as one round allows
+        factor = np.clip(np.where(np.isnan(factor), 0.0, factor), _MIN_FACTOR, 5.0)
         hs_next = hs * factor
         stopped = accept & on_node
         hs_next = np.where(stopped, np.maximum(hs_next, _MIN_FACTOR * h[ids]), hs_next)

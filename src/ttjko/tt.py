@@ -5,7 +5,8 @@ A tensor ``A[i_1, ..., i_d]`` is stored as a chain of order-3 cores
 ``r_0 = r_d = 1``; an element is the product of the corresponding core
 slices.  Storage is ``O(d N r^2)``.  All functions here are exact (no
 approximation) except :func:`tt_round`, which truncates by SVD with a
-relative Frobenius tolerance.
+relative Frobenius tolerance.  :func:`tt_sample` draws exactly from the
+grid law of a (weighted) TT density.
 """
 
 from __future__ import annotations
@@ -311,6 +312,65 @@ def tt_marginal(t: TTTensor, keep_axes: Sequence[int],
     # fold any trailing contracted axes into the last kept core
     out_cores[-1] = np.einsum("aic,cb->aib", out_cores[-1], pending, optimize=True)
     return TTTensor(out_cores, copy=False)
+
+
+#: rows of uniforms :func:`tt_sample` maps at a time, which bounds its
+#: temporaries to a few ``(_SAMPLE_BLOCK, N)`` arrays
+_SAMPLE_BLOCK = 4096
+
+
+def tt_sample(t: TTTensor, axis_weights: Sequence[np.ndarray], u: np.ndarray) -> np.ndarray:
+    """Exact draws from the grid law ``p ∝ t * prod_n w[n]``, shape ``(n, d)``.
+
+    Maps uniforms ``u`` in [0, 1), shape ``(n, d)``, to grid multi-indices
+    by the inverse Rosenblatt transform (Dolgov, Anaya-Izquierdo, Fox &
+    Scheichl 2020): axis ``k`` of row ``m`` is drawn from its conditional
+    given the indices already drawn on axes ``0 .. k-1``.  That
+    conditional is ``w[k][i] * L_m @ G_k[:, i, :] @ R_k`` up to a
+    constant, where ``L_m`` is the product of the cores at the drawn
+    prefix and ``R_k`` the weighted contraction of the cores after ``k``.
+    Negative entries, the rounding noise of a nonnegative density, are
+    clipped to 0 in each conditional.  The draw is the smallest ``i``
+    whose running sum exceeds ``u[m, k]`` times the total, or, where
+    rounding leaves no such ``i``, the first at which the running sum
+    reaches the total.  Raises ``ValueError`` if a conditional has no
+    positive mass.
+    """
+    if len(axis_weights) != t.d:
+        raise ValueError(f"expected {t.d} weight vectors, got {len(axis_weights)}")
+    u = np.asarray(u, dtype=float)
+    if u.ndim != 2 or u.shape[1] != t.d:
+        raise ValueError(f"expected uniforms of shape (n, {t.d}), got {u.shape}")
+    # tables[k][a, i] = w[k][i] * (G_k[a, i, :] @ R_k); their row sums give R_{k-1}
+    tables = [None] * t.d
+    carry = np.ones(1)
+    for k in range(t.d - 1, -1, -1):
+        tables[k] = (t.cores[k] @ carry) * np.asarray(axis_weights[k], dtype=float)
+        carry = tables[k].sum(axis=1)
+    out = np.empty(u.shape, dtype=np.intp)
+    for lo in range(0, u.shape[0], _SAMPLE_BLOCK):
+        _sample_block(t, tables, u[lo:lo + _SAMPLE_BLOCK], out[lo:lo + _SAMPLE_BLOCK])
+    return out
+
+
+def _sample_block(t: TTTensor, tables: list, u: np.ndarray, out: np.ndarray) -> None:
+    """:func:`tt_sample` on one block of rows, written into ``out``."""
+    left = np.ones((u.shape[0], 1))
+    for k, core in enumerate(t.cores):
+        # (N, n), one conditional per column; np.dot, because matmul is about
+        # 2.5x slower here when the inner (rank) dimension is 1
+        cond = np.dot(tables[k].T, left.T)
+        np.maximum(cond, 0.0, out=cond)
+        for i in range(1, cond.shape[0]):         # running sum down the N rows
+            cond[i] += cond[i - 1]
+        total = cond[-1]
+        if not np.all(total > 0):                 # NaN fails too
+            raise ValueError(f"a conditional on axis {k} has no positive mass")
+        thresh = np.minimum(u[:, k] * total, np.nextafter(total, 0.0))
+        # the flags summed as bytes: a third of count_nonzero's time
+        idx = (cond <= thresh).view(np.uint8).sum(axis=0, dtype=np.uint32)
+        out[:, k] = idx
+        left = tt_chain_step(left, core, idx)
 
 
 def tt_save(t: TTTensor, path) -> None:

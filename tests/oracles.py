@@ -20,7 +20,9 @@ the plain relaxed (Picard) iteration of one proximal step, with or
 without the gauge fix, built from the production cycle, kept to
 measure the Anderson solver against.  ``reference_truncated_normal`` is
 the original inverse-CDF draw of the initial density built on
-``scipy.special``, kept to pin the stdlib one.
+``scipy.special``, kept to pin the stdlib one.  ``reference_grid_sample``
+draws from a dense grid law row by row and axis by axis, kept to pin the
+indices of the production inverse-Rosenblatt sampler ``tt_sample``.
 ``reference_metropolis_hastings`` is the original MH loop (a fresh
 proposal array per step, a list of kept states stacked at the end and
 ``tau`` computed at once), kept to pin the chains of the production
@@ -561,6 +563,30 @@ def _reference_tune_proposal(density, d, config, rng, log_density):
             hi = std
             std = std * 0.5 if lo is None else 0.5 * (std + lo)
     return replace(config, proposal_std=std, auto_tune=False)
+
+
+def reference_grid_sample(dense: np.ndarray, weight_vectors, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draws from the grid law ``dense * prod_k w[k]``, one row
+    and one axis at a time, ``(n, d)`` uniforms -> ``(n, d)`` indices.
+
+    Axis k's conditional sums the weighted array over the later axes at the
+    prefix drawn so far, with negative sums clipped to 0.  The draw is the
+    first index whose cumulative sum exceeds ``u`` times the total, or the
+    last index with positive mass where rounding leaves none.
+    """
+    law = np.array(dense, dtype=float)
+    for k, w in enumerate(weight_vectors):
+        law = law * np.reshape(w, (-1,) + (1,) * (law.ndim - k - 1))
+    out = np.empty(u.shape, dtype=np.intp)
+    for m, row in enumerate(u):
+        sub = law
+        for k, uk in enumerate(row):
+            cond = np.maximum(sub.reshape(sub.shape[0], -1).sum(axis=1), 0.0)
+            cum = np.cumsum(cond)
+            first = int(np.searchsorted(cum, uk * cum[-1], side="right"))
+            out[m, k] = min(first, int(np.flatnonzero(cond)[-1]))
+            sub = sub[out[m, k]]
+    return out
 
 
 def gaussian_kl(m1, v1, m2, v2) -> float:

@@ -302,6 +302,9 @@ class TestFitCommand:
         summary = json.loads((out / "fit.json").read_text())
         assert summary["summary"]["converged"] is True
         assert summary["summary"]["unique_calls"] > 0
+        kl, se = summary["summary"]["kl_history"][0], summary["summary"]["kl_stderr"][0]
+        assert 0.0 <= kl and 0.0 < se < np.inf
+        assert f"KL=[{kl:.4g} ± {se:.2g}]" in capsys.readouterr().out
         lines = (out / "telemetry.jsonl").read_text().strip().split("\n")
         record = json.loads(lines[0])
         assert {"iter", "residual", "ranks", "step", "log_scale"} <= set(record)
@@ -368,7 +371,7 @@ class TestVerifyCommand:
         path = write_config(tmp_path, cfg)
         assert main(["verify", path]) == 0
         lines = (out / "verify.csv").read_text().strip().split("\n")
-        assert lines[0] == "beta,T,converged,n_fp,kl,unique,total"
+        assert lines[0] == "beta,T,converged,n_fp,kl,kl_se,unique,total"
         assert len(lines) == 2
         assert json.loads((out / "verify.json").read_text())["config"]
 

@@ -82,8 +82,9 @@ class TestFitImportance:
                              config=replace(cfg, max_iters=1),
                              rng=np.random.default_rng(3))
         assert not imp.steps[-1].converged
-        assert len(imp.kl_history) == len(imp.steps)
-        assert np.isnan(imp.kl_history[-1])
+        assert len(imp.kl_history) == len(imp.kl_stderr) == len(imp.steps)
+        assert np.isnan(imp.kl_history[-1]) and np.isnan(imp.kl_stderr[-1])
+        assert imp.kl_stderr[:-1] == posterior2["model"].kl_stderr
 
     def test_degenerate_functional_rejected(self, posterior2):
         zero = QuantityOfInterest(fn=lambda x: np.zeros(x.shape[0]), name="zero")

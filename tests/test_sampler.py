@@ -1,6 +1,7 @@
 """Hybrid ODE/SDE sampling of fitted models."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -440,6 +441,44 @@ class TestTrace:
         # the one-ulp step is not a step-size collapse
         assert not resc.any() and not unfin.any()
         assert trace["min_step"] >= 1e3 * MIN_STEP_FRACTION * (1.5 - t0)
+
+    @pytest.mark.parametrize("bad", [np.nan, 1e300])
+    def test_nonfinite_error_shrinks_only_its_particle(self, bad):
+        # the seventh stage of round 0 (the step end, weighted only by the
+        # fourth-order solution) is NaN or 1e300 for particle 4: its error
+        # estimate is NaN or overflows to inf, and the step must shrink
+        dyn = self._dynamics()
+        drift = dyn.ode_drift
+        calls = []
+
+        def spoiled(t, x):
+            calls.append(np.array(t, dtype=float))
+            k = drift(t, x)
+            if len(calls) == 7:
+                k[4] = bad
+            return k
+
+        m = 9
+        x0 = np.random.default_rng(3).uniform(-2.5, 2.5, (m, 2))
+        config = SamplerConfig(rel_tol=1e-8)
+        clean = x0.copy()
+        out_clean = _integrate_ode(self._dynamics(), clean, 0.0, 1.5, config,
+                                   lambda pid: np.zeros((20, 2)))
+        dyn.ode_drift = spoiled
+        x = x0.copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            resc, unfin, trace = _integrate_ode(dyn, x, 0.0, 1.5, config,
+                                                lambda pid: np.zeros((20, 2)))
+        others = np.arange(m) != 4
+        assert_array_equal(x[others], clean[others])
+        assert_array_equal(resc, out_clean[0])
+        assert_array_equal(unfin, out_clean[1])
+        assert np.all(np.isfinite(x))
+        # round 1's second stage lies a fifth of its step past the start
+        first_step = calls[6][4]
+        assert calls[7][4] * 5 == pytest.approx(0.2 * first_step, rel=1e-12)
+        assert trace["rejected"] >= 1
 
     def test_fewer_rejected_than_half_the_accepted_steps(self, fitted):
         # with node stops 517 steps are rejected here against 1,673

@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from oracles import tt_from_full, tt_norm, tt_random, tt_to_full
+import ttjko.tt
+from oracles import reference_grid_sample, tt_from_full, tt_norm, tt_random, tt_to_full
 from ttjko.tt import (TTTensor, tt_axpy, tt_contract_all, tt_eval, tt_inner, tt_load,
-                      tt_marginal, tt_ones, tt_rank_one, tt_round, tt_save)
+                      tt_marginal, tt_ones, tt_rank_one, tt_round, tt_sample, tt_save)
 
 
 def random_dense(rng, shape):
@@ -218,6 +219,50 @@ class TestEval:
         idx = np.stack([rng.integers(0, s, 40) for s in (5, 6, 7)], axis=1)
         assert_allclose(tt_eval(t, idx), dense[idx[:, 0], idx[:, 1], idx[:, 2]],
                         rtol=1e-12)
+
+
+class TestSample:
+    SHAPE = (5, 6, 7)
+
+    def uniforms(self, rng, n):
+        u = rng.random((n, 3))
+        u[0], u[1] = 0.0, 1.0 - 2.0**-53       # both ends of the inverse CDFs
+        return u
+
+    def weights(self, rng):
+        return [rng.uniform(0.5, 1.5, n) for n in self.SHAPE]
+
+    def test_rank_two_matches_dense_inverse_cdf(self):
+        rng = np.random.default_rng(31)
+        t = TTTensor([np.abs(c) for c in tt_random(self.SHAPE, 2, rng).cores])
+        w = self.weights(rng)
+        u = self.uniforms(rng, 400)
+        got = tt_sample(t, w, u)
+        assert got.dtype == np.intp
+        assert np.array_equal(got, reference_grid_sample(tt_to_full(t), w, u))
+
+    def test_negative_entries_are_clipped(self, monkeypatch):
+        # two Gaussian bumps less 1e-3: the tails are small and negative
+        rng = np.random.default_rng(32)
+        bumps = [tt_rank_one([np.exp(-(np.arange(n) - c) ** 2) for n in self.SHAPE])
+                 for c in (1.0, 4.0)]
+        t = tt_axpy(-1e-3, tt_ones(self.SHAPE), tt_axpy(1.0, bumps[0], bumps[1]))
+        dense = tt_to_full(t)
+        assert (dense < 0).mean() > 0.5
+        w = self.weights(rng)
+        u = self.uniforms(rng, 400)
+        ref = reference_grid_sample(dense, w, u)
+        assert np.array_equal(tt_sample(t, w, u), ref)
+        assert np.all(dense[tuple(ref.T)] > 0)
+        # rows are drawn block by block
+        monkeypatch.setattr(ttjko.tt, "_SAMPLE_BLOCK", 7)
+        assert np.array_equal(tt_sample(t, w, u), ref)
+
+    def test_conditional_without_mass_raises(self):
+        t = tt_axpy(-1.0, tt_ones(self.SHAPE), tt_rank_one(
+            [np.eye(1, n, 2).ravel() for n in self.SHAPE]))     # -1 but one +0 entry
+        with pytest.raises(ValueError, match="no positive mass"):
+            tt_sample(t, [np.ones(n) for n in self.SHAPE], np.full((3, 3), 0.5))
 
 
 class TestSerialization:
