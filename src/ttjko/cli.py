@@ -193,8 +193,6 @@ def _mcmc_marginal_hdi(samples: np.ndarray, nodes: np.ndarray):
 
 
 def cmd_invert(cfg: RunConfig, out: Path) -> int:
-    if not isinstance(cfg.target, PosteriorTarget):
-        raise ConfigError("invert requires a hyperbolic or parabolic target")
     model, rho_inf = _fit_model(cfg, out)
     model.save(out / "model")
     if not model.converged:
@@ -288,6 +286,8 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg.seeds = seeds_from(args.seed)
+        if args.command == "invert" and not isinstance(cfg.target, PosteriorTarget):
+            raise ConfigError("invert requires a hyperbolic or parabolic target")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

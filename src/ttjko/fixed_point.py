@@ -34,8 +34,8 @@ import numpy as np
 from .cross import CrossConfig, CrossInfo, tt_cross, validation_indices
 from .grid import Grid, all_quadrature_weights
 from .heat import HeatPropagator
-from .tt import (TTTensor, tt_axpy, tt_eval, tt_inner, tt_marginal, tt_ones,
-                 tt_round, tt_scale)
+from .tt import (TTTensor, tt_axpy, tt_eval, tt_inner, tt_ones, tt_round, tt_sample,
+                 tt_scale)
 
 #: hard floor for guarded divisions (spec'd; negatives fall below it too)
 DIVISION_FLOOR = 1e-300
@@ -291,21 +291,14 @@ def solve_step(rho_prev: TTTensor, rho_inf, grid: Grid, T: float, beta: float,
 
 def certificate_indices(rho_tt: TTTensor, grid: Grid, n: int,
                         rng: np.random.Generator) -> np.ndarray:
-    """Random grid indices drawn from the product of per-axis marginals.
+    """Random grid indices drawn exactly from the model's grid law
+    ``rho_tt * w`` (:func:`~ttjko.tt.tt_sample`, trapezoid weights ``w``).
 
     Used to spot-check pointwise identities where the model carries
     mass; uniform indices in high dimension land almost surely in
     regions of negligible density.
     """
-    weights = all_quadrature_weights(grid)
-    idx = np.empty((n, grid.d), dtype=np.intp)
-    for k in range(grid.d):
-        marg = tt_marginal(rho_tt, [k], weights)
-        p = np.maximum(marg.cores[0][0, :, 0], 0.0)
-        total = p.sum()
-        p = np.full(p.size, 1.0 / p.size) if total <= 0 else p / total
-        idx[:, k] = rng.choice(p.size, size=n, p=p)
-    return idx
+    return tt_sample(rho_tt, all_quadrature_weights(grid), rng.random((n, grid.d)))
 
 
 def terminal_identity_error(state: StepState, rho_inf, indices: np.ndarray) -> float:

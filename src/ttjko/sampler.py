@@ -17,33 +17,26 @@ neighbouring time nodes at once (``StepDynamics``); the contraction is
 the grid module's off-grid kernel, ``grid.multilinear``.
 
 The drift is therefore smooth in time only between two nodes: its time
-derivative jumps at every node.  The Dormand-Prince integrator ends a
-step on the next node instead of crossing it (node stops), so that all
-seven stages of a step see one smooth piece of the drift; a step that
-straddled a node would fail its embedded error estimate there and be
-rejected (Hairer, Norsett & Wanner, Solving ODEs I, II.4-II.6, on
-integrating through known discontinuities).  The integrator reuses the
-last stage of an accepted step, and the first stage of a rejected one,
-as the next step's first stage.  Particles whose steps underflow are
-rescued onto the tail's Euler-Maruyama integrator, all those of one
-round in one call from their own start times.
+derivative jumps at every node.  The ODE is integrated with
+``RK4_STEPS`` classical Runge-Kutta steps per node interval, every
+interval ending exactly on its node, so that all four stages of a step
+see one smooth piece of the drift.  All particles share one time, so
+every drift call carries the whole batch and the cost is fixed:
+``4 * RK4_STEPS`` drift rows per node interval per particle.
 
 The time nodes, not the integrator, set the sampler's error.  On the
 shipped fits, positions from the 32-interval sub-grid lie 2e-2 to 8e-2
-(mean per particle) from those of a 256-interval one, while the default
-``rel_tol = 1e-4`` keeps the integrator's own error 30 to 200 times
-smaller than that; a tighter tolerance costs two to three times the drift
-rows and moves no particle measurably closer.
+(mean per particle) from those of a 256-interval one, while two RK4
+steps per interval keep the integrator's own error below a fifth of
+that, mean and max; one step per interval does not.
 
-Particles are fully independent: per-particle adaptive step control and
-per-particle RNG streams derived from the master seed by counter
-splitting, and every reduction of the drift kernel runs over a rank axis
-of one row, so results are bitwise reproducible and independent of
-batch composition.  ``sample`` runs all particles as one batch in the
-calling process, and records per proximal step the ODE rounds,
-accepted and rejected steps, accepted steps that ended on a time node,
-drift rows evaluated, the smallest proposed step and the rescued and
-unfinished counts in ``Ensemble.meta["trace"]``.
+Particles are fully independent: per-particle RNG streams derived from
+the master seed by counter splitting, and every reduction of the drift
+kernel runs over a rank axis of one row, so results are bitwise
+reproducible and independent of batch composition.  ``sample`` runs all
+particles as one batch in the calling process, and records per proximal
+step the RK4 steps each particle took and the drift rows evaluated in
+``Ensemble.meta["trace"]``.
 """
 
 from __future__ import annotations
@@ -60,41 +53,17 @@ from .fixed_point import StepState
 from .grid import Grid, gradient_matrix, multilinear
 from .heat import HeatPropagator
 
-_DOPRI_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DOPRI_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_DOPRI_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DOPRI_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
-                      -92097 / 339200, 187 / 2100, 1 / 40])
-
 _VALUE_FLOOR = 1e-300
-# the step controller's largest shrink per round
-_MIN_FACTOR = 0.2
 
-#: round budget of one step's adaptive ODE integration
-MAX_ODE_ROUNDS = 20000
-#: a particle whose step falls below this fraction of the window is rescued
-MIN_STEP_FRACTION = 1e-12
+#: classical RK4 steps per time-node interval of the ODE window
+RK4_STEPS = 2
 # the time sub-grid's first interior node, as a fraction of the step
 _TIME_EDGE = 1e-4
-
-# per-step ODE counters of the sampler trace, before any round
-_NO_ODE_TRACE = {"ode_rounds": 0, "accepted": 0, "rejected": 0, "node_stops": 0,
-                 "drift_rows": 0, "min_step": 0.0}
 
 
 @dataclass
 class SamplerConfig:
     epsilon_sde: float = 0.01       # fraction of each step integrated stochastically
-    rel_tol: float = 1e-4
-    abs_tol: float = 1e-8
     n_em_steps: int = 20
     # the time sub-grid has n_time_nodes + 1 nodes, n_time_nodes intervals
     n_time_nodes: int = 32
@@ -102,9 +71,6 @@ class SamplerConfig:
     def __post_init__(self):
         if not 0.0 <= self.epsilon_sde <= 1.0:
             raise ValueError("epsilon_sde must lie in [0, 1]")
-        # NaN fails both comparisons
-        if not (0 < self.rel_tol < np.inf and 0 < self.abs_tol < np.inf):
-            raise ValueError("tolerances must be positive and finite")
         if not isinstance(self.n_em_steps, (int, np.integer)) or self.n_em_steps < 1:
             raise ValueError("n_em_steps must be an integer >= 1")
         n = self.n_time_nodes
@@ -115,11 +81,23 @@ class SamplerConfig:
 
 @dataclass
 class Ensemble:
+    """Sampled positions, clamped into the grid box, with the particles
+    that left it flagged.  ``rescued`` and ``unfinished`` remain for
+    callers that count failed particles, and are all False: the
+    fixed-step integrator neither hands a particle to another integrator
+    nor stops short of a step's end."""
+
     positions: np.ndarray
     clamped: np.ndarray
-    rescued: np.ndarray
-    unfinished: np.ndarray
     meta: dict = field(default_factory=dict)
+
+    @property
+    def rescued(self) -> np.ndarray:
+        return np.zeros_like(self.clamped)
+
+    @property
+    def unfinished(self) -> np.ndarray:
+        return np.zeros_like(self.clamped)
 
     def save(self, path) -> None:
         path = Path(path)
@@ -131,8 +109,6 @@ class Ensemble:
                 writer.writerow([repr(float(v)) for v in row])
         sidecar = dict(self.meta)
         sidecar["n_clamped"] = int(self.clamped.sum())
-        sidecar["n_rescued"] = int(self.rescued.sum())
-        sidecar["n_unfinished"] = int(self.unfinished.sum())
         with open(path.with_suffix(path.suffix + ".json"), "w") as fh:
             json.dump(sidecar, fh, indent=2, sort_keys=True)
 
@@ -163,9 +139,9 @@ class StepDynamics:
     exact-rank views of the tables (``sde_drift``), at both neighbouring
     time nodes at once.  The kernel sizes and checks its gather; the
     evaluator keeps the one scratch it hands back, shared by both drifts.
-    This class keeps the time bookkeeping: the node search, the table
-    columns of each time node, and the time interpolation of the two
-    node fields, done only after the contraction (a product of
+    This class keeps the time bookkeeping: the node search (one time
+    per call, shared by the whole batch), the table columns of the two
+    time nodes, and the time interpolation of the two node fields, done only after the contraction (a product of
     time-interpolated cores would not be the time-interpolated product).
     Every reduction runs over a rank axis in order, so each row's result
     depends on nothing but that row.
@@ -205,29 +181,27 @@ class StepDynamics:
         return table
 
     def _log_grad(self, tables, t, x):
-        """grad log of each potential in ``tables`` at (t, x): (d, P, m)."""
+        """grad log of each potential in ``tables`` at time ``t`` (one
+        scalar for the whole batch) and points ``x``: (d, P, m)."""
         x = np.atleast_2d(x)
-        t = np.minimum(np.maximum(t, 0.0), self.T)
-        if t.ndim == 0:
-            t = np.full(x.shape[0], t)
-        k = np.searchsorted(self.tau, t, side="right") - 1
-        k = np.clip(k, 0, self.tau.size - 2)
+        t = min(max(float(t), 0.0), self.T)
+        k = min(int(np.searchsorted(self.tau, t, side="right")) - 1, self.tau.size - 2)
         lam = (t - self.tau[k]) / (self.tau[k + 1] - self.tau[k])
         cell, w = self.grid.cells(x)
         # table columns of the lower/upper grid corner at nodes k and k+1
-        cols = (k[:, None] * self.grid.nodes + cell).T[:, None, None, :] + self._offsets
+        cols = (k * self.grid.nodes + cell).T[:, None, None, :] + self._offsets
         value, grad, self._scratch = multilinear(     # (P, 2, m), (d, P, 2, m)
             tables, cols, w.T.copy(), self._scratch)
         value = value[:, 0] + lam * (value[:, 1] - value[:, 0])
         grad = grad[:, :, 0] + lam * (grad[:, :, 1] - grad[:, :, 0])
         return grad / np.maximum(value, _VALUE_FLOOR)
 
-    def ode_drift(self, t, x) -> np.ndarray:
+    def ode_drift(self, t: float, x: np.ndarray) -> np.ndarray:
         """Deterministic transport velocity beta * grad(log eta - log eta_hat)."""
         g = self._log_grad(self._tables, t, x)
         return (self.beta * (g[:, 0] - g[:, 1])).T.copy()
 
-    def sde_drift(self, t, x) -> np.ndarray:
+    def sde_drift(self, t: float, x: np.ndarray) -> np.ndarray:
         """Drift of the stochastic dynamics, 2 beta * grad log eta."""
         return (2.0 * self.beta * self._log_grad(self._eta, t, x)[:, 0]).T.copy()
 
@@ -243,156 +217,48 @@ def _reflect(x: np.ndarray, grid: Grid) -> np.ndarray:
     return grid.lower + y
 
 
-def _stop_at_nodes(tau: np.ndarray, ts: np.ndarray, hs: np.ndarray):
-    """Shorten each step ``(ts, ts + hs)`` that would pass the next time
-    node ``tau_j > ts`` so that it ends on that node (every ``ts`` lies
-    below the last node).
+def _integrate_ode(dyn: StepDynamics, x: np.ndarray, t_end: float):
+    """Classical RK4 integration of the drift ODE from time 0 to ``t_end``.
 
-    Returns the steps, the seven Dormand-Prince stage times of each
-    (``(7, m)``; the last two are the step's end, exactly ``tau_j`` for a
-    step that ends on a node) and the mask of steps that end on a node.
-    Every stage time lies in the step's one node interval
-    ``[tau_{j-1}, tau_j]``.
+    The window is cut at the time nodes ``dyn.tau`` below ``t_end``, and
+    each interval takes ``RK4_STEPS`` equal steps, the last of which ends
+    exactly on the interval's upper node (on ``t_end`` for the last
+    interval).  The drift interpolates the potentials linearly in time
+    between the nodes, so every stage of a step sees one smooth piece of
+    it.  All particles share each step's scalar time, so every drift call
+    carries the whole batch.  There is no error test: the time nodes, not
+    this integrator, set the sampler's error (module docstring).
+
+    Returns the new positions and the step's trace: the RK4 steps each
+    particle took and the drift rows evaluated.
     """
-    node = tau[np.searchsorted(tau, ts, side="right")]
-    ends = ts + hs
-    on_node = ends >= node
-    hs = np.where(on_node, node - ts, hs)
-    times = ts + _DOPRI_C[:, None] * hs
-    times[5:] = np.where(on_node, node, ends)
-    return hs, times, on_node
+    starts = dyn.tau[dyn.tau < t_end]
+    ends = np.append(starts[1:], t_end)
+    n_steps = RK4_STEPS
+    for a, b in zip(starts, ends):
+        for j in range(n_steps):
+            t0 = a + (b - a) * j / n_steps
+            t1 = b if j == n_steps - 1 else a + (b - a) * (j + 1) / n_steps
+            h = t1 - t0
+            tm = t0 + 0.5 * h
+            k1 = dyn.ode_drift(t0, x)
+            k2 = dyn.ode_drift(tm, x + (0.5 * h) * k1)
+            k3 = dyn.ode_drift(tm, x + (0.5 * h) * k2)
+            k4 = dyn.ode_drift(t1, x + h * k3)
+            x = x + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+    steps = n_steps * starts.size
+    return x, {"ode_steps": steps, "drift_rows": 4 * steps * x.shape[0]}
 
 
-def _combine(coeffs, stages, xs, hs, out, tmp):
-    """``out = xs + hs * sum(c * k)`` over the nonzero coefficients, in place."""
-    out.fill(0.0)
-    for c, ks in zip(coeffs, stages):
-        if c != 0.0:
-            np.multiply(ks, c, out=tmp)
-            out += tmp
-    out *= hs[:, None]
-    out += xs
-    return out
-
-
-def _integrate_ode(dyn: StepDynamics, x: np.ndarray, t0: float, t1: float,
-                   config: SamplerConfig, rescue_noise):
-    """Per-particle adaptive Dormand-Prince integration of the drift ODE.
-
-    Every particle carries its own time and step size; a particle whose
-    step size underflows is rescued (flagged, and run from its own time
-    to ``t1`` by ``_integrate_em`` with the noise ``rescue_noise(pid)``;
-    one call takes all the particles a round rescues).
-    Particles still short of ``t1`` when the round budget runs out are
-    left where they are and flagged unfinished.
-
-    The drift interpolates the potentials linearly in time between the
-    nodes ``dyn.tau``, so its time derivative jumps at each node.  A step
-    whose stages straddle a node sees that jump, and its embedded error
-    estimate fails there.  So no step crosses a node: a step that would
-    pass the next node is shortened to end on it (``_stop_at_nodes``),
-    and when it is accepted the particle's time becomes the node itself,
-    not ``t + h``, which could fall an ulp short and force a step of one
-    ulp.  The next step is the controller's usual proposal from the step
-    taken, but a stop never shrinks it below what a rejection of the
-    unshortened step could (``_MIN_FACTOR`` of it): a sliver of a step
-    that takes a particle just below a node onto it says nothing about
-    the step size, so it must not make the particle look stuck and be
-    rescued.
-
-    The first stage of a round reuses a drift already evaluated at the
-    same point (first same as last): after an accepted step the seventh
-    stage, whose point (step end, ``x5``) is the new time and position
-    bit for bit, and after a rejected step the round's own first stage.
-    Only the first round evaluates all seven stages.
-
-    Returns the rescued and unfinished flags and the step's trace: ODE
-    rounds, accepted and rejected steps, accepted steps that ended on a
-    time node, drift rows evaluated, and the smallest step size the
-    controller proposed to a particle that still had time left (0.0 when
-    the window is empty).
-    """
-    m, d = x.shape
-    span = t1 - t0
-    trace = dict(_NO_ODE_TRACE)
-    if span <= 0:
-        return np.zeros(m, dtype=bool), np.zeros(m, dtype=bool), trace
-    t = np.full(m, t0)
-    h = np.full(m, span / 16.0)
-    active = np.ones(m, dtype=bool)
-    rescued = np.zeros(m, dtype=bool)
-    k_first = np.empty((m, d))          # drift at each particle's (t, x), once known
-    min_step = span / 16.0
-
-    for rnd in range(MAX_ODE_ROUNDS):
-        if not np.any(active):
-            break
-        ids = np.nonzero(active)[0]
-        xs = x[ids]
-        ts = t[ids]
-        hs, times, on_node = _stop_at_nodes(dyn.tau, ts, np.minimum(h[ids], t1 - ts))
-        k = np.empty((7, ids.size, d))
-        xi, x5, tmp = np.empty((3, ids.size, d))
-
-        if rnd == 0:
-            k[0] = dyn.ode_drift(times[0], xs)
-        else:
-            k[0] = k_first[ids]
-        for s in range(1, 7):
-            k[s] = dyn.ode_drift(times[s], _combine(_DOPRI_A[s], k[:s], xs, hs, xi, tmp))
-        _combine(_DOPRI_B5, k, xs, hs, x5, tmp)
-        x4 = _combine(_DOPRI_B4, k, xs, hs, xi, tmp)
-        scale = config.abs_tol + config.rel_tol * np.maximum(np.abs(xs), np.abs(x5))
-        with np.errstate(over="ignore"):             # an infinite error is rejected
-            err = np.sqrt(np.mean(((x5 - x4) / scale) ** 2, axis=1))
-        accept = err <= 1.0
-        ts_new = np.where(accept, times[6], ts)
-        xs = np.where(accept[:, None], x5, xs)
-        k_first[ids] = np.where(accept[:, None], k[6], k[0])
-        with np.errstate(divide="ignore"):
-            factor = 0.9 * err ** (-0.2)              # inf at err == 0, 0 at err == inf
-        # a NaN error (a non-finite drift) is no evidence for a step size:
-        # the step is rejected and shrunk as far as one round allows
-        factor = np.clip(np.where(np.isnan(factor), 0.0, factor), _MIN_FACTOR, 5.0)
-        hs_next = hs * factor
-        stopped = accept & on_node
-        hs_next = np.where(stopped, np.maximum(hs_next, _MIN_FACTOR * h[ids]), hs_next)
-
-        x[ids] = xs
-        t[ids] = ts_new
-        h[ids] = hs_next
-        done = ts_new >= t1 * (1.0 - 1e-14) - 1e-300
-        under = hs_next < MIN_STEP_FRACTION * span
-        stuck = ids[under & ~done]
-        if stuck.size:
-            x[stuck] = _integrate_em(dyn, x[stuck], t[stuck], t1, config.n_em_steps,
-                                     np.stack([rescue_noise(pid) for pid in stuck]))
-            rescued[stuck] = True
-        active[ids] = ~(done | under)
-
-        n_accepted = int(np.count_nonzero(accept))
-        trace["ode_rounds"] += 1
-        trace["accepted"] += n_accepted
-        trace["rejected"] += ids.size - n_accepted
-        trace["node_stops"] += int(np.count_nonzero(stopped))
-        trace["drift_rows"] += (7 if rnd == 0 else 6) * ids.size
-        if not np.all(done):
-            min_step = min(min_step, float(np.min(hs_next[~done])))
-    trace["min_step"] = min_step
-    return rescued, active.copy(), trace
-
-
-def _integrate_em(dyn: StepDynamics, x: np.ndarray, t0, t1: float,
+def _integrate_em(dyn: StepDynamics, x: np.ndarray, t0: float, t1: float,
                   n_steps: int, noise: np.ndarray) -> np.ndarray:
-    """Euler-Maruyama with reflecting box faces from ``t0`` (one time, or
-    one per row) to ``t1`` in ``n_steps`` equal steps per row; ``noise``
-    is ``(m, n_steps, d)``.  Each row's result is that of a call on its
-    row alone."""
-    t = np.full(x.shape[0], t0, dtype=float)
-    dt = (t1 - t) / n_steps
-    amp = dyn.diffusion * np.sqrt(dt)[:, None]
+    """Euler-Maruyama with reflecting box faces from ``t0`` to ``t1`` in
+    ``n_steps`` equal steps; ``noise`` is ``(m, n_steps, d)``."""
+    dt = (t1 - t0) / n_steps
+    amp = dyn.diffusion * np.sqrt(dt)
+    t = t0
     for j in range(n_steps):
-        x = x + dt[:, None] * dyn.sde_drift(t, x) + amp * noise[:, j]
+        x = x + dt * dyn.sde_drift(t, x) + amp * noise[:, j]
         x = _reflect(x, dyn.grid)
         t = t + dt
     return x
@@ -403,11 +269,12 @@ def sample(model: FlowModel, n: int, config: SamplerConfig | None = None,
     """Draw an ensemble of approximate samples from the fitted model.
 
     Initial positions are exact draws from the model's truncated
-    Gaussian initial density; each proximal step is then integrated per
-    particle.  Particle ``i`` draws from
-    ``SeedSequence(entropy=seed, spawn_key=(i,))``, so identical (model,
-    n, config, seed) produce bitwise identical ensembles, and particle
-    ``i`` ends in the same place whatever ``n > i`` is.
+    Gaussian initial density; each proximal step then moves all particles
+    together, by fixed RK4 steps on the drift ODE and fixed
+    Euler-Maruyama steps on the stochastic tail.  Particle ``i`` draws
+    from ``SeedSequence(entropy=seed, spawn_key=(i,))``, so identical
+    (model, n, config, seed) produce bitwise identical ensembles, and
+    particle ``i`` ends in the same place whatever ``n > i`` is.
     """
     if not isinstance(n, (int, np.integer)) or n < 0:
         raise ValueError(f"n must be an integer >= 0, not {n!r}")
@@ -427,30 +294,17 @@ def sample(model: FlowModel, n: int, config: SamplerConfig | None = None,
     ]) if n else np.zeros((0, n_steps, config.n_em_steps, d))
 
     x = model.initial.sample_from_uniforms(uniforms, grid) if n else np.zeros((0, d))
-    rescued = np.zeros(n, dtype=bool)
-    unfinished = np.zeros(n, dtype=bool)
     trace = []
     for k, state in enumerate(model.steps):
         dyn = StepDynamics(state, grid, config)
         t_switch = (1.0 - config.epsilon_sde) * state.T
-        step_trace = {**_NO_ODE_TRACE, "rescued": 0, "unfinished": 0}
-        if t_switch > 0 and n:
-            def rescue_noise(pid):
-                return gens[pid].standard_normal((config.n_em_steps, d))
-
-            resc, unfin, ode_trace = _integrate_ode(dyn, x, 0.0, t_switch, config,
-                                                    rescue_noise)
-            rescued |= resc
-            unfinished |= unfin
-            step_trace.update(ode_trace, rescued=int(resc.sum()),
-                              unfinished=int(unfin.sum()))
+        x, step_trace = _integrate_ode(dyn, x, t_switch)
         trace.append(step_trace)
-        if config.epsilon_sde > 0 and n:
+        if config.epsilon_sde > 0:
             x = _integrate_em(dyn, x, t_switch, state.T, config.n_em_steps,
                               em_noise[:, k])
     return Ensemble(
-        positions=grid.clamp(x), clamped=grid.outside(x), rescued=rescued, unfinished=unfinished,
+        positions=grid.clamp(x), clamped=grid.outside(x),
         meta={"n": n, "seed": seed, "epsilon_sde": config.epsilon_sde,
-              "n_em_steps": config.n_em_steps, "rel_tol": config.rel_tol,
-              "abs_tol": config.abs_tol, "steps": len(model.steps), "trace": trace},
+              "n_em_steps": config.n_em_steps, "steps": len(model.steps), "trace": trace},
     )

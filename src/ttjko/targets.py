@@ -88,10 +88,6 @@ class CachedDensity:
             raise DensityEvalError(idx[row], vals[row])
         return vals
 
-    @property
-    def cache_size(self) -> int:
-        return len(self._store)
-
 
 # ---------------------------------------------------------------------------
 # synthetic targets

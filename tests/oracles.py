@@ -8,11 +8,11 @@ wrappers, kept to pin the pivots of the production version.
 ``reference_log_grad`` is the original per-node sampler drift kernel
 (one gather and one reduction per axis, time node and potential), kept
 to pin the drift of the production single-pass kernel, and
-``reference_integrate_ode`` the Dormand-Prince loop that evaluates all
-seven stages every round, kept to pin the positions of the production
-loop that reuses its first stage.  ``reference_interpolate_batch`` is
-the original row-wise interpolation (one ``matmul`` chain step per
-axis), kept to pin the shared off-grid kernel.  ``reference_entropic_ot``
+``reference_rk4`` the RK4 loop run one particle at a time, kept to pin
+the positions of the production loop that steps the whole batch at
+once.  ``reference_interpolate_batch`` is the original row-wise
+interpolation (one ``matmul`` chain step per axis), kept to pin the
+shared off-grid kernel.  ``reference_entropic_ot``
 is the original log-domain Sinkhorn (two full-matrix logsumexps per
 iteration), kept to pin the values and convergence flags of the
 production stabilised scaling iteration.  ``reference_picard_solve`` is
@@ -237,68 +237,31 @@ def reference_interpolate_batch(t, grid, x):
     return v[:, 0], clamped
 
 
-def reference_integrate_ode(dyn, x, t0, t1, config, rescue_noise):
-    """Per-particle adaptive Dormand-Prince integration of ``dyn.ode_drift``,
-    seven drift evaluations per round, with the sampler's rule that every
-    step ends at or before the next time node; returns (rescued, unfinished)."""
-    from ttjko.sampler import (_DOPRI_A, _DOPRI_B4, _DOPRI_B5, _MIN_FACTOR,
-                               MAX_ODE_ROUNDS, MIN_STEP_FRACTION, _integrate_em,
-                               _stop_at_nodes)
-    m, d = x.shape
-    span = t1 - t0
-    if span <= 0:
-        return np.zeros(m, dtype=bool), np.zeros(m, dtype=bool)
-    t = np.full(m, t0)
-    h = np.full(m, span / 16.0)
-    active = np.ones(m, dtype=bool)
-    rescued = np.zeros(m, dtype=bool)
-    for _ in range(MAX_ODE_ROUNDS):
-        if not np.any(active):
-            break
-        ids = np.nonzero(active)[0]
-        xs = x[ids]
-        ts = t[ids]
-        hs, times, on_node = _stop_at_nodes(dyn.tau, ts, np.minimum(h[ids], t1 - ts))
-        k = np.empty((7, ids.size, d))
-
-        def combine(coeffs, stages):
-            acc = np.zeros((ids.size, d))
-            for c, ks in zip(coeffs, stages):
-                if c != 0.0:
-                    acc = acc + c * ks
-            return acc
-
-        for s in range(7):
-            xi = xs.copy()
-            if s > 0:
-                xi = xs + hs[:, None] * combine(_DOPRI_A[s], k[:s])
-            k[s] = dyn.ode_drift(times[s], xi)
-        x5 = xs + hs[:, None] * combine(_DOPRI_B5, k)
-        x4 = xs + hs[:, None] * combine(_DOPRI_B4, k)
-        scale = config.abs_tol + config.rel_tol * np.maximum(np.abs(xs), np.abs(x5))
-        err = np.sqrt(np.mean(((x5 - x4) / scale) ** 2, axis=1))
-        accept = err <= 1.0
-        ts_new = np.where(accept, times[6], ts)
-        xs = np.where(accept[:, None], x5, xs)
-        with np.errstate(divide="ignore"):
-            factor = 0.9 * err ** (-0.2)
-        factor = np.clip(np.where(np.isfinite(factor), factor, 5.0), _MIN_FACTOR, 5.0)
-        # a step that ended on a node shrinks the next one no more than a
-        # rejection could
-        hs_next = np.where(accept & on_node,
-                           np.maximum(hs * factor, _MIN_FACTOR * h[ids]), hs * factor)
-        x[ids] = xs
-        t[ids] = ts_new
-        h[ids] = hs_next
-        done = ts_new >= t1 * (1.0 - 1e-14) - 1e-300
-        under = hs_next < MIN_STEP_FRACTION * span
-        for j in np.nonzero(under & ~done)[0]:
-            pid = ids[j]
-            x[pid] = _integrate_em(dyn, x[pid:pid + 1], t[pid], t1, config.n_em_steps,
-                                   rescue_noise(pid)[None])[0]
-            rescued[pid] = True
-        active[ids] = ~(done | under)
-    return rescued, active.copy()
+def reference_rk4(dyn, x, t_end, steps):
+    """Classical RK4 on ``dyn.ode_drift`` from time 0 to ``t_end``, one
+    particle at a time and one scalar time per drift call: ``steps`` equal
+    steps from each time node below ``t_end`` to the next node, or to
+    ``t_end`` past the last; returns the end positions."""
+    tau = dyn.tau
+    out = np.empty_like(x)
+    for i in range(x.shape[0]):
+        y = x[i:i + 1]
+        j = 0
+        while j < tau.size and tau[j] < t_end:
+            a = tau[j]
+            b = tau[j + 1] if j + 1 < tau.size and tau[j + 1] < t_end else t_end
+            for s in range(steps):
+                t0 = a + (b - a) * s / steps
+                t1 = b if s == steps - 1 else a + (b - a) * (s + 1) / steps
+                h = t1 - t0
+                k1 = dyn.ode_drift(t0, y)
+                k2 = dyn.ode_drift(t0 + 0.5 * h, y + (0.5 * h) * k1)
+                k3 = dyn.ode_drift(t0 + 0.5 * h, y + (0.5 * h) * k2)
+                k4 = dyn.ode_drift(t1, y + h * k3)
+                y = y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+            j += 1
+        out[i] = y[0]
+    return out
 
 
 def reference_picard_solve(rho_prev, rho_inf, grid, T, beta, config, q=1.0,

@@ -146,7 +146,7 @@ REJECTED = [
     pytest.param("target", {"target": {"type": "gaussian_mixture", "d": 2,
                                        "n_components": 2, "var": -0.5}},
                  id="negative-mixture-var"),
-    pytest.param("sampler", {"sampler": {"rel_tol": -1.0}}, id="negative-rel-tol"),
+    pytest.param("sampler", {"sampler": {"n_time_nodes": 7}}, id="odd-time-nodes"),
     pytest.param("fixed_point.cross", {"fixed_point": {"cross": {"max_rank": 2.7}}},
                  id="float-max-rank"),
     pytest.param("fixed_point.cross", {"fixed_point": {"cross": {"max_sweeps": 2.5}}},
@@ -460,3 +460,4 @@ class TestInvertCommand:
         out = tmp_path / "run"
         path = write_config(tmp_path, tiny_gaussian_config(out))
         assert main(["invert", path]) == 1
+        assert not out.exists()

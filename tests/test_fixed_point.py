@@ -272,5 +272,8 @@ class TestCacheTransparency:
         assert s_on.residual_history == s_off.residual_history
         for a, b in zip(s_on.eta_T.cores, s_off.eta_T.cores):
             assert np.array_equal(a, b)
-        assert rho_off.cache_size == 0
         assert rho_on.unique_calls < rho_off.unique_calls
+        # nothing is stored: a row queried again is paid again
+        calls = rho_off.unique_calls
+        rho_off.eval_batch(np.zeros((1, grid.d), dtype=np.intp))
+        assert rho_off.unique_calls == calls + 1

@@ -148,12 +148,13 @@ class TestArrayKeyedCache:
         cd, _ = self.make(grid, capacity=2)
         cd.eval_batch(np.array([[3, 3], [1, 0], [3, 3], [2, 4], [0, 1]]))
         assert cd.unique_calls == 4
-        assert cd.cache_size == 2
         cd.eval_batch(np.array([[1, 0], [3, 3]]))      # stored: free
         assert cd.unique_calls == 4
         cd.eval_batch(np.array([[2, 4], [0, 1]]))      # past capacity: paid again
         assert cd.unique_calls == 6
-        assert cd.total_calls == 9
+        cd.eval_batch(np.array([[0, 1], [1, 0]]))      # and again on every query
+        assert cd.unique_calls == 7
+        assert cd.total_calls == 11
 
     @pytest.mark.parametrize("capacity", [2.5, -5, "10"])
     def test_capacity_that_is_not_none_or_a_count_is_rejected(self, capacity):
@@ -169,10 +170,11 @@ class TestArrayKeyedCache:
         cd.eval_batch(idx)
         assert cd.unique_calls == 4       # each batch evaluates its distinct rows
         assert cd.total_calls == 6
-        assert cd.cache_size == 0
         assert len(seen) == 2
         assert_array_equal(seen[1], grid.points(idx[[0, 2]]))
         assert_array_equal(vals, _density(grid.points(idx)))
+        cd.eval_batch(idx[:1])
+        assert cd.unique_calls == 5
 
     def test_rows_equal_mod_2_64_are_distinct_keys(self):
         # the mixed-radix numbers of these rows agree mod 2^64: axis k has
@@ -185,8 +187,7 @@ class TestArrayKeyedCache:
         assert first[0] != first[1]
         again = cd.eval_batch(idx[::-1])
         assert_array_equal(again, first[::-1])
-        assert cd.cache_size == 2
-        assert cd.unique_calls == 2
+        assert cd.unique_calls == 2         # both rows stored, the second query free
 
     def test_exact_on_a_grid_past_2_64_points(self):
         # the gaussian_verification grid: 16 axes of 30 nodes, 30^16 > 2^64 points
@@ -209,9 +210,10 @@ class TestArrayKeyedCache:
             assert cd.eval_batch(idx[::-1]).tobytes() == direct[::-1].tobytes()
             assert_array_equal(seen[0], grid.points(idx[first]))
             stored = n if capacity is None else capacity
-            assert cd.cache_size == stored
             assert cd.unique_calls == 2 * n - stored
-            assert cd.total_calls == 300
+            cd.eval_batch(idx[first[:stored]])             # the stored rows: free
+            assert cd.unique_calls == 2 * n - stored
+            assert cd.total_calls == 300 + stored
             if capacity is not None:
                 # the rows past capacity are paid again, in the new batch's order
                 kept = {tuple(r) for r in idx[first[:capacity]]}
@@ -305,7 +307,7 @@ def _drift_case(d, eta_rank, hat_rank, seed):
 
 
 def _drift_points(dyn, m, rng):
-    """m >= 5 points and times that hit every edge case the kernel guards:
+    """m >= 5 points and 6 times that hit every edge case the kernel guards:
     points clamped from outside the box, points on the upper and lower
     faces, and t = 0, T, an interior node and values outside [0, T]."""
     g = dyn.grid
@@ -313,12 +315,13 @@ def _drift_points(dyn, m, rng):
     x = rng.uniform(g.lower - 0.2 * width, g.upper + 0.2 * width, (m, g.d))
     x[1::5] = np.where(rng.random((len(x[1::5]), g.d)) < 0.5, g.upper, x[1::5])
     x[2::5, -1] = g.lower[-1]
-    t = rng.uniform(0.0, dyn.T, m)
-    t[:5] = [0.0, dyn.T, dyn.tau[3], -0.4, dyn.T + 0.7]
+    t = [0.0, dyn.T, dyn.tau[3], -0.4, dyn.T + 0.7, rng.uniform(0.0, dyn.T)]
     return t, x
 
 
 def _reference_drifts(dyn, eta, hat, t, x):
+    """Both drifts at the one time ``t`` of the batch ``x``."""
+    t = np.full(x.shape[0], t)
     ref_eta = oc.reference_log_grad(eta, dyn.tau, dyn.T, dyn.grid, t, x)
     ref_hat = oc.reference_log_grad(hat, dyn.tau, dyn.T, dyn.grid, t, x)
     return {"ode_drift": dyn.beta * (ref_eta - ref_hat),
@@ -331,9 +334,9 @@ class TestDriftKernel:
     @pytest.mark.parametrize("m", [1, 257])
     def test_bitwise_equal_to_per_node_reference(self, d, ranks, m):
         dyn, eta, hat, rng = _drift_case(d, *ranks, seed=100 * d + 10 * ranks[0] + m)
-        t, x = _drift_points(dyn, max(m, 5), rng)
-        batches = [(t[i:i + 1], x[i:i + 1]) for i in range(5)] if m == 1 else [(t, x)]
-        for t, x in batches:
+        times, x = _drift_points(dyn, max(m, 5), rng)
+        rows = [x[i:i + 1] for i in range(5)] if m == 1 else [x]
+        for t, x in ((t, x) for t in times for x in rows):
             for name, ref in _reference_drifts(dyn, eta, hat, t, x).items():
                 got = getattr(dyn, name)(t, x)
                 assert got.shape == (m, d) and got.flags.c_contiguous
@@ -341,19 +344,21 @@ class TestDriftKernel:
 
     def test_rows_independent_of_batch(self):
         dyn, _, _, rng = _drift_case(6, 3, 2, seed=7)
-        t, x = _drift_points(dyn, 257, rng)
-        full = dyn.ode_drift(t, x)
-        rows = np.concatenate([dyn.ode_drift(t[i:i + 1], x[i:i + 1]) for i in range(257)])
-        assert_array_equal(full, rows)
+        times, x = _drift_points(dyn, 257, rng)
+        for t in times[2:4]:
+            full = dyn.ode_drift(t, x)
+            rows = np.concatenate([dyn.ode_drift(t, x[i:i + 1]) for i in range(257)])
+            assert_array_equal(full, rows)
 
     def test_rank_nine_within_summation_order(self):
         # numpy sums rank axes of 8 or more pairwise in the reference, in
         # order here: equal up to the reordering of the sums
         dyn, eta, hat, rng = _drift_case(3, 9, 4, seed=9)
-        t, x = _drift_points(dyn, 257, rng)
-        for name, ref in _reference_drifts(dyn, eta, hat, t, x).items():
-            assert_allclose(getattr(dyn, name)(t, x), ref, rtol=1e-13,
-                            atol=1e-13 * np.max(np.abs(ref)), err_msg=name)
+        times, x = _drift_points(dyn, 257, rng)
+        for t in times:
+            for name, ref in _reference_drifts(dyn, eta, hat, t, x).items():
+                assert_allclose(getattr(dyn, name)(t, x), ref, rtol=1e-13,
+                                atol=1e-13 * np.max(np.abs(ref)), err_msg=name)
 
 
 class TestInterpolateKernel:

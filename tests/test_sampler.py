@@ -1,7 +1,6 @@
 """Hybrid ODE/SDE sampling of fitted models."""
 
 import json
-import warnings
 
 import numpy as np
 import pytest
@@ -15,8 +14,8 @@ from ttjko.fixed_point import FixedPointConfig, StepState
 from ttjko.cross import CrossConfig
 from ttjko.grid import Grid
 from ttjko.heat import HeatPropagator
-from ttjko.sampler import (MIN_STEP_FRACTION, Ensemble, SamplerConfig, StepDynamics,
-                           _integrate_em, _integrate_ode, _reflect, sample)
+from ttjko.sampler import (SamplerConfig, StepDynamics, _integrate_em, _integrate_ode,
+                           _reflect, sample)
 from ttjko.targets import CachedDensity, Gaussian
 from ttjko.tt import tt_rank_one, tt_ones
 
@@ -41,7 +40,7 @@ class TestDrifts:
         state = gaussian_state(grid, 0.3, 0.8, 0.3, 0.8, T=1.0, beta=0.05)
         dyn = StepDynamics(state, grid, SamplerConfig())
         x = np.random.default_rng(0).uniform(-2, 2, size=(50, 2))
-        v = dyn.ode_drift(np.full(50, 0.5), x)
+        v = dyn.ode_drift(0.5, x)
         assert np.max(np.abs(v)) <= 1e-10
 
     def test_one_dimensional_gaussian_closed_form(self):
@@ -50,11 +49,10 @@ class TestDrifts:
         state = gaussian_state(grid, m1, v1, m2, v2, T=1.0, beta=0.07)
         dyn = StepDynamics(state, grid, SamplerConfig())
         x = np.linspace(-2.0, 2.0, 41)[:, None]
-        t = np.zeros(41)
         # at t=0: eta is smoothed by beta*T, eta_hat is raw
         s = state.beta * state.T
         v1_eff = v1 + 2 * s
-        got = dyn.ode_drift(t, x)[:, 0]
+        got = dyn.ode_drift(0.0, x)[:, 0]
         expected = state.beta * (-(x[:, 0] - m1) / v1_eff + (x[:, 0] - m2) / v2)
         assert np.max(np.abs(got - expected)) <= 5e-3 * max(np.max(np.abs(expected)), 1)
 
@@ -63,8 +61,7 @@ class TestDrifts:
         state = gaussian_state(grid, 0.2, 0.7, 0.0, 1.0, T=1.0, beta=0.05)
         dyn = StepDynamics(state, grid, SamplerConfig())
         x = np.linspace(-1.5, 1.5, 21)[:, None]
-        t = np.full(21, state.T)
-        got = dyn.sde_drift(t, x)[:, 0]
+        got = dyn.sde_drift(state.T, x)[:, 0]
         expected = 2 * state.beta * (-(x[:, 0] - 0.2) / 0.7)
         assert np.max(np.abs(got - expected)) <= 5e-3 * np.max(np.abs(expected))
 
@@ -75,16 +72,17 @@ class TestDrifts:
         dyn = StepDynamics(state, grid, SamplerConfig())
         rng = np.random.default_rng(1)
         x = rng.uniform(-2, 2, size=(60, 2))
-        t = rng.uniform(0, state.T, size=60)
-        ode = dyn.ode_drift(t, x)
-        sde = dyn.sde_drift(t, x)
         stacks = [oc.reference_stacks([HeatPropagator(grid, state.beta * s).apply(p)
                                        for s in times], grid)
                   for p, times in ((state.eta_T, state.T - dyn.tau),
                                    (state.eta_hat_0, dyn.tau))]
-        grad_log_rho = sum(oc.reference_log_grad(st, dyn.tau, dyn.T, grid, t, x)
-                           for st in stacks)
-        assert np.max(np.abs(ode - (sde - state.beta * grad_log_rho))) <= 1e-10
+        for t in rng.uniform(0, state.T, size=6):
+            ode = dyn.ode_drift(t, x)
+            sde = dyn.sde_drift(t, x)
+            grad_log_rho = sum(oc.reference_log_grad(st, dyn.tau, dyn.T, grid,
+                                                     np.full(60, t), x)
+                               for st in stacks)
+            assert np.max(np.abs(ode - (sde - state.beta * grad_log_rho))) <= 1e-10
 
     def test_constant_eta_gives_pure_brownian_drift(self):
         grid = Grid.regular(-3.0, 3.0, 40, d=2)
@@ -93,7 +91,7 @@ class TestDrifts:
                           T=1.0, beta=0.2, converged=True, iters=1)
         dyn = StepDynamics(state, grid, SamplerConfig())
         x = np.random.default_rng(2).uniform(-2, 2, size=(30, 2))
-        assert np.max(np.abs(dyn.sde_drift(np.full(30, 0.3), x))) <= 1e-12
+        assert np.max(np.abs(dyn.sde_drift(0.3, x))) <= 1e-12
         assert_allclose(dyn.diffusion, np.sqrt(2 * 0.2))
 
     def test_scratch_reuse_is_transparent(self):
@@ -104,7 +102,7 @@ class TestDrifts:
         dyn = StepDynamics(state, grid, SamplerConfig())
         rng = np.random.default_rng(1)
         for m in (20, 5, 60, 1, 33):
-            t = rng.uniform(0.0, 1.0, m)
+            t = rng.uniform(0.0, 1.0)
             x = rng.uniform(-4.5, 4.5, size=(m, 3))
             fresh = StepDynamics(state, grid, SamplerConfig())
             assert np.array_equal(dyn.ode_drift(t, x), fresh.ode_drift(t, x))
@@ -118,7 +116,7 @@ class TestDrifts:
         # the cell of a NaN coordinate is a negative integer, which the
         # gather would clip into the tables without the range check
         with np.errstate(invalid="ignore"), pytest.raises(IndexError):
-            dyn.ode_drift(np.array([0.5, 0.5]), x)
+            dyn.ode_drift(0.5, x)
 
 
 class TestReflect:
@@ -172,13 +170,13 @@ class TestSample:
         g = fitted.grid
         assert np.all(ens.positions >= g.lower) and np.all(ens.positions <= g.upper)
 
-    def test_ode_error_is_a_fifth_of_the_node_error(self, fitted):
-        # the default tolerance leaves the integrator's error well below
+    def test_ode_error_is_a_fifth_of_the_node_error(self, fitted, monkeypatch):
+        # the default RK4 steps leave the integrator's error well below
         # that of interpolating the potentials between the time nodes
-        tight = {"rel_tol": 1e-10, "abs_tol": 1e-12}
         x = sample(fitted, 40, SamplerConfig(), seed=5).positions
-        ref = sample(fitted, 40, SamplerConfig(**tight), seed=5).positions
-        fine = sample(fitted, 40, SamplerConfig(**tight, n_time_nodes=128), seed=5).positions
+        monkeypatch.setattr(sampler_module, "RK4_STEPS", 32)
+        ref = sample(fitted, 40, SamplerConfig(), seed=5).positions
+        fine = sample(fitted, 40, SamplerConfig(n_time_nodes=128), seed=5).positions
         ode = np.linalg.norm(x - ref, axis=1)
         node = np.linalg.norm(ref - fine, axis=1)
         assert ode.mean() <= node.mean() / 5
@@ -218,14 +216,6 @@ class TestSample:
         with pytest.raises(ValueError, match="n_em_steps"):
             SamplerConfig(n_em_steps=0)
 
-    @pytest.mark.parametrize("value", [0.0, -1e-6, np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("name", ["rel_tol", "abs_tol"])
-    def test_tolerances_that_are_not_positive_and_finite_are_rejected(self, name, value):
-        # with rel_tol=nan every error test fails: sample would run the
-        # whole round budget and leave every particle unfinished
-        with pytest.raises(ValueError, match="tolerances"):
-            SamplerConfig(**{name: value})
-
     @pytest.mark.parametrize("n", [2.5, 0])
     def test_em_steps_that_are_not_a_positive_integer_are_rejected(self, n):
         # a float would fail only when sample draws the noise
@@ -260,7 +250,7 @@ class TestSample:
         assert sidecar["n"] == 5 and "seed" in sidecar
 
 
-class TestRescue:
+class TestEulerMaruyama:
     def test_one_row_em_advances_time(self):
         grid = Grid.regular(-3.0, 3.0, 40, d=2)
         state = gaussian_state(grid, 0.0, 1.0, 0.0, 1.0, T=1.0, beta=0.1)
@@ -272,74 +262,9 @@ class TestRescue:
         assert np.all(np.isfinite(out))
         assert np.all(out >= grid.lower) and np.all(out <= grid.upper)
 
-    def test_per_row_start_times_match_one_row_calls(self):
-        grid = Grid.regular(-3.0, 3.0, 40, d=2)
-        state = gaussian_state(grid, 0.0, 1.0, 0.3, 0.8, T=1.0, beta=0.1)
-        dyn = StepDynamics(state, grid, SamplerConfig())
-        rng = np.random.default_rng(4)
-        x = rng.uniform(-2.5, 2.5, (7, 2))
-        t0 = rng.uniform(0.0, 0.9, 7)
-        noise = rng.standard_normal((7, 10, 2))
-        out = _integrate_em(dyn, x, t0, 1.0, 10, noise)
-        for i in range(7):
-            assert_array_equal(out[i], _integrate_em(dyn, x[i:i + 1], t0[i], 1.0, 10,
-                                                     noise[i:i + 1])[0])
-
-    def test_rescued_sample(self, fitted, monkeypatch):
-        # raise the rescue threshold just above the smallest step the
-        # controller proposes, so the particle(s) proposing it are rescued;
-        # at the default tolerance every particle proposes that same step
-        cfg = SamplerConfig(rel_tol=1e-6)
-        base = sample(fitted, 200, cfg, seed=7)
-        assert not base.rescued.any()
-        span = (1.0 - cfg.epsilon_sde) * fitted.steps[0].T
-        monkeypatch.setattr(sampler_module, "MIN_STEP_FRACTION",
-                            1.01 * base.meta["trace"][0]["min_step"] / span)
-        full = sample(fitted, 200, cfg, seed=7)
-        assert 0 < full.rescued.sum() < 200
-        assert full.meta["trace"][0]["rescued"] == full.rescued.sum()
-        again = sample(fitted, 200, cfg, seed=7)
-        assert_array_equal(again.positions, full.positions)
-        assert_array_equal(again.rescued, full.rescued)
-        part = sample(fitted, 50, cfg, seed=7)
-        assert_array_equal(part.positions, full.positions[:50])
-        assert_array_equal(part.rescued, full.rescued[:50])
-        # reflected into the box by the integrator, not clamped afterwards
-        assert not full.clamped[full.rescued].any()
-        assert not full.unfinished.any()
-
-    def test_one_em_call_per_round_of_rescues(self, fitted, monkeypatch):
-        # every particle is rescued; the rescues of a round share one call,
-        # and each row ends where a call on its row alone would leave it
-        monkeypatch.setattr(sampler_module, "MIN_STEP_FRACTION", 7e-4)
-        calls = []
-        drift = StepDynamics.sde_drift
-
-        def counted(self, t, x):
-            calls.append(x.shape[0])
-            return drift(self, t, x)
-
-        monkeypatch.setattr(StepDynamics, "sde_drift", counted)
-        ens = sample(fitted, 200, SamplerConfig(), seed=7)
-        batched = len(calls)
-        assert ens.rescued.all()
-
-        def one_row_rescues(*args):
-            return (*oc.reference_integrate_ode(*args), {})
-
-        calls.clear()
-        monkeypatch.setattr(sampler_module, "_integrate_ode", one_row_rescues)
-        ref = sample(fitted, 200, SamplerConfig(), seed=7)
-        assert_array_equal(ens.positions, ref.positions)
-        assert_array_equal(ens.rescued, ref.rescued)
-        # 200 one-row rescues of n_em_steps calls each, plus the tail's
-        n_em = SamplerConfig().n_em_steps
-        assert len(calls) == 201 * n_em
-        assert batched < len(calls) / 10
-
 
 class TestTrace:
-    """The per-step sampler trace, and first-same-as-last stage reuse."""
+    """The fixed-step RK4 integrator and the per-step sampler trace."""
 
     @staticmethod
     def _dynamics():
@@ -348,9 +273,9 @@ class TestTrace:
         return StepDynamics(state, grid, SamplerConfig())
 
     @classmethod
-    def _integrate(cls, integrate, m=37, t0=0.0, times=None):
-        """Integrate m particles over [t0, 1.5]; every drift call appends its
-        row count to the returned list, and its times to ``times``."""
+    def _integrate(cls, m=37, t_end=1.5, times=None):
+        """Integrate m particles over [0, t_end]; every drift call appends its
+        row count to the returned list, and its time to ``times``."""
         dyn = cls._dynamics()
         calls = []
         drift = dyn.ode_drift
@@ -358,131 +283,69 @@ class TestTrace:
         def counted(t, x):
             calls.append(x.shape[0])
             if times is not None:
-                times.append(np.array(t, dtype=float))
+                times.append(t)
             return drift(t, x)
 
         dyn.ode_drift = counted
-        x = np.random.default_rng(3).uniform(-2.5, 2.5, (m, 2))
-        out = integrate(dyn, x, t0, 1.5, SamplerConfig(rel_tol=1e-8),
-                        lambda pid: np.zeros((20, 2)))
-        return x, out, calls
+        x0 = np.random.default_rng(3).uniform(-2.5, 2.5, (m, 2))
+        x, trace = _integrate_ode(dyn, x0, t_end)
+        return x0, x, trace, calls
 
-    def test_positions_match_seven_stage_reference(self):
-        x_ref, (resc_ref, unfin_ref), calls_ref = self._integrate(oc.reference_integrate_ode)
-        x, (resc, unfin, trace), calls = self._integrate(_integrate_ode)
-        assert_array_equal(x, x_ref)
-        assert_array_equal(resc, resc_ref)
-        assert_array_equal(unfin, unfin_ref)
-        assert trace["rejected"] > 0          # both FSAL branches are exercised
-        assert sum(calls) < sum(calls_ref)
+    @pytest.mark.parametrize("node", [None, 5, -1])
+    def test_positions_match_one_particle_reference(self, node):
+        # t_end between nodes, on an interior node and on the last node
+        t_end = 1.5 if node is None else self._dynamics().tau[node]
+        x0, x, _, _ = self._integrate(m=11, t_end=t_end)
+        ref = oc.reference_rk4(self._dynamics(), x0, t_end, sampler_module.RK4_STEPS)
+        assert_array_equal(x, ref)
 
-    def test_counters_follow_fsal(self):
+    def test_drift_rows_are_four_per_step_per_particle(self):
         m = 37
-        _, (_, _, trace), calls = self._integrate(_integrate_ode, m)
-        # round 1 evaluates 7 stages of every particle, later rounds 6 of the
-        # particles still active
-        assert calls[:7] == [m] * 7
-        later = calls[7:]
-        assert len(later) % 6 == 0
-        rounds = [later[i:i + 6] for i in range(0, len(later), 6)]
-        assert all(len(set(r)) == 1 for r in rounds)
-        active = [m] + [r[0] for r in rounds]
-        assert trace["ode_rounds"] == len(active)
-        assert trace["drift_rows"] == sum(calls) == 7 * m + 6 * sum(active[1:])
-        assert trace["accepted"] + trace["rejected"] == sum(active)
-        assert trace["accepted"] >= m
-        assert all(type(trace[k]) is int
-                   for k in ("ode_rounds", "accepted", "rejected", "drift_rows"))
-        assert type(trace["min_step"]) is float and 0.0 < trace["min_step"] <= 1.5 / 16
-
-    def test_sample_positions_unchanged_by_trace(self, fitted, monkeypatch, tmp_path):
-        ens = sample(fitted, 40, SamplerConfig(), seed=5)
-        trace = ens.meta["trace"]
-        assert len(trace) == len(fitted.steps)
-        assert set(trace[0]) == {"ode_rounds", "accepted", "rejected", "node_stops",
-                                 "drift_rows", "min_step", "rescued", "unfinished"}
-        assert trace[0]["rescued"] == int(ens.rescued.sum())
-        assert trace[0]["unfinished"] == int(ens.unfinished.sum())
-        ens.save(tmp_path / "ens.csv")
-        assert json.loads((tmp_path / "ens.csv.json").read_text())["trace"] == trace
-
-        def untraced(*args):
-            return (*oc.reference_integrate_ode(*args), {})
-
-        monkeypatch.setattr(sampler_module, "_integrate_ode", untraced)
-        ref = sample(fitted, 40, SamplerConfig(), seed=5)
-        assert_array_equal(ens.positions, ref.positions)
+        _, _, trace, calls = self._integrate(m)
+        intervals = np.count_nonzero(self._dynamics().tau < 1.5)
+        steps = sampler_module.RK4_STEPS * intervals
+        # every call carries the whole batch
+        assert calls == [m] * (4 * steps)
+        assert trace == {"ode_steps": steps, "drift_rows": 4 * steps * m}
+        assert all(type(v) is int for v in trace.values())
 
     def test_stages_of_a_step_stay_between_two_time_nodes(self):
         # the drift is linear in time between nodes; a step that straddled
         # a node would see its time derivative jump
         times = []
-        _, (_, _, trace), _ = self._integrate(_integrate_ode, times=times)
+        self._integrate(times=times)
         tau = self._dynamics().tau
-        rounds = [times[:7]] + [times[i:i + 6] for i in range(7, len(times), 6)]
-        assert len(rounds) == trace["ode_rounds"]
-        for stages in rounds:
-            stages = np.stack(stages)
-            first, last = stages.min(axis=0), stages.max(axis=0)
-            k = np.searchsorted(tau, first, side="right") - 1
-            assert np.all(tau[k] <= first) and np.all(last <= tau[k + 1])
-        # every particle stops on each node inside (0, 1.5)
-        assert trace["node_stops"] >= 37 * np.count_nonzero((tau > 0) & (tau < 1.5))
+        inner = tau[tau < 1.5]
+        bounds = np.append(inner, 1.5)
+        steps = np.array(times, dtype=float).reshape(-1, 4)      # one row per step
+        assert steps.shape[0] == sampler_module.RK4_STEPS * inner.size
+        k = np.repeat(np.arange(inner.size), sampler_module.RK4_STEPS)
+        assert np.all(bounds[k] <= steps.min(axis=1))
+        assert np.all(steps.max(axis=1) <= bounds[k + 1])
+        # each interval starts on its node and its last step ends on the next
+        first = steps[::sampler_module.RK4_STEPS]
+        last = steps[sampler_module.RK4_STEPS - 1::sampler_module.RK4_STEPS]
+        assert_array_equal(first[:, 0], inner)
+        assert_array_equal(last[:, 3], bounds[1:])
 
-    def test_particle_an_ulp_below_a_node_lands_on_it(self):
-        node = self._dynamics().tau[5]
-        t0 = np.nextafter(node, -np.inf)
-        times = []
-        _, (resc, unfin, trace), _ = self._integrate(_integrate_ode, t0=t0, times=times)
-        # the first step is one ulp long and ends on the node exactly
-        assert_array_equal(times[0], t0)
-        assert np.all(times[6] == node)
-        assert trace["node_stops"] >= 37
-        # the one-ulp step is not a step-size collapse
-        assert not resc.any() and not unfin.any()
-        assert trace["min_step"] >= 1e3 * MIN_STEP_FRACTION * (1.5 - t0)
+    def test_sample_trace_and_positions(self, fitted, monkeypatch, tmp_path):
+        n = 40
+        ens = sample(fitted, n, SamplerConfig(), seed=5)
+        trace = ens.meta["trace"]
+        assert len(trace) == len(fitted.steps)
+        state = fitted.steps[0]
+        t_switch = (1.0 - SamplerConfig().epsilon_sde) * state.T
+        tau = StepDynamics(state, fitted.grid, SamplerConfig()).tau
+        intervals = np.count_nonzero(tau < t_switch)
+        assert trace[0] == {"ode_steps": sampler_module.RK4_STEPS * intervals,
+                            "drift_rows": 4 * sampler_module.RK4_STEPS * intervals * n}
+        assert not ens.rescued.any() and not ens.unfinished.any()
+        ens.save(tmp_path / "ens.csv")
+        assert json.loads((tmp_path / "ens.csv.json").read_text())["trace"] == trace
 
-    @pytest.mark.parametrize("bad", [np.nan, 1e300])
-    def test_nonfinite_error_shrinks_only_its_particle(self, bad):
-        # the seventh stage of round 0 (the step end, weighted only by the
-        # fourth-order solution) is NaN or 1e300 for particle 4: its error
-        # estimate is NaN or overflows to inf, and the step must shrink
-        dyn = self._dynamics()
-        drift = dyn.ode_drift
-        calls = []
+        def one_particle_at_a_time(dyn, x, t_end):
+            return oc.reference_rk4(dyn, x, t_end, sampler_module.RK4_STEPS), {}
 
-        def spoiled(t, x):
-            calls.append(np.array(t, dtype=float))
-            k = drift(t, x)
-            if len(calls) == 7:
-                k[4] = bad
-            return k
-
-        m = 9
-        x0 = np.random.default_rng(3).uniform(-2.5, 2.5, (m, 2))
-        config = SamplerConfig(rel_tol=1e-8)
-        clean = x0.copy()
-        out_clean = _integrate_ode(self._dynamics(), clean, 0.0, 1.5, config,
-                                   lambda pid: np.zeros((20, 2)))
-        dyn.ode_drift = spoiled
-        x = x0.copy()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            resc, unfin, trace = _integrate_ode(dyn, x, 0.0, 1.5, config,
-                                                lambda pid: np.zeros((20, 2)))
-        others = np.arange(m) != 4
-        assert_array_equal(x[others], clean[others])
-        assert_array_equal(resc, out_clean[0])
-        assert_array_equal(unfin, out_clean[1])
-        assert np.all(np.isfinite(x))
-        # round 1's second stage lies a fifth of its step past the start
-        first_step = calls[6][4]
-        assert calls[7][4] * 5 == pytest.approx(0.2 * first_step, rel=1e-12)
-        assert trace["rejected"] >= 1
-
-    def test_fewer_rejected_than_half_the_accepted_steps(self, fitted):
-        # with node stops 517 steps are rejected here against 1,673
-        # accepted; when steps crossed the nodes, 2,098 against 1,678
-        trace = sample(fitted, 40, SamplerConfig(), seed=5).meta["trace"][0]
-        assert trace["rejected"] < 0.5 * trace["accepted"]
-        assert trace["rescued"] == trace["unfinished"] == 0
+        monkeypatch.setattr(sampler_module, "_integrate_ode", one_particle_at_a_time)
+        ref = sample(fitted, n, SamplerConfig(), seed=5)
+        assert_array_equal(ens.positions, ref.positions)

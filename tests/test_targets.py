@@ -68,8 +68,11 @@ class TestCachedDensity:
         for _ in range(2):
             idx = np.stack([rng.integers(0, 5, 40), rng.integers(0, 5, 40)], axis=1)
             assert_array_equal(cd_on.eval_batch(idx), cd_off.eval_batch(idx))
-        assert cd_off.cache_size == 0
         assert cd_on.unique_calls < cd_off.unique_calls
+        # nothing is stored: a row queried again is paid again
+        calls = cd_off.unique_calls
+        cd_off.eval_batch(idx[:1])
+        assert cd_off.unique_calls == calls + 1
 
     def test_negative_density_rejected(self):
         grid = Grid.regular(0.0, 1.0, 4, d=1)
