@@ -216,6 +216,13 @@ class TestSample:
         with pytest.raises(ValueError, match="n_em_steps"):
             SamplerConfig(n_em_steps=0)
 
+    @pytest.mark.parametrize("eps", [-1e-6, 1.0 + 1e-9, np.nan, np.inf, -np.inf])
+    def test_epsilon_outside_the_unit_interval_is_rejected(self, eps):
+        # a NaN fraction would give a NaN switch time: an empty ODE window
+        # and a noisy tail on NaN times
+        with pytest.raises(ValueError, match="epsilon_sde"):
+            SamplerConfig(epsilon_sde=eps)
+
     @pytest.mark.parametrize("n", [2.5, 0])
     def test_em_steps_that_are_not_a_positive_integer_are_rejected(self, n):
         # a float would fail only when sample draws the noise
@@ -262,6 +269,18 @@ class TestEulerMaruyama:
         assert np.all(np.isfinite(out))
         assert np.all(out >= grid.lower) and np.all(out <= grid.upper)
 
+    def test_rows_match_one_row_calls(self):
+        grid = Grid.regular(-3.0, 3.0, 40, d=2)
+        state = gaussian_state(grid, 0.0, 1.0, 0.3, 0.8, T=1.0, beta=0.1)
+        dyn = StepDynamics(state, grid, SamplerConfig())
+        rng = np.random.default_rng(4)
+        x = rng.uniform(-2.5, 2.5, (7, 2))
+        noise = rng.standard_normal((7, 10, 2))
+        out = _integrate_em(dyn, x, 0.3, 1.0, 10, noise)
+        for i in range(7):
+            assert_array_equal(out[i], _integrate_em(dyn, x[i:i + 1], 0.3, 1.0, 10,
+                                                     noise[i:i + 1])[0])
+
 
 class TestTrace:
     """The fixed-step RK4 integrator and the per-step sampler trace."""
@@ -299,7 +318,42 @@ class TestTrace:
         ref = oc.reference_rk4(self._dynamics(), x0, t_end, sampler_module.RK4_STEPS)
         assert_array_equal(x, ref)
 
-    def test_drift_rows_are_four_per_step_per_particle(self):
+    @pytest.mark.parametrize("node", [None, 5, -1])
+    def test_exact_for_a_drift_cubic_in_time(self, node):
+        # RK4 integrates a drift of time alone by Simpson's rule, exact for
+        # a cubic on any step, so the sum is exact only if the steps tile
+        # [0, t_end] with no gap or overlap
+        dyn = self._dynamics()
+        t_end = 1.5 if node is None else dyn.tau[node]
+        dyn.ode_drift = lambda t, x: np.broadcast_to([t ** 3, 1.0 - 2.0 * t ** 2],
+                                                     x.shape).copy()
+        # from the origin, so that a short window's displacement is not
+        # rounded against the start position
+        x, _ = _integrate_ode(dyn, np.zeros((5, 2)), t_end)
+        assert_allclose(x, np.broadcast_to(
+            [t_end ** 4 / 4, t_end - 2.0 * t_end ** 3 / 3], x.shape), rtol=1e-13)
+
+    @pytest.mark.parametrize("drift, exact", [
+        (lambda t, x: -2.0 * x, lambda x, t: x * np.exp(-2.0 * t)),
+        (lambda t, x: -2.0 * t * x, lambda x, t: x * np.exp(-t ** 2)),
+    ], ids=["autonomous", "time-dependent"])
+    def test_fourth_order_in_the_steps_per_interval(self, drift, exact, monkeypatch):
+        # halving every step divides the error by about 2^4 (2^3 or 2^5
+        # would be a third- or fifth-order method)
+        dyn = self._dynamics()
+        dyn.ode_drift = drift
+        x0 = np.random.default_rng(3).uniform(-2.5, 2.5, (11, 2))
+        errors = []
+        for steps in (2, 4, 8):
+            monkeypatch.setattr(sampler_module, "RK4_STEPS", steps)
+            x, _ = _integrate_ode(dyn, x0, 1.5)
+            errors.append(np.max(np.abs(x - exact(x0, 1.5))))
+        order = np.log2(np.array(errors[:-1]) / errors[1:])
+        assert np.all((3.5 < order) & (order < 4.5))
+
+    @pytest.mark.parametrize("steps", [1, 2, 3])
+    def test_drift_rows_are_four_per_step_per_particle(self, steps, monkeypatch):
+        monkeypatch.setattr(sampler_module, "RK4_STEPS", steps)
         m = 37
         _, _, trace, calls = self._integrate(m)
         intervals = np.count_nonzero(self._dynamics().tau < 1.5)
@@ -349,3 +403,16 @@ class TestTrace:
         monkeypatch.setattr(sampler_module, "_integrate_ode", one_particle_at_a_time)
         ref = sample(fitted, n, SamplerConfig(), seed=5)
         assert_array_equal(ens.positions, ref.positions)
+
+    @pytest.mark.parametrize("eps", [0.0, 0.01, 0.5, 1.0])
+    def test_trace_counts_the_intervals_of_the_ode_window(self, fitted, eps):
+        # epsilon_sde 0 integrates all n_time_nodes intervals, 1 none
+        n = 6
+        ens = sample(fitted, n, SamplerConfig(epsilon_sde=eps), seed=2)
+        state = fitted.steps[0]
+        tau = StepDynamics(state, fitted.grid, SamplerConfig()).tau
+        intervals = np.count_nonzero(tau < (1.0 - eps) * state.T)
+        assert intervals == {0.0: SamplerConfig().n_time_nodes, 1.0: 0}.get(eps, intervals)
+        steps = sampler_module.RK4_STEPS * intervals
+        assert ens.meta["trace"][0] == {"ode_steps": steps, "drift_rows": 4 * steps * n}
+        assert np.all(np.isfinite(ens.positions)) and not ens.clamped.any()
