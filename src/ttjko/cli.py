@@ -20,7 +20,7 @@ import numpy as np
 
 from . import diagnostics as dg
 from .config import ConfigError, RunConfig, load_config, seeds_from
-from .driver import FlowModel, marginal_1d, run
+from .driver import MODEL_META, FlowModel, marginal_1d, run
 from .importance import compare_estimators, fit_importance, sum_of_parameters
 from .sampler import sample
 from .targets import CachedDensity, GaussianMixture, PosteriorTarget, save_measurements
@@ -94,8 +94,7 @@ def cmd_fit(cfg: RunConfig, out: Path) -> int:
     return 0
 
 
-def cmd_sample(cfg: RunConfig, out: Path, model_dir, n: int) -> int:
-    model_dir = Path(model_dir) if model_dir else out / "model"
+def cmd_sample(cfg: RunConfig, out: Path, model_dir: Path, n: int) -> int:
     model = FlowModel.load(model_dir)
     ens = sample(model, n, cfg.sampler, seed=cfg.seeds["sampling"])
     ens.meta["model_dir"] = str(model_dir)
@@ -288,16 +287,23 @@ def main(argv=None) -> int:
             cfg.seeds = seeds_from(args.seed)
         if args.command == "invert" and not isinstance(cfg.target, PosteriorTarget):
             raise ConfigError("invert requires a hyperbolic or parabolic target")
+        out = Path(args.out) if args.out else cfg.output
+        if args.command == "sample":
+            if args.n < 0:
+                raise ConfigError(f"sample: -n must be >= 0, not {args.n}")
+            model_dir = Path(args.model) if args.model else out / "model"
+            if not (model_dir / MODEL_META).is_file():
+                raise ConfigError(f"sample: no fitted model in {model_dir} "
+                                  f"(no {MODEL_META}; run fit first or pass --model)")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    out = Path(args.out) if args.out else cfg.output
     out.mkdir(parents=True, exist_ok=True)
     try:
         if args.command == "fit":
             return cmd_fit(cfg, out)
         if args.command == "sample":
-            return cmd_sample(cfg, out, args.model, args.n)
+            return cmd_sample(cfg, out, model_dir, args.n)
         if args.command == "benchmark":
             return cmd_benchmark(cfg, out)
         if args.command == "invert":

@@ -23,7 +23,8 @@ from .grid import Grid, all_quadrature_weights
 from .tt import (TTTensor, tt_contract_all, tt_eval, tt_load, tt_marginal, tt_rank_one,
                  tt_round, tt_sample, tt_save, tt_scale)
 
-_MODEL_META = "model.json"
+#: the metadata file of a saved model directory
+MODEL_META = "model.json"
 _SQRT1_2 = math.sqrt(0.5)
 _INV_CDF = NormalDist().inv_cdf
 #: the potentials saved per step (older model directories also hold an
@@ -156,7 +157,7 @@ class FlowModel:
                 for s in self.steps
             ],
         }
-        with open(path / _MODEL_META, "w") as fh:
+        with open(path / MODEL_META, "w") as fh:
             json.dump(meta, fh, indent=2, sort_keys=True)
         tt_save(self.rho_tt, path / "rho_tt.tt")
         for k, s in enumerate(self.steps):
@@ -166,7 +167,7 @@ class FlowModel:
     @classmethod
     def load(cls, path) -> "FlowModel":
         path = Path(path)
-        with open(path / _MODEL_META) as fh:
+        with open(path / MODEL_META) as fh:
             meta = json.load(fh)
         grid = Grid.from_dict(meta["grid"])
         initial = GaussianInitial.from_dict(meta["initial"])

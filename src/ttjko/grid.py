@@ -2,16 +2,20 @@
 
 Axis ``k`` carries ``N_k`` nodes including both endpoints, so the
 spacing is ``h_k = (R_k - L_k) / (N_k - 1)`` and node ``i`` sits at
-``L_k + i * h_k``.
+``L_k + i * h_k``.  A ``Grid`` computes its spacings and top cell once,
+as read-only arrays.
 
 Off-grid points are evaluated by one kernel, ``multilinear``: each
 axis gathers the two corners of every point's cell (``Grid.cells``,
 after clamping into the box) with one ``take``, interpolates them
 linearly, and contracts the resulting cores with the ranks leading and
 the points last, for the value and, from derivative cores, the
-gradient.  It owns its gather scratch and the range check its clipping
-gather relies on.  ``interpolate_batch`` and the sampler drift both run
-it; ``tt.tt_eval`` stays the kernel for grid indices.
+gradient.  A contraction over a rank of 1 (every axis of a rank-1
+tensor train, and the outer rank of the first and last axes of any) is
+taken as its one term, with no sum.  It owns its gather scratch and
+the range check its clipping gather relies on.  ``interpolate_batch``
+and the sampler drift both run it; ``tt.tt_eval`` stays the kernel for
+grid indices.
 """
 
 from __future__ import annotations
@@ -45,9 +49,17 @@ class Grid:
             raise ValueError("upper must exceed lower on every axis")
         if np.any(nodes < 2):
             raise ValueError("need at least 2 nodes per axis")
-        for name, arr in (("lower", lower), ("upper", upper), ("nodes", nodes)):
+        # derived constants, computed once: the spacing and the top cell
+        spacings = (upper - lower) / (nodes - 1)
+        for name, arr in (("lower", lower), ("upper", upper), ("nodes", nodes),
+                          ("spacings", spacings), ("_top_cell", nodes - 2)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+
+    def __reduce__(self):
+        # rebuilt through the constructor, so that a copy or an unpickled
+        # grid has its derived constants and read-only arrays too
+        return type(self), (self.lower, self.upper, self.nodes)
 
     @classmethod
     def regular(cls, lower, upper, nodes, d: int | None = None) -> "Grid":
@@ -71,10 +83,6 @@ class Grid:
     def shape(self) -> tuple:
         return tuple(int(n) for n in self.nodes)
 
-    @property
-    def spacings(self) -> np.ndarray:
-        return (self.upper - self.lower) / (self.nodes - 1)
-
     def axis_nodes(self, axis: int) -> np.ndarray:
         return np.linspace(self.lower[axis], self.upper[axis], self.nodes[axis])
 
@@ -84,7 +92,9 @@ class Grid:
         return self.lower + idx * self.spacings
 
     def clamp(self, x: np.ndarray) -> np.ndarray:
-        return np.clip(x, self.lower, self.upper)
+        """The points (M, d) clamped into the box, bitwise ``np.clip``
+        without its argument handling."""
+        return np.minimum(np.maximum(x, self.lower), self.upper)
 
     def outside(self, x: np.ndarray) -> np.ndarray:
         """Rows of the points (M, d) that lie outside the box."""
@@ -93,8 +103,10 @@ class Grid:
     def cells(self, x: np.ndarray):
         """Lower-corner cell (M, d) and barycentric weight (M, d) of the
         points (M, d), clamped into the box first."""
-        pos = (self.clamp(x) - self.lower) / self.spacings
-        cell = np.minimum(pos.astype(np.intp), self.nodes - 2)
+        pos = self.clamp(x)
+        pos -= self.lower
+        pos /= self.spacings
+        cell = np.minimum(pos.astype(np.intp), self._top_cell)
         return cell, pos - cell
 
     def to_dict(self) -> dict:
@@ -177,7 +189,8 @@ def multilinear(tables, cols, w, scratch=None):
     column (the cell of a NaN coordinate) raises ``IndexError`` here;
     ``Grid.cells`` never gives one past the end.  Every reduction runs
     over one rank axis in order, so each point's result depends on
-    nothing but that point.
+    nothing but that point; a rank axis of length 1 is not summed at
+    all, its one term being the sum bit for bit.
     """
     if cols.min(initial=0) < 0:
         raise IndexError("a point maps outside the core tables")
@@ -200,19 +213,27 @@ def multilinear(tables, cols, w, scratch=None):
         cores += lo
         v, *g = cores
         if g:
-            mids.append((prefix[:, None] * g[0]).sum(axis=0))
+            mids.append(_rank_sum(prefix[:, None] * g[0], 0))
             slabs.append(v)
             out = out[v.size:]      # keep the value core for the gradient pass
-        prefix = (prefix[:, None] * v).sum(axis=0)
+        prefix = _rank_sum(prefix[:, None] * v, 0)
     value = prefix[0]
     if not mids:
         return value, None, scratch
     grad = np.empty((len(tables),) + value.shape)
     suffix = np.ones(1)
     for n in range(len(tables) - 1, -1, -1):
-        grad[n] = (mids[n] * suffix).sum(axis=0)
-        suffix = (slabs[n] * suffix).sum(axis=1)
+        grad[n] = _rank_sum(mids[n] * suffix, 0)
+        suffix = _rank_sum(slabs[n] * suffix, 1)
     return value, grad, scratch
+
+
+def _rank_sum(product, axis):
+    """Sum of ``product`` over its rank ``axis`` (0 or 1): a unit rank
+    needs no sum, its one term is the sum bit for bit."""
+    if product.shape[axis] == 1:
+        return product[0] if axis == 0 else product[:, 0]
+    return product.sum(axis=axis)
 
 
 def interpolate_batch(t: TTTensor, grid: Grid, x: np.ndarray):

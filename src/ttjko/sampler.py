@@ -13,8 +13,9 @@ linearly interpolated in time; off-grid space evaluation is multilinear
 through the TT cores.  Both potentials, their gradients and all time
 nodes live in one node table per axis, so a drift evaluation is a
 single pass over the axes that contracts both potentials at both
-neighbouring time nodes at once (``StepDynamics``); the contraction is
-the grid module's off-grid kernel, ``grid.multilinear``.
+neighbouring time nodes at once, or at the one node its time sits on
+(``StepDynamics``); the contraction is the grid module's off-grid
+kernel, ``grid.multilinear``.
 
 The drift is therefore smooth in time only between two nodes: its time
 derivative jumps at every node.  The ODE is integrated with
@@ -22,7 +23,9 @@ derivative jumps at every node.  The ODE is integrated with
 interval ending exactly on its node, so that all four stages of a step
 see one smooth piece of the drift.  All particles share one time, so
 every drift call carries the whole batch and the cost is fixed:
-``4 * RK4_STEPS`` drift rows per node interval per particle.
+``4 * RK4_STEPS`` drift rows per node interval per particle.  The first
+stage of each interval, and the last of each interval that ends on a
+node, sit on a node and contract that node alone.
 
 The time nodes, not the integrator, set the sampler's error.  On the
 shipped fits, positions from the 32-interval sub-grid lie 2e-2 to 8e-2
@@ -137,11 +140,14 @@ class StepDynamics:
     A drift evaluation is one ``grid.multilinear`` pass over the axes,
     for both potentials (``ode_drift``) or for ``eta`` alone through
     exact-rank views of the tables (``sde_drift``), at both neighbouring
-    time nodes at once.  The kernel sizes and checks its gather; the
-    evaluator keeps the one scratch it hands back, shared by both drifts.
-    This class keeps the time bookkeeping: the node search (one time
-    per call, shared by the whole batch), the table columns of the two
-    time nodes, and the time interpolation of the two node fields, done only after the contraction (a product of
+    time nodes at once, except at a time on a node: there the
+    interpolation weight is 0, the interpolated field is that node's bit
+    for bit, and only its columns are contracted.  The kernel sizes and
+    checks its gather; the evaluator keeps the one scratch it hands
+    back, shared by both drifts.  This class keeps the time bookkeeping:
+    the node search (one time per call, shared by the whole batch), the
+    table columns of the time nodes, and the time interpolation of the
+    two node fields, done only after the contraction (a product of
     time-interpolated cores would not be the time-interpolated product).
     Every reduction runs over a rank axis in order, so each row's result
     depends on nothing but that row.
@@ -188,12 +194,18 @@ class StepDynamics:
         k = min(int(np.searchsorted(self.tau, t, side="right")) - 1, self.tau.size - 2)
         lam = (t - self.tau[k]) / (self.tau[k + 1] - self.tau[k])
         cell, w = self.grid.cells(x)
-        # table columns of the lower/upper grid corner at nodes k and k+1
-        cols = (k * self.grid.nodes + cell).T[:, None, None, :] + self._offsets
-        value, grad, self._scratch = multilinear(     # (P, 2, m), (d, P, 2, m)
+        # table columns of the lower/upper grid corner at nodes k and k+1,
+        # or at node k alone when t is on it: v0 + 0 (v1 - v0) is v0 (up to
+        # the sign of a zero)
+        offsets = self._offsets if lam else self._offsets[:, :1]
+        cols = (k * self.grid.nodes + cell).T[:, None, None, :] + offsets
+        value, grad, self._scratch = multilinear(     # (P, K, m), (d, P, K, m)
             tables, cols, w.T.copy(), self._scratch)
-        value = value[:, 0] + lam * (value[:, 1] - value[:, 0])
-        grad = grad[:, :, 0] + lam * (grad[:, :, 1] - grad[:, :, 0])
+        if lam:
+            value = value[:, 0] + lam * (value[:, 1] - value[:, 0])
+            grad = grad[:, :, 0] + lam * (grad[:, :, 1] - grad[:, :, 0])
+        else:
+            value, grad = value[:, 0], grad[:, :, 0]
         return grad / np.maximum(value, _VALUE_FLOOR)
 
     def ode_drift(self, t: float, x: np.ndarray) -> np.ndarray:

@@ -362,6 +362,32 @@ class TestSampleCommand:
         sidecar = json.loads((out / "ensemble.csv.json").read_text())
         assert sidecar["n"] == 25
 
+    @pytest.mark.parametrize("model", [None, "empty"])
+    def test_missing_model_is_a_config_error(self, tmp_path, capsys, model):
+        # neither <out>/model nor an empty --model directory holds a model
+        out = tmp_path / "run"
+        path = write_config(tmp_path, tiny_gaussian_config(out))
+        args = ["sample", path]
+        if model:
+            (tmp_path / model).mkdir()
+            args += ["--model", str(tmp_path / model)]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: sample: no fitted model")
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    def test_negative_count_is_a_config_error(self, tmp_path, capsys):
+        fitted = tmp_path / "fitted"
+        path = write_config(tmp_path, tiny_gaussian_config(fitted))
+        assert main(["fit", path]) == 0
+        out = tmp_path / "run"
+        assert main(["sample", path, "-n", "-1", "--out", str(out),
+                     "--model", str(fitted / "model")]) == 1
+        err = capsys.readouterr().err
+        assert err.strip() == "config error: sample: -n must be >= 0, not -1"
+        assert not out.exists()
+
 
 class TestVerifyCommand:
     def test_sweep_csv(self, tmp_path):

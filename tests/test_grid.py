@@ -1,5 +1,8 @@
 """Grid discretization: stencils, quadrature, interpolation, gradients."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -42,6 +45,52 @@ class TestGrid:
         assert_allclose(g2.lower, g.lower)
         assert_allclose(g2.upper, g.upper)
         assert g2.shape == g.shape
+
+
+def _assert_spacings(g):
+    """The cached spacings: read-only, and bitwise (upper - lower) / (nodes - 1)."""
+    assert g.spacings.tobytes() == ((g.upper - g.lower) / (g.nodes - 1)).tobytes()
+    assert not any(a.flags.writeable for a in (g.lower, g.upper, g.nodes, g.spacings))
+    with pytest.raises(ValueError, match="read-only"):
+        g.spacings[0] = 1.0
+
+
+class TestGridConstants:
+    GRID = Grid.regular([-2.0, 0.1, -1e-3], [3.0, 0.7, 5.0], [7, 33, 2])
+
+    def test_spacings_are_read_only_and_exact(self):
+        _assert_spacings(self.GRID)
+
+    @pytest.mark.parametrize("clone", [lambda g: Grid.from_dict(g.to_dict()),
+                                       lambda g: pickle.loads(pickle.dumps(g)),
+                                       copy.deepcopy, copy.copy],
+                             ids=["from_dict", "pickle", "deepcopy", "copy"])
+    def test_spacings_survive_copies(self, clone):
+        g = clone(self.GRID)
+        assert g is not self.GRID and g.shape == self.GRID.shape
+        _assert_spacings(g)
+        assert g.spacings.tobytes() == self.GRID.spacings.tobytes()
+
+    def test_cells_and_clamp_match_the_clip_form(self):
+        # points inside, outside, on every face, and signed zeros on the
+        # faces at 0, where the clamp must return the zero np.clip returns
+        g = Grid.regular([-2.0, 0.0, -1.0], [3.0, 0.7, 0.0], [7, 33, 2])
+        rng = np.random.default_rng(4)
+        width = g.upper - g.lower
+        x = rng.uniform(g.lower - 0.3 * width, g.upper + 0.3 * width, (200, 3))
+        x[:20] = g.lower
+        x[20:40] = g.upper
+        x[40:60, 0] = g.upper[0]
+        x[60:80, 1:] = -0.0
+        x[80:100, 1:] = 0.0
+        clipped = np.clip(x, g.lower, g.upper)
+        pos = (clipped - g.lower) / ((g.upper - g.lower) / (g.nodes - 1))
+        ref_cell = np.minimum(pos.astype(np.intp), g.nodes - 2)
+        cell, w = g.cells(x)
+        assert g.clamp(x).tobytes() == clipped.tobytes()
+        assert cell.dtype == ref_cell.dtype and cell.tobytes() == ref_cell.tobytes()
+        assert w.tobytes() == (pos - ref_cell).tobytes()
+        assert np.all(cell <= g.nodes - 2) and np.all(cell >= 0)
 
 
 class TestLaplacian:

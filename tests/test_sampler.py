@@ -1,5 +1,6 @@
 """Hybrid ODE/SDE sampling of fitted models."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -17,7 +18,7 @@ from ttjko.heat import HeatPropagator
 from ttjko.sampler import (SamplerConfig, StepDynamics, _integrate_em, _integrate_ode,
                            _reflect, sample)
 from ttjko.targets import CachedDensity, Gaussian
-from ttjko.tt import tt_rank_one, tt_ones
+from ttjko.tt import TTTensor, tt_rank_one, tt_ones
 
 
 def gaussian_state(grid, mean_eta, var_eta, mean_hat, var_hat, T=1.0, beta=0.1):
@@ -363,6 +364,28 @@ class TestTrace:
         assert trace == {"ode_steps": steps, "drift_rows": 4 * steps * m}
         assert all(type(v) is int for v in trace.values())
 
+    @pytest.mark.parametrize("node", [None, 5])
+    def test_node_time_stages_contract_one_time_node(self, node, monkeypatch):
+        # the first stage of every interval, and the last of every interval
+        # that ends on a node, sit on a node and contract its columns alone
+        dyn = self._dynamics()
+        t_end = 1.5 if node is None else dyn.tau[node]
+        time_nodes = []
+        kernel = sampler_module.multilinear
+
+        def spy(tables, cols, w, scratch=None):
+            time_nodes.append(cols.shape[1])
+            return kernel(tables, cols, w, scratch)
+
+        monkeypatch.setattr(sampler_module, "multilinear", spy)
+        x0 = np.random.default_rng(3).uniform(-2.5, 2.5, (13, 2))
+        _integrate_ode(dyn, x0, t_end)
+        intervals = np.count_nonzero(dyn.tau < t_end)
+        single = 2 * intervals - (node is None)      # 1.5 is not a node
+        assert len(time_nodes) == 4 * sampler_module.RK4_STEPS * intervals
+        assert time_nodes.count(1) == single
+        assert time_nodes.count(2) == len(time_nodes) - single
+
     def test_stages_of_a_step_stay_between_two_time_nodes(self):
         # the drift is linear in time between nodes; a step that straddled
         # a node would see its time derivative jump
@@ -416,3 +439,39 @@ class TestTrace:
         steps = sampler_module.RK4_STEPS * intervals
         assert ens.meta["trace"][0] == {"ode_steps": steps, "drift_rows": 4 * steps * n}
         assert np.all(np.isfinite(ens.positions)) and not ens.clamped.any()
+
+
+def _sha256(a):
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+class TestPinnedPositions:
+    """SHA-256 of sampled positions, so that a change that claims to keep
+    every bit of the sampler is checked by the suite.  The pins hold for
+    one BLAS thread (conftest); a change that means to move the sampler's
+    arithmetic updates them and says why."""
+
+    def test_rank_one_fit(self, fitted):
+        assert [s.eta_T.ranks for s in fitted.steps] == [(1, 1, 1)]
+        x = sample(fitted, 40, SamplerConfig(), seed=5).positions
+        assert _sha256(x) == ("69d228c3ce517fd68e59f91206da3430"
+                              "9e52a5c03cf5f1b8fd97db0aaead048a")
+
+    def test_rank_three_potentials(self):
+        # ranks 3 and 2 inside, 1 at the two ends: both the summed and the
+        # unit-rank reductions of the drift kernel
+        rng = np.random.default_rng(23)
+        grid = Grid.regular(-3.0, 3.0, [9, 7, 8])
+
+        def positive(rank):
+            return TTTensor([np.abs(c) + 0.05
+                             for c in oc.tt_random(grid.shape, rank, rng).cores])
+
+        eta, hat = positive(3), positive(2)
+        state = StepState(eta_T=eta, eta_hat_0=hat, eta_hat_T=hat, T=1.5, beta=0.3,
+                          converged=True, iters=1)
+        model = FlowModel(grid=grid, initial=GaussianInitial.standard(3),
+                          steps=[state], rho_tt=eta)
+        x = sample(model, 40, SamplerConfig(), seed=5).positions
+        assert _sha256(x) == ("979e25ca4f5f54e16e586680d518c9b9"
+                              "ad4697ded02ec26888ae7e0414b284de")

@@ -327,6 +327,12 @@ class TestCopy:
                 np.testing.assert_array_equal(a, b)
                 assert a.tobytes() == b.tobytes()
                 assert not b.flags.writeable
+        # the grid's cached constants are rebuilt, read-only and bitwise
+        g = c.grid
+        assert g is not model.grid
+        assert g.spacings.tobytes() == model.grid.spacings.tobytes()
+        assert g.spacings.tobytes() == ((g.upper - g.lower) / (g.nodes - 1)).tobytes()
+        assert not any(a.flags.writeable for a in (g.lower, g.upper, g.nodes, g.spacings))
 
 
 @settings(max_examples=25, deadline=None)
