@@ -12,6 +12,16 @@ contracted through its interface matrices on the prefixes and suffixes
 validation sets it is evaluated by :func:`~ttjko.tt.tt_eval`.  With no
 factors the oracle is called as ``f(indices)``.
 
+The interface matrices are ranks first, ``(rank, set size)``.  Index
+sets are nested: each new prefix is a prefix of the previous set
+followed by a mode value, and each new suffix a mode value followed by
+a suffix of the next set, so every interface is one
+:func:`~ttjko.tt.tt_chain_step` from its neighbour's.  That holds from
+the start when the sets come from an initial guess, so the first right
+interfaces cost one step per bond and factor, O(d) in all; only random
+suffixes (a cross with no guess, or a bond grown after a stall) are
+evaluated from scratch by :func:`~ttjko.tt.tt_right_interface`.
+
 Pivots are chosen by maxvol row selection on orthogonalized unfoldings.
 Ranks are adaptive and capped by ``CrossConfig.max_rank``: index sets
 start at rank 2 (or at the ranks of an initial guess) and grow by up to
@@ -180,11 +190,16 @@ def _random_suffixes(shape, start: int, count: int, rng: np.random.Generator,
     return np.concatenate(rows, axis=0) if rows else np.zeros((1, len(tail)), dtype=np.intp)
 
 
-def _right_sets_from_guess(guess: TTTensor, max_rank: int) -> list:
-    """Nested right index sets extracted from an existing TT (no oracle calls)."""
+def _right_sets_from_guess(guess: TTTensor, max_rank: int) -> tuple[list, list]:
+    """Nested right index sets extracted from an existing TT (no oracle calls).
+
+    Returns ``(right, picks)``: suffix ``m`` of ``right[n]`` is the mode
+    value ``right[n][m, 0]`` followed by suffix ``picks[n][m]`` of
+    ``right[n + 1]``.
+    """
     d = guess.d
-    shape = guess.shape
     right = [None] * (d + 1)
+    picks = [None] * (d + 1)
     right[d] = np.zeros((1, 0), dtype=np.intp)
     carry = np.ones((1, 1))
     for n in range(d - 1, 0, -1):
@@ -194,12 +209,12 @@ def _right_sets_from_guess(guess: TTTensor, max_rank: int) -> list:
         mat = core.reshape(r1, N * rc).T          # rows ordered (i, suffix slot)
         q = _orth_columns(mat, max_rank)
         rows = maxvol(q)
-        i_sel, j_sel = np.divmod(rows, rc if rc else 1)
+        i_sel, picks[n] = np.divmod(rows, rc if rc else 1)
         right[n] = np.concatenate(
-            [i_sel[:, None].astype(np.intp), right[n + 1][j_sel]], axis=1
+            [i_sel[:, None].astype(np.intp), right[n + 1][picks[n]]], axis=1
         )
         carry = mat[rows].T                        # (r1, r_sel) interface
-    return right
+    return right, picks
 
 
 def validation_indices(shape, cross_cfg: CrossConfig,
@@ -254,8 +269,9 @@ def tt_cross(f, mode_sizes, config: CrossConfig,
     if initial_guess is not None:
         if tuple(initial_guess.shape) != tuple(shape):
             raise ValueError("initial guess shape does not match mode_sizes")
-        right = _right_sets_from_guess(initial_guess, config.max_rank)
+        right, picks = _right_sets_from_guess(initial_guess, config.max_rank)
     else:
+        picks = None
         right = [None] * (d + 1)
         right[d] = np.zeros((1, 0), dtype=np.intp)
         for n in range(d - 1, 0, -1):
@@ -277,14 +293,26 @@ def tt_cross(f, mode_sizes, config: CrossConfig,
     left = [None] * (d + 1)
     left[0] = np.zeros((1, 0), dtype=np.intp)
     one = np.ones((1, 1))
-    # interface matrices of factor k on the index sets, both (set size,
-    # factors[k].ranks[n]): lface[k][n] on the prefixes left[n], rface[k][n]
-    # on the suffixes right[n]; each new set extends them by one chain step
+    # interface matrices of factor k on the index sets, ranks first, both
+    # (factors[k].ranks[n], set size): lface[k][n] on the prefixes left[n],
+    # rface[k][n] on the suffixes right[n]; each new set extends them by
+    # one chain step
     lface = [[one] + [None] * d for _ in factors]
     rface = [[None] * d + [one] for _ in factors]
-    for k, t in enumerate(factors):
-        for n in range(1, d):
-            rface[k][n] = tt_right_interface(t, right[n])
+
+    def extend_right(n, b_sel):
+        """Interfaces on right[n], whose suffix m is the mode value
+        right[n][m, 0] followed by suffix b_sel[m] of right[n + 1]."""
+        for k, t in enumerate(factors):
+            rface[k][n] = tt_chain_step(rface[k][n + 1][:, b_sel],
+                                        t.cores[n].transpose(2, 1, 0), right[n][:, 0])
+
+    for n in range(d - 1, 0, -1):
+        if picks is not None:        # nested sets: one step per bond
+            extend_right(n, picks[n])
+        else:
+            for k, t in enumerate(factors):
+                rface[k][n] = tt_right_interface(t, right[n])
 
     def block_values(n):
         idx = _block_indices(left[n], shape[n], right[n + 1])
@@ -309,7 +337,7 @@ def tt_cross(f, mode_sizes, config: CrossConfig,
                 [left[n][a_sel], i_sel[:, None].astype(np.intp)], axis=1
             )
             for k, t in enumerate(factors):
-                lface[k][n + 1] = tt_chain_step(lface[k][n][a_sel], t.cores[n], i_sel)
+                lface[k][n + 1] = tt_chain_step(lface[k][n][:, a_sel], t.cores[n], i_sel)
         vals = block_values(d - 1)
         cores[d - 1] = vals.reshape(left[d - 1].shape[0], shape[d - 1], 1)
 
@@ -325,9 +353,7 @@ def tt_cross(f, mode_sizes, config: CrossConfig,
             right[n] = np.concatenate(
                 [i_sel[:, None].astype(np.intp), right[n + 1][b_sel]], axis=1
             )
-            for k, t in enumerate(factors):
-                rface[k][n] = tt_chain_step(rface[k][n + 1][b_sel],
-                                            t.cores[n].transpose(2, 1, 0), i_sel)
+            extend_right(n, b_sel)
         vals = block_values(0)
         cores[0] = vals.reshape(1, shape[0], right[1].shape[0])
 

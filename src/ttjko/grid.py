@@ -10,12 +10,14 @@ axis gathers the two corners of every point's cell (``Grid.cells``,
 after clamping into the box) with one ``take``, interpolates them
 linearly, and contracts the resulting cores with the ranks leading and
 the points last, for the value and, from derivative cores, the
-gradient.  A contraction over a rank of 1 (every axis of a rank-1
-tensor train, and the outer rank of the first and last axes of any) is
-taken as its one term, with no sum.  It owns its gather scratch and
-the range check its clipping gather relies on.  ``interpolate_batch``
-and the sampler drift both run it; ``tt.tt_eval`` stays the kernel for
-grid indices.
+gradient.  Every contraction is ``tt.rank_step``, the step the TT
+chains at grid indices (``tt.tt_eval``) run too: the products are added
+in rank order, and a contraction over a rank of 1 (every axis of a
+rank-1 tensor train, and the outer rank of the first and last axes of
+any) is taken as its one term, with no sum.  It owns its gather
+scratch (``scratch_size`` gives its size) and the range check its
+clipping gather relies on.  ``interpolate_batch`` and the sampler drift
+both run it.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .tt import TTTensor
+from .tt import TTTensor, rank_step
 
 
 @dataclass(frozen=True)
@@ -167,6 +169,16 @@ def gradient_matrix(grid: Grid, axis: int) -> np.ndarray:
     return mat
 
 
+def scratch_size(tables, n_cols: int) -> int:
+    """Floats of scratch ``multilinear`` takes for ``tables`` at
+    ``n_cols = cols[0].size`` gathered columns per axis."""
+    sizes = [table.size // table.shape[-1] * n_cols for table in tables]
+    # the value cores of every V = 2 axis, kept for the gradient pass,
+    # then the largest axis's gather at the tail and its cores at the head
+    kept = sum(size // 4 for size, table in zip(sizes, tables) if len(table) == 2)
+    return kept + max(sizes) + max(sizes) // 2
+
+
 def multilinear(tables, cols, w, scratch=None):
     """Multilinear TT contraction at off-grid points, batch last.
 
@@ -187,18 +199,15 @@ def multilinear(tables, cols, w, scratch=None):
     only when a batch outgrows it.  The gather runs with ``mode="clip"``
     (``"raise"`` gathers into a temporary and copies), so a negative
     column (the cell of a NaN coordinate) raises ``IndexError`` here;
-    ``Grid.cells`` never gives one past the end.  Every reduction runs
-    over one rank axis in order, so each point's result depends on
-    nothing but that point; a rank axis of length 1 is not summed at
-    all, its one term being the sum bit for bit.
+    ``Grid.cells`` never gives one past the end.  Every reduction is a
+    ``tt.rank_step`` over one rank axis in order, so each point's result
+    depends on nothing but that point; a rank axis of length 1 is not
+    summed at all, its one term being the sum bit for bit.
     """
     if cols.min(initial=0) < 0:
         raise IndexError("a point maps outside the core tables")
     sizes = [table.size // table.shape[-1] * cols[0].size for table in tables]
-    # the value cores of every V = 2 axis, kept for the gradient pass,
-    # then the largest axis's gather at the tail and its cores at the head
-    kept = sum(size // 4 for size, table in zip(sizes, tables) if len(table) == 2)
-    need = kept + max(sizes) + max(sizes) // 2
+    need = scratch_size(tables, cols[0].size)
     if scratch is None or scratch.size < need:
         scratch = np.empty(need)
     out = scratch
@@ -213,27 +222,19 @@ def multilinear(tables, cols, w, scratch=None):
         cores += lo
         v, *g = cores
         if g:
-            mids.append(_rank_sum(prefix[:, None] * g[0], 0))
+            mids.append(rank_step(prefix, g[0]))
             slabs.append(v)
             out = out[v.size:]      # keep the value core for the gradient pass
-        prefix = _rank_sum(prefix[:, None] * v, 0)
+        prefix = rank_step(prefix, v)
     value = prefix[0]
     if not mids:
         return value, None, scratch
     grad = np.empty((len(tables),) + value.shape)
     suffix = np.ones(1)
     for n in range(len(tables) - 1, -1, -1):
-        grad[n] = _rank_sum(mids[n] * suffix, 0)
-        suffix = _rank_sum(slabs[n] * suffix, 1)
+        grad[n] = rank_step(suffix, mids[n])
+        suffix = rank_step(suffix, slabs[n].swapaxes(0, 1))
     return value, grad, scratch
-
-
-def _rank_sum(product, axis):
-    """Sum of ``product`` over its rank ``axis`` (0 or 1): a unit rank
-    needs no sum, its one term is the sum bit for bit."""
-    if product.shape[axis] == 1:
-        return product[0] if axis == 0 else product[:, 0]
-    return product.sum(axis=axis)
 
 
 def interpolate_batch(t: TTTensor, grid: Grid, x: np.ndarray):

@@ -53,7 +53,7 @@ import numpy as np
 
 from .driver import FlowModel
 from .fixed_point import StepState
-from .grid import Grid, gradient_matrix, multilinear
+from .grid import Grid, gradient_matrix, multilinear, scratch_size
 from .heat import HeatPropagator
 
 _VALUE_FLOOR = 1e-300
@@ -142,9 +142,11 @@ class StepDynamics:
     exact-rank views of the tables (``sde_drift``), at both neighbouring
     time nodes at once, except at a time on a node: there the
     interpolation weight is 0, the interpolated field is that node's bit
-    for bit, and only its columns are contracted.  The kernel sizes and
-    checks its gather; the evaluator keeps the one scratch it hands
-    back, shared by both drifts.  This class keeps the time bookkeeping:
+    for bit, and only its columns are contracted.  The kernel checks its
+    gather; the evaluator sizes its scratch once, on the first call, for
+    both potentials at two time nodes (``grid.scratch_size``), and keeps
+    the one scratch the kernel hands back, shared by both drifts.  This
+    class keeps the time bookkeeping:
     the node search (one time per call, shared by the whole batch), the
     table columns of the time nodes, and the time interpolation of the
     two node fields, done only after the contraction (a product of
@@ -170,7 +172,7 @@ class StepDynamics:
         # exact-rank views of eta alone, for the stochastic drift
         self._eta = [tab[:, :a.shape[0], :a.shape[2], :1]
                      for tab, a in zip(self._tables, state.eta_T.cores)]
-        self._scratch = None        # grid.multilinear's, grown to the largest batch
+        self._scratch = None        # grid.multilinear's, sized by the first call
 
     def _node_table(self, n, eta_nodes, hat_nodes):
         diff = gradient_matrix(self.grid, n)
@@ -199,6 +201,11 @@ class StepDynamics:
         # the sign of a zero)
         offsets = self._offsets if lam else self._offsets[:, :1]
         cols = (k * self.grid.nodes + cell).T[:, None, None, :] + offsets
+        if self._scratch is None:
+            # sized at once for the two-node layout, which every later
+            # call of this batch size fits in
+            n_cols = self._offsets[0].size * x.shape[0]
+            self._scratch = np.empty(scratch_size(self._tables, n_cols))
         value, grad, self._scratch = multilinear(     # (P, K, m), (d, P, K, m)
             tables, cols, w.T.copy(), self._scratch)
         if lam:

@@ -7,6 +7,17 @@ slices.  Storage is ``O(d N r^2)``.  All functions here are exact (no
 approximation) except :func:`tt_round`, which truncates by SVD with a
 relative Frobenius tolerance.  :func:`tt_sample` draws exactly from the
 grid law of a (weighted) TT density.
+
+Evaluation at grid indices has one kernel.  Partial products of a chain
+of cores are held ranks first, as ``(r, M)`` arrays for ``M`` index
+rows, and :func:`tt_chain_step` extends them by one core: it gathers
+the core's ``(r1, r2, M)`` slab with one ``take`` along the mode axis
+and contracts it by :func:`rank_step`, which adds the ``r1`` products in
+rank order and takes a unit rank as its one product.  :func:`tt_eval`,
+:func:`tt_right_interface`, the cross interfaces and :func:`tt_sample`
+all run it, and ``grid.multilinear`` contracts its off-grid cores with
+the same :func:`rank_step`.  Each index row's result depends on that row
+alone.
 """
 
 from __future__ import annotations
@@ -114,19 +125,49 @@ def _chop(s: np.ndarray, delta: float, max_rank: int) -> int:
     return min(max(r, 1), int(max_rank))
 
 
+def rank_step(v: np.ndarray, slab: np.ndarray) -> np.ndarray:
+    """The ranks-first contraction step ``sum_a v[a] * slab[a]``.
+
+    ``v`` has the rank ``r1`` leading, ``(r1, *B)``, and ``slab`` either
+    ``(r1, r2, *B)``, giving ``(r2, *B)``, or ``(r1, *B)``, giving
+    ``(*B)``; the batch ``B`` comes last.  The ``r1`` products are added
+    one by one in rank order, and a unit rank is its one product, with
+    no sum.  Each batch entry's result therefore depends on nothing but
+    that entry, whatever the batch's size or layout.  This is the one
+    contraction of every TT evaluation: chains at grid indices
+    (:func:`tt_chain_step`) and ``grid.multilinear`` off the grid.
+    """
+    product = (v[:, None] if slab.ndim > v.ndim else v) * slab
+    if len(product) == 1:
+        return product[0]
+    if len(product) < 8:
+        # numpy's sum adds fewer than 8 terms one by one, in any layout,
+        # and costs one call; from 8 on it may add pairwise, as it does
+        # when the rank axis is the innermost one left
+        return product.sum(axis=0)
+    out = product[0]
+    for a in range(1, len(product)):
+        out += product[a]
+    return out
+
+
 def tt_chain_step(v: np.ndarray, core: np.ndarray, col: np.ndarray) -> np.ndarray:
-    """Row-wise ``v[m] @ core[:, col[m], :]``, shape ``(M, r1) -> (M, r2)``."""
-    slab = core[:, col, :].transpose(1, 0, 2)   # (M, r1, r2)
-    return np.matmul(v[:, None, :], slab)[:, 0, :]
+    """Extend ranks-first partial products by one core, ``(r1, M) -> (r2, M)``.
+
+    Column ``m`` of the result is ``core[:, col[m], :].T @ v[:, m]``: the
+    core's ``(r1, r2, M)`` slab is gathered with one ``take`` along the
+    mode axis and contracted by :func:`rank_step`.
+    """
+    return rank_step(v, core.transpose(0, 2, 1).take(col, axis=2))
 
 
 def _partial_products(cores: Sequence[np.ndarray], idx: np.ndarray) -> np.ndarray:
-    """Row-wise products of core slices, ``(M, k)`` indices -> ``(M, r_k)``.
+    """Products of core slices, ranks first: ``(M, k)`` indices -> ``(r_k, M)``.
 
-    ``cores`` is a nonempty chain with leading rank 1; row ``m`` of the
-    result is ``G_0[0, idx[m, 0], :] @ G_1[:, idx[m, 1], :] @ ...``.
+    ``cores`` is a nonempty chain with leading rank 1; column ``m`` of
+    the result is ``G_0[0, idx[m, 0], :] @ G_1[:, idx[m, 1], :] @ ...``.
     """
-    v = cores[0][0, idx[:, 0], :]
+    v = cores[0][0].T.take(idx[:, 0], axis=1)
     for n in range(1, len(cores)):
         v = tt_chain_step(v, cores[n], idx[:, n])
     return v
@@ -166,15 +207,19 @@ def tt_eval(t: TTTensor, indices: np.ndarray) -> np.ndarray:
 
     The indices are checked by :func:`checked_indices`.
     """
-    return _partial_products(t.cores, checked_indices(indices, t.shape))[:, 0]
+    return _partial_products(t.cores, checked_indices(indices, t.shape))[0]
 
 
 def tt_right_interface(t: TTTensor, suffixes: np.ndarray) -> np.ndarray:
-    """Products of the last k >= 1 cores at ``(M, k)`` suffixes, shape ``(M, r_{d-k})``.
+    """Products of the last k >= 1 cores at ``(M, k)`` suffixes, ranks
+    first: shape ``(r_{d-k}, M)``.
 
     The chain runs from the last core inward over the transposed cores
     ``G.transpose(2, 1, 0)``; prepending mode value ``i`` to a suffix is
     one :func:`tt_chain_step` with core ``d-k-1`` transposed that way.
+    So on nested suffix sets, where each suffix is a mode value followed
+    by a suffix of the next set, the interface of a set is one step from
+    that of the next, as ``tt_cross`` builds them.
     """
     suffixes = np.asarray(suffixes, dtype=np.intp)
     k = suffixes.shape[1]
@@ -185,14 +230,14 @@ def tt_right_interface(t: TTTensor, suffixes: np.ndarray) -> np.ndarray:
 def tt_block_eval(t: TTTensor, n: int, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """Elements on the block ``prefixes x (all of mode n) x suffixes``.
 
-    ``left`` holds the products of the first n cores at the ``nl``
-    prefixes, shape ``(nl, r_n)``, built from ``np.ones((nl, 1))`` by one
-    :func:`tt_chain_step` per core; ``right`` is :func:`tt_right_interface`
-    on the ``nr`` suffixes.  The ``nl * N_n * nr`` values are ordered with
-    the suffix fastest.
+    The interfaces are ranks first: ``left`` holds the products of the
+    first n cores at the ``nl`` prefixes, shape ``(r_n, nl)``, built from
+    ``np.ones((1, nl))`` by one :func:`tt_chain_step` per core; ``right``
+    is :func:`tt_right_interface` on the ``nr`` suffixes, ``(r_{n+1}, nr)``.
+    The ``nl * N_n * nr`` values are ordered with the suffix fastest.
     """
     r1, N, r2 = t.cores[n].shape
-    return ((left @ t.cores[n].reshape(r1, N * r2)).reshape(-1, r2) @ right.T).reshape(-1)
+    return ((left.T @ t.cores[n].reshape(r1, N * r2)).reshape(-1, r2) @ right).reshape(-1)
 
 
 def tt_axpy(a: float, x: TTTensor, y: TTTensor) -> TTTensor:
@@ -355,11 +400,11 @@ def tt_sample(t: TTTensor, axis_weights: Sequence[np.ndarray], u: np.ndarray) ->
 
 def _sample_block(t: TTTensor, tables: list, u: np.ndarray, out: np.ndarray) -> None:
     """:func:`tt_sample` on one block of rows, written into ``out``."""
-    left = np.ones((u.shape[0], 1))
+    left = np.ones((1, u.shape[0]))             # ranks first, (r_k, n)
     for k, core in enumerate(t.cores):
         # (N, n), one conditional per column; np.dot, because matmul is about
         # 2.5x slower here when the inner (rank) dimension is 1
-        cond = np.dot(tables[k].T, left.T)
+        cond = np.dot(tables[k].T, left)
         np.maximum(cond, 0.0, out=cond)
         for i in range(1, cond.shape[0]):         # running sum down the N rows
             cond[i] += cond[i - 1]

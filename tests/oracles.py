@@ -12,7 +12,9 @@ to pin the drift of the production single-pass kernel, and
 the positions of the production loop that steps the whole batch at
 once.  ``reference_interpolate_batch`` is the original row-wise
 interpolation (one ``matmul`` chain step per axis), kept to pin the
-shared off-grid kernel.  ``reference_entropic_ot``
+shared off-grid kernel, and ``reference_partial_products`` the original
+rows-first chain at grid indices (one batched ``(M, 1, r1) @ (M, r1,
+r2)`` matmul per core), kept to pin the ranks-first one.  ``reference_entropic_ot``
 is the original log-domain Sinkhorn (two full-matrix logsumexps per
 iteration), kept to pin the values and convergence flags of the
 production stabilised scaling iteration.  ``reference_picard_solve`` is
@@ -103,6 +105,16 @@ def tt_to_full(t: TTTensor, size_cap: int = SIZE_CAP) -> np.ndarray:
 
 def tt_norm(t: TTTensor) -> float:
     return float(np.sqrt(max(tt_inner(t, t), 0.0)))
+
+
+def reference_partial_products(cores: Sequence[np.ndarray], idx: np.ndarray) -> np.ndarray:
+    """Row-wise products of core slices, ``(M, k)`` indices -> ``(M, r_k)``:
+    row ``m`` is ``G_0[0, idx[m, 0], :] @ G_1[:, idx[m, 1], :] @ ...``."""
+    v = cores[0][0, idx[:, 0], :]
+    for n in range(1, len(cores)):
+        slab = cores[n][:, idx[:, n], :].transpose(1, 0, 2)   # (M, r1, r2)
+        v = np.matmul(v[:, None, :], slab)[:, 0, :]
+    return v
 
 
 def reference_maxvol(a: np.ndarray, tol: float = 1.05, max_iters: int = 200) -> np.ndarray:

@@ -140,6 +140,25 @@ def test_fit_invariant_to_target_scale():
 
 
 
+def test_reduced_rank_one_gaussian_fit_is_pinned():
+    # gaussian_verification at d = 8 on 20 nodes: every TT of the fit has
+    # rank 1, and a change to the TT kernels that keeps the arithmetic of
+    # unit ranks must leave the iterations, the calls and the KL's bits be
+    d = 8
+    grid = Grid.regular(-3.0, 3.0, 20, d=d)
+    mean = np.random.default_rng(42).uniform(-1.5, 1.5, size=d)
+    rho_inf = CachedDensity(Gaussian(mean=mean, var=0.5).density, grid)
+    cfg = FixedPointConfig(tolerance=1e-5, max_iters=1000, trunc_tol=1e-8,
+                           cross=CrossConfig(max_rank=8, tolerance=1e-7, max_sweeps=6))
+    model = run(GaussianInitial.standard(d), rho_inf, grid, Schedule([(1e4, 1e-3)]),
+                cfg, rng=np.random.default_rng(1))
+    assert model.converged
+    assert model.steps[0].eta_T.ranks == (1,) * (d + 1)
+    assert model.steps[0].iters == 4
+    assert (rho_inf.unique_calls, rho_inf.total_calls) == (1286, 5280)
+    assert float(model.kl_history[-1]).hex() == "0x1.cc9444738afcap-18"
+
+
 def test_shipped_parabolic_fit_converges():
     # the posterior is nonzero on 0.16% of the box, and eta_hat_T is nearly
     # flat on it after the step's heat flow: a cold terminal cross seeded from

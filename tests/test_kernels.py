@@ -8,19 +8,22 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import oracles as oc
 from oracles import tt_random
-from ttjko.cross import (VALIDATION_SIZE, CrossConfig, _block_indices, maxvol,
-                         tt_cross, validation_indices)
+from ttjko import cross as cross_module
+from ttjko.cross import (VALIDATION_SIZE, CrossConfig, _block_indices, _right_sets_from_guess,
+                         maxvol, tt_cross, validation_indices)
 from ttjko.fixed_point import StepState
 from ttjko.grid import Grid, interpolate_batch
 from ttjko.heat import HeatPropagator
 from ttjko.sampler import SamplerConfig, StepDynamics
 from ttjko.targets import CachedDensity, DensityEvalError
-from ttjko.tt import TTTensor, tt_block_eval, tt_chain_step, tt_eval, tt_right_interface
+from ttjko.tt import (TTTensor, _partial_products, rank_step, tt_block_eval, tt_chain_step,
+                      tt_eval, tt_right_interface)
 
 
 def _left_interface(t, prefixes):
-    """Products of the first k cores at (M, k) prefixes, one chain step per core."""
-    v = np.ones((prefixes.shape[0], 1))
+    """Products of the first k cores at (M, k) prefixes, ranks first, one
+    chain step per core."""
+    v = np.ones((1, prefixes.shape[0]))
     for k in range(prefixes.shape[1]):
         v = tt_chain_step(v, t.cores[k], prefixes[:, k])
     return v
@@ -63,10 +66,133 @@ class TestBlockEval:
         grown = tt_chain_step(tt_right_interface(t, suffixes),
                               t.cores[1].transpose(2, 1, 0), mode)
         ref = tt_right_interface(t, np.concatenate([mode[:, None], suffixes], axis=1))
-        assert_allclose(grown, ref, rtol=1e-14)
+        assert_array_equal(grown, ref)
         full = np.concatenate([rng.integers(0, 4, 5)[:, None], mode[:, None], suffixes], axis=1)
-        assert_allclose(tt_chain_step(grown, t.cores[0].transpose(2, 1, 0), full[:, 0])[:, 0],
+        assert_allclose(tt_chain_step(grown, t.cores[0].transpose(2, 1, 0), full[:, 0])[0],
                         tt_eval(t, full), rtol=1e-13)
+
+
+def _mixed_rank_tt(shape, ranks, rng):
+    """Random TT with the given inner ranks."""
+    ranks = (1,) + tuple(ranks) + (1,)
+    return TTTensor([rng.standard_normal((ranks[n], m, ranks[n + 1]))
+                     for n, m in enumerate(shape)], copy=False)
+
+
+def _grid_indices(shape, m, rng):
+    return np.stack([rng.integers(0, n, m) for n in shape], axis=1).astype(np.intp)
+
+
+class TestChainKernel:
+    """The ranks-first chain at grid indices against the rows-first
+    batched-matmul chain it replaced."""
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_matches_the_batched_matmul_chain(self, rank):
+        rng = np.random.default_rng(40 + rank)
+        shape = (7, 5, 9, 6, 8)
+        t = oc.tt_random(shape, rank, rng)
+        idx = _grid_indices(shape, 300, rng)
+        for k in range(1, len(shape) + 1):
+            ref = oc.reference_partial_products(t.cores[:k], idx[:, :k])
+            got = _partial_products(t.cores[:k], idx[:, :k])
+            assert got.shape == ref.T.shape
+            assert_allclose(got, ref.T, rtol=1e-13, atol=1e-13 * np.abs(ref).max())
+        mirrored = [c.transpose(2, 1, 0) for c in t.cores[::-1]]
+        ref = oc.reference_partial_products(mirrored[:3], idx[:, :1:-1])
+        assert_allclose(tt_right_interface(t, idx[:, 2:]), ref.T,
+                        rtol=1e-13, atol=1e-13 * np.abs(ref).max())
+
+    def test_mixed_ranks_match_the_batched_matmul_chain(self):
+        rng = np.random.default_rng(45)
+        shape = (6, 7, 5, 8, 4)
+        t = _mixed_rank_tt(shape, (4, 1, 3, 2), rng)
+        idx = _grid_indices(shape, 200, rng)
+        ref = oc.reference_partial_products(t.cores, idx)[:, 0]
+        assert_allclose(tt_eval(t, idx), ref, rtol=1e-13, atol=1e-13 * np.abs(ref).max())
+
+    def test_unit_ranks_are_bitwise_the_batched_matmul_chain(self):
+        rng = np.random.default_rng(46)
+        shape = (30,) * 16
+        t = oc.tt_random(shape, 1, rng)
+        idx = _grid_indices(shape, 500, rng)
+        assert_array_equal(tt_eval(t, idx), oc.reference_partial_products(t.cores, idx)[:, 0])
+        mirrored = [c.transpose(2, 1, 0) for c in t.cores[::-1]]
+        assert_array_equal(tt_right_interface(t, idx[:, 4:]),
+                           oc.reference_partial_products(mirrored[:12], idx[:, :3:-1]).T)
+
+    @pytest.mark.parametrize("rank", [1, 3])
+    def test_row_permutation_permutes_the_results_bitwise(self, rank):
+        rng = np.random.default_rng(47 + rank)
+        shape = (7, 5, 9, 6)
+        t = oc.tt_random(shape, rank, rng)
+        idx = _grid_indices(shape, 257, rng)
+        perm = rng.permutation(len(idx))
+        assert_array_equal(tt_eval(t, idx[perm]), tt_eval(t, idx)[perm])
+        assert_array_equal(tt_right_interface(t, idx[perm, 1:]),
+                           tt_right_interface(t, idx[:, 1:])[:, perm])
+        v = rng.standard_normal((rank, len(idx)))
+        assert_array_equal(tt_chain_step(v[:, perm], t.cores[1], idx[perm, 1]),
+                           tt_chain_step(v, t.cores[1], idx[:, 1])[:, perm])
+
+    @pytest.mark.parametrize("r1", [1, 2, 5, 12])
+    @pytest.mark.parametrize("m", [1, 64])
+    def test_step_adds_the_rank_products_in_order(self, r1, m):
+        rng = np.random.default_rng(50 + r1)
+        v = rng.standard_normal((r1, m)) * 10.0 ** rng.integers(-8, 8, (r1, m))
+        slab = rng.standard_normal((r1, 3, m))
+        for s in (slab, slab[:, :1], slab[:, 0]):   # -> (r2, M), (1, M), (M,)
+            ref = v[0] * s[0]
+            for a in range(1, r1):
+                ref = ref + v[a] * s[a]
+            assert_array_equal(rank_step(v, s), ref)
+
+    def test_one_entry_batch_adds_in_rank_order_too(self):
+        # numpy's sum over the rank axis adds pairwise when the batch is one
+        # entry and the rank 8 or more: 1 + 11 * 1.1e-16 would not round to 1
+        v = np.array([1.0] + [1.1e-16] * 11)[:, None]
+        assert rank_step(v, np.ones((12, 1, 1)))[0, 0] == 1.0
+        assert rank_step(v, np.ones((12, 1, 5)))[0, 0] == 1.0
+
+    def test_guessed_cross_starts_from_nested_interfaces(self, monkeypatch):
+        """A cross with a guess builds its first right interfaces one chain
+        step per bond and factor, bitwise the interfaces of its nested sets."""
+        rng = np.random.default_rng(55)
+        shape = (6, 5, 7, 4, 5)
+        d = len(shape)
+        factors = (oc.tt_random(shape, 2, rng), oc.tt_random(shape, 3, rng))
+        guess = oc.tt_random(shape, 3, rng)
+        cfg = CrossConfig(max_rank=4)
+        steps = []
+
+        def spy(v, core, col):
+            steps.append(tt_chain_step(v, core, col))
+            return steps[-1]
+
+        def no_interface(*args):
+            raise AssertionError("interfaces rebuilt from scratch")
+
+        class Started(Exception):
+            pass
+
+        calls = []
+
+        def oracle(idx, a_vals, b_vals):
+            calls.append(len(idx))
+            if len(calls) == 2:           # the first block, after the validation set
+                raise Started
+            return a_vals * b_vals
+
+        monkeypatch.setattr(cross_module, "tt_chain_step", spy)
+        monkeypatch.setattr(cross_module, "tt_right_interface", no_interface)
+        with pytest.raises(Started):
+            tt_cross(oracle, shape, cfg, initial_guess=guess, factors=factors,
+                     rng=np.random.default_rng(56))
+        assert len(steps) == (d - 1) * len(factors)
+        right, _ = _right_sets_from_guess(guess, cfg.max_rank)
+        for j, n in enumerate(range(d - 1, 0, -1)):
+            for k, t in enumerate(factors):
+                assert_array_equal(steps[j * len(factors) + k], tt_right_interface(t, right[n]))
 
 
 class TestCrossFactors:

@@ -13,7 +13,7 @@ from ttjko import sampler as sampler_module
 from ttjko.driver import FlowModel, GaussianInitial, Schedule, run
 from ttjko.fixed_point import FixedPointConfig, StepState
 from ttjko.cross import CrossConfig
-from ttjko.grid import Grid
+from ttjko.grid import Grid, scratch_size
 from ttjko.heat import HeatPropagator
 from ttjko.sampler import (SamplerConfig, StepDynamics, _integrate_em, _integrate_ode,
                            _reflect, sample)
@@ -108,6 +108,26 @@ class TestDrifts:
             fresh = StepDynamics(state, grid, SamplerConfig())
             assert np.array_equal(dyn.ode_drift(t, x), fresh.ode_drift(t, x))
             assert np.array_equal(dyn.sde_drift(t, x), fresh.sde_drift(t, x))
+
+    def test_scratch_is_sized_once_for_two_time_nodes(self):
+        # a first call on a time node contracts that node alone, but sizes
+        # the scratch for two, so that no later call of the batch regrows it
+        rng = np.random.default_rng(8)
+        grid = Grid.regular(-3.0, 3.0, [9, 7, 8])
+        eta, hat = (TTTensor([np.abs(c) + 0.05
+                              for c in oc.tt_random(grid.shape, r, rng).cores])
+                    for r in (3, 2))
+        state = StepState(eta_T=eta, eta_hat_0=hat, eta_hat_T=hat, T=1.5, beta=0.3,
+                          converged=True, iters=1)
+        dyn = StepDynamics(state, grid, SamplerConfig())
+        x = rng.uniform(-3.0, 3.0, size=(50, 3))
+        dyn.ode_drift(0.0, x)
+        scratch = dyn._scratch
+        assert scratch.size == scratch_size(dyn._tables, 4 * len(x))
+        for t in (0.3, dyn.tau[5], 1.2):
+            dyn.ode_drift(t, x)
+            dyn.sde_drift(t, x)
+            assert dyn._scratch is scratch
 
     def test_nan_point_raises(self):
         grid = Grid.regular(-4.0, 4.0, 30, d=2)
