@@ -33,6 +33,7 @@ from .grid import Grid
 from .sampler import SamplerConfig
 from .targets import (CachedDensity, DoubleMoon, Gaussian, GaussianMixture,
                       NonconvexPotential, hyperbolic_posterior, parabolic_posterior)
+from .tt import is_count
 
 
 class ConfigError(ValueError):
@@ -114,7 +115,7 @@ def build_fixed_point(spec: dict) -> FixedPointConfig:
 
 def _check_counts(least: int, **counts) -> None:
     for name, n in counts.items():
-        if not isinstance(n, int) or n < least:
+        if not is_count(n, least):
             raise ValueError(f"{name} must be an integer >= {least}")
 
 

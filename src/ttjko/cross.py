@@ -16,17 +16,18 @@ The interface matrices are ranks first, ``(rank, set size)``.  Index
 sets are nested: each new prefix is a prefix of the previous set
 followed by a mode value, and each new suffix a mode value followed by
 a suffix of the next set, so every interface is one
-:func:`~ttjko.tt.tt_chain_step` from its neighbour's.  That holds from
-the start when the sets come from an initial guess, so the first right
-interfaces cost one step per bond and factor, O(d) in all; only random
-suffixes (a cross with no guess, or a bond grown after a stall) are
-evaluated from scratch by :func:`~ttjko.tt.tt_right_interface`.
+:func:`~ttjko.tt.tt_chain_step` from its neighbour's.
 
 Pivots are chosen by maxvol row selection on orthogonalized unfoldings.
-Ranks are adaptive and capped by ``CrossConfig.max_rank``: index sets
-start at rank 2 (or at the ranks of an initial guess) and grow by up to
-two random suffixes per bond whenever a sweep stalls on the validation
-index set, until every bond reaches the cap.
+Ranks are adaptive and capped by ``CrossConfig.max_rank``.  The right
+index sets start as the nested sets of an initial guess, whose first
+interfaces cost one chain step per bond and factor, O(d) in all.
+Without a guess they start empty and are grown once before the first
+sweep.  Growth adds up to two random suffixes to every bond below its
+cap; it also runs whenever a sweep stalls on the validation index set,
+until every bond reaches the cap.  Random suffixes are the one kind of
+set not nested in its neighbour, and only their interfaces are
+evaluated from scratch, by :func:`~ttjko.tt.tt_right_interface`.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tt import TTTensor, tt_block_eval, tt_chain_step, tt_eval, tt_right_interface
+from .tt import (TTTensor, is_count, tt_block_eval, tt_chain_step, tt_eval,
+                 tt_right_interface)
 
 # block singular values below this relative threshold are discarded so that
 # maxvol always sees a full-column-rank matrix
@@ -65,11 +67,11 @@ class CrossConfig:
     max_sweeps: int = 6
 
     def __post_init__(self):
-        if not isinstance(self.max_rank, (int, np.integer)) or self.max_rank < 1:
+        if not is_count(self.max_rank, 1):
             raise ValueError("max_rank must be an integer >= 1")
         if not self.tolerance > 0:
             raise ValueError("tolerance must be > 0")
-        if not isinstance(self.max_sweeps, (int, np.integer)) or self.max_sweeps < 1:
+        if not is_count(self.max_sweeps, 1):
             raise ValueError("max_sweeps must be an integer >= 1")
 
 
@@ -172,13 +174,15 @@ def _eval_oracle(f, idx: np.ndarray, info: CrossInfo, factor_values) -> np.ndarr
 
 
 def _random_suffixes(shape, start: int, count: int, rng: np.random.Generator,
-                     existing: np.ndarray | None = None) -> np.ndarray:
-    """Distinct random suffix multi-indices over modes start..d-1."""
+                     existing: np.ndarray) -> np.ndarray:
+    """``existing`` followed by up to ``count`` random suffix multi-indices
+    over modes start..d-1, each distinct from the rows before it while
+    fewer than 50 * ``count`` draws have been made."""
     tail = [int(n) for n in shape[start:]]
-    rows = [] if existing is None else [existing]
-    seen = set() if existing is None else {tuple(r) for r in existing}
+    rows = [existing]
+    seen = {tuple(r) for r in existing}
     attempts = 0
-    while sum(len(r) for r in rows) < count + (0 if existing is None else len(existing)):
+    while len(rows) <= count:
         cand = tuple(int(rng.integers(0, n)) for n in tail)
         attempts += 1
         if cand in seen and attempts < 50 * count:
@@ -187,7 +191,7 @@ def _random_suffixes(shape, start: int, count: int, rng: np.random.Generator,
         rows.append(np.asarray(cand, dtype=np.intp)[None, :])
         if attempts >= 50 * count and len(seen) >= int(np.prod([min(n, 4) for n in tail])):
             break
-    return np.concatenate(rows, axis=0) if rows else np.zeros((1, len(tail)), dtype=np.intp)
+    return np.concatenate(rows, axis=0)
 
 
 def _right_sets_from_guess(guess: TTTensor, max_rank: int) -> tuple[list, list]:
@@ -258,25 +262,13 @@ def tt_cross(f, mode_sizes, config: CrossConfig,
         if tuple(t.shape) != tuple(shape):
             raise ValueError("factor shape does not match mode_sizes")
 
-    if d == 1:
-        idx = np.arange(shape[0], dtype=np.intp)[:, None]
-        vals = _eval_oracle(f, idx, info, [tt_eval(t, idx) for t in factors])
-        info.converged = True
-        info.sweeps = 1
-        info.rel_error = 0.0
-        return TTTensor([vals.reshape(1, -1, 1)], copy=False), info
-
     if initial_guess is not None:
         if tuple(initial_guess.shape) != tuple(shape):
             raise ValueError("initial guess shape does not match mode_sizes")
         right, picks = _right_sets_from_guess(initial_guess, config.max_rank)
     else:
-        picks = None
-        right = [None] * (d + 1)
-        right[d] = np.zeros((1, 0), dtype=np.intp)
-        for n in range(d - 1, 0, -1):
-            cap = min(2, config.max_rank, int(np.prod([float(m) for m in shape[n:]])))
-            right[n] = _random_suffixes(shape, n, cap, rng)
+        right = [np.zeros((0, d - n), dtype=np.intp) for n in range(d)]
+        right.append(np.zeros((1, 0), dtype=np.intp))
 
     if validation is None:
         validation = validation_indices(shape, config, rng)
@@ -307,12 +299,29 @@ def tt_cross(f, mode_sizes, config: CrossConfig,
             rface[k][n] = tt_chain_step(rface[k][n + 1][:, b_sel],
                                         t.cores[n].transpose(2, 1, 0), right[n][:, 0])
 
-    for n in range(d - 1, 0, -1):
-        if picks is not None:        # nested sets: one step per bond
+    def grow_right() -> bool:
+        """Add up to two random suffixes to every right set below its cap;
+        whether any set grew."""
+        grown = False
+        for n in range(1, d):
+            cap = int(min(
+                config.max_rank,
+                np.prod([float(m) for m in shape[n:]]),
+                np.prod([float(m) for m in shape[:n]]),
+            ))
+            grow = min(2, cap - right[n].shape[0])
+            if grow > 0:
+                right[n] = _random_suffixes(shape, n, grow, rng, right[n])
+                for k, t in enumerate(factors):
+                    rface[k][n] = tt_right_interface(t, right[n])
+                grown = True
+        return grown
+
+    if initial_guess is None:
+        grow_right()
+    else:
+        for n in range(d - 1, 0, -1):
             extend_right(n, picks[n])
-        else:
-            for k, t in enumerate(factors):
-                rface[k][n] = tt_right_interface(t, right[n])
 
     def block_values(n):
         idx = _block_indices(left[n], shape[n], right[n + 1])
@@ -378,23 +387,7 @@ def tt_cross(f, mode_sizes, config: CrossConfig,
             break            # an all-zero truth shows no error, so no convergence
         stalled = error > 0.7 * prev_error
         prev_error = min(prev_error, error)
-        if stalled:
-            grown = False
-            for n in range(1, d):
-                cap = int(min(
-                    config.max_rank,
-                    np.prod([float(m) for m in shape[n:]]),
-                    np.prod([float(m) for m in shape[:n]]),
-                ))
-                grow = cap - right[n].shape[0]
-                if grow > 0:
-                    right[n] = _random_suffixes(
-                        shape, n, min(2, grow), rng, existing=right[n]
-                    )
-                    for k, t in enumerate(factors):
-                        rface[k][n] = tt_right_interface(t, right[n])
-                    grown = True
-            if not grown:
-                break        # stable at the rank cap: return best effort
+        if stalled and not grow_right():
+            break            # stable at the rank cap: return best effort
 
     return tt, info

@@ -19,6 +19,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .tt import is_count
+
 
 # ---------------------------------------------------------------------------
 # entropic OT / Sinkhorn divergence
@@ -26,16 +28,13 @@ import numpy as np
 
 @dataclass
 class SinkhornConfig:
-    epsilon: float | None = None     # None: 0.01 * median pairwise sq. distance
     max_iters: int = 300
     threshold: float = 1e-5          # sup-norm change of the dual potentials
 
     def __post_init__(self):
-        # NaN fails every comparison
-        if self.epsilon is not None and not 0 < self.epsilon < np.inf:
-            raise ValueError("epsilon must be positive and finite")
-        if not isinstance(self.max_iters, (int, np.integer)) or self.max_iters < 1:
+        if not is_count(self.max_iters, 1):
             raise ValueError("max_iters must be an integer >= 1")
+        # NaN fails every comparison
         if not 0 < self.threshold < np.inf:
             raise ValueError("threshold must be positive and finite")
 
@@ -260,9 +259,10 @@ class DoubleOTReport:
 def double_ot_protocol(groups: dict, config: SinkhornConfig) -> DoubleOTReport:
     """Pairwise Sinkhorn divergences within/between labeled sample groups.
 
-    All pairs share one epsilon (from the pooled scale) so values are
-    comparable.  The scalar per label other than ``"ref"`` is the exact
-    1-d OT distance between the ref-ref and ref-label divergence-value
+    All pairs share one epsilon, 0.01 times the median squared distance
+    of the pooled first sample of each label, so values are comparable.
+    The scalar per label other than ``"ref"`` is the exact 1-d OT
+    distance between the ref-ref and ref-label divergence-value
     distributions.  The report counts the ``entropic_ot`` solves behind
     the values and how many of them stopped at ``max_iters``.
     """
@@ -278,10 +278,8 @@ def double_ot_protocol(groups: dict, config: SinkhornConfig) -> DoubleOTReport:
             dims.add(sample.shape[1])
     if len(dims) > 1:
         raise ValueError(f"samples must share the dimension, got {sorted(dims)}")
-    eps = config.epsilon
-    if eps is None:
-        pool = np.concatenate([groups[lab][0] for lab in sorted(groups)], axis=0)
-        eps = 0.01 * median_sq_distance(pool)
+    pool = np.concatenate([groups[lab][0] for lab in sorted(groups)], axis=0)
+    eps = 0.01 * median_sq_distance(pool)
 
     refs = groups["ref"]
     self_cost: dict = {}
@@ -397,7 +395,7 @@ class MHConfig:
                 raise ValueError(f"{name} must be positive and finite")
         for name in ("n_chains", "n_steps", "thin"):
             n = getattr(self, name)
-            if not isinstance(n, (int, np.integer)) or n < 1:
+            if not is_count(n, 1):
                 raise ValueError(f"{name} must be an integer >= 1")
         if not 0.0 <= self.burn_in < 1.0:
             raise ValueError("burn_in must lie in [0, 1)")

@@ -34,8 +34,8 @@ import numpy as np
 from .cross import CrossConfig, CrossInfo, tt_cross, validation_indices
 from .grid import Grid, all_quadrature_weights
 from .heat import HeatPropagator
-from .tt import (TTTensor, tt_axpy, tt_eval, tt_inner, tt_ones, tt_round, tt_sample,
-                 tt_scale)
+from .tt import (TTTensor, is_count, tt_axpy, tt_eval, tt_inner, tt_ones, tt_round,
+                 tt_sample, tt_scale)
 
 #: hard floor for guarded divisions (spec'd; negatives fall below it too)
 DIVISION_FLOOR = 1e-300
@@ -61,7 +61,7 @@ class FixedPointConfig:
     def __post_init__(self):
         if not self.tolerance > 0:
             raise ValueError("tolerance must be > 0")
-        if not isinstance(self.max_iters, (int, np.integer)) or self.max_iters < 1:
+        if not is_count(self.max_iters, 1):
             raise ValueError("max_iters must be an integer >= 1")
         if not self.trunc_tol >= 0:
             raise ValueError("trunc_tol must be >= 0")

@@ -5,7 +5,9 @@ initial condition and the backbone of the target ``|F| * rho_fit`` —
 every oracle value comes from the existing TT model and the cheap
 functional F, so the expensive posterior is never touched.  The
 resulting model approximates the variance-optimal importance
-distribution ``|F| * posterior`` through the surrogate.
+distribution ``|F| * posterior`` through the surrogate.  Its samples are
+weighted by 1/|F| (:func:`importance_estimate`), which calls no
+posterior either.
 """
 
 from __future__ import annotations
@@ -16,9 +18,11 @@ import numpy as np
 
 from .driver import FlowModel, append_step
 from .fixed_point import FixedPointConfig
-from .grid import Grid, interpolate_batch
 from .sampler import SamplerConfig, sample
 from .tt import tt_eval
+
+#: the quantile of a sample's 1/|F| weights that caps them
+WEIGHT_CAP_QUANTILE = 0.999
 
 
 @dataclass
@@ -81,34 +85,19 @@ def fit_importance(model: FlowModel, qoi: QuantityOfInterest, T: float, beta: fl
     return out
 
 
-def importance_estimate(samples: np.ndarray, qoi: QuantityOfInterest,
-                        weight_mode: str = "optimal", rho_inf_fn=None,
-                        importance_model: FlowModel | None = None,
-                        cap_quantile: float = 0.999) -> float:
-    """Self-normalized estimate of E[F] from importance-distribution samples.
+def importance_estimate(samples: np.ndarray, qoi: QuantityOfInterest) -> float:
+    """Self-normalized estimate of E[F] from samples of the importance
+    distribution ``|F| * posterior``.
 
-    ``optimal`` weights are 1/|F| (zero posterior calls), capped at the
-    given quantile of the sample's weights because the optimal-weight
-    formula is singular where F vanishes.  ``true`` weights are
-    posterior / fitted-importance-density and cost one posterior call
-    per sample.  Self-normalization makes the estimate invariant to
-    rescaling either density, and biased.
+    The weights are the posterior over that distribution, 1/|F| up to a
+    constant, so the estimate takes no posterior call.  They are capped
+    at the ``WEIGHT_CAP_QUANTILE`` quantile of the sample's weights,
+    because 1/|F| is singular where F vanishes.  Self-normalization
+    cancels the unknown normalizing constants, and biases the estimate.
     """
-    x = np.atleast_2d(samples)
-    fvals = qoi(x)
-    if weight_mode == "optimal":
-        denom = np.abs(fvals)
-        floor = np.finfo(float).tiny
-        w = 1.0 / np.maximum(denom, floor)
-        cap = np.quantile(w, cap_quantile)
-        w = np.minimum(w, cap)
-    elif weight_mode == "true":
-        if rho_inf_fn is None or importance_model is None:
-            raise ValueError("true weights need the target oracle and the fitted model")
-        rho_f, _ = interpolate_batch(importance_model.rho_tt, importance_model.grid, x)
-        w = np.asarray(rho_inf_fn(x), dtype=float) / np.maximum(rho_f, np.finfo(float).tiny)
-    else:
-        raise ValueError(f"unknown weight_mode {weight_mode!r}")
+    fvals = qoi(np.atleast_2d(samples))
+    w = 1.0 / np.maximum(np.abs(fvals), np.finfo(float).tiny)
+    w = np.minimum(w, np.quantile(w, WEIGHT_CAP_QUANTILE))
     return float((w * fvals).sum() / w.sum())
 
 
@@ -144,7 +133,7 @@ def compare_estimators(posterior_model: FlowModel, importance_model: FlowModel,
     for r in range(repeats):
         block = slice(r * n, (r + 1) * n)
         plain[r] = float(qoi(post.positions[block]).mean())
-        weighted[r] = importance_estimate(imp.positions[block], qoi, "optimal")
+        weighted[r] = importance_estimate(imp.positions[block], qoi)
     return EstimatorComparison(
         plain=plain, weighted=weighted,
         meta={"n": n, "repeats": repeats, "seed": seed, "qoi": qoi.name},

@@ -55,6 +55,7 @@ from .driver import FlowModel
 from .fixed_point import StepState
 from .grid import Grid, gradient_matrix, multilinear, scratch_size
 from .heat import HeatPropagator
+from .tt import is_count
 
 _VALUE_FLOOR = 1e-300
 
@@ -74,10 +75,10 @@ class SamplerConfig:
     def __post_init__(self):
         if not 0.0 <= self.epsilon_sde <= 1.0:
             raise ValueError("epsilon_sde must lie in [0, 1]")
-        if not isinstance(self.n_em_steps, (int, np.integer)) or self.n_em_steps < 1:
+        if not is_count(self.n_em_steps, 1):
             raise ValueError("n_em_steps must be an integer >= 1")
         n = self.n_time_nodes
-        if not isinstance(n, (int, np.integer)) or n < 6 or n % 2:
+        if not is_count(n, 6) or n % 2:
             raise ValueError("n_time_nodes must be an even integer >= 6 "
                              "(the time sub-grid has n_time_nodes + 1 nodes)")
 
@@ -295,7 +296,7 @@ def sample(model: FlowModel, n: int, config: SamplerConfig | None = None,
     (model, n, config, seed) produce bitwise identical ensembles, and
     particle ``i`` ends in the same place whatever ``n > i`` is.
     """
-    if not isinstance(n, (int, np.integer)) or n < 0:
+    if not is_count(n, 0):
         raise ValueError(f"n must be an integer >= 0, not {n!r}")
     if config is None:
         config = SamplerConfig()

@@ -20,7 +20,7 @@ from itertools import islice
 import numpy as np
 
 from .grid import Grid
-from .tt import checked_indices
+from .tt import checked_indices, is_count
 
 
 class DensityEvalError(ValueError):
@@ -46,8 +46,7 @@ class CachedDensity:
                  "_shape", "_row_dtype", "_store")
 
     def __init__(self, fn, grid: Grid, capacity: int | None = None):
-        if capacity is not None and (not isinstance(capacity, (int, np.integer))
-                                     or capacity < 0):
+        if capacity is not None and not is_count(capacity, 0):
             raise ValueError("capacity must be None or an integer >= 0")
         self.fn = fn
         self.grid = grid
@@ -184,7 +183,7 @@ class DoubleMoon:
     a: float = 2.0
 
     def __post_init__(self):
-        if not isinstance(self.dim, (int, np.integer)) or self.dim < 1:
+        if not is_count(self.dim, 1):
             raise ValueError("dim must be an integer >= 1")
         if not np.isfinite(self.a):
             raise ValueError("a must be finite")
@@ -389,17 +388,3 @@ def save_measurements(path, t_meas, x_meas, data) -> None:
         writer.writerow(["t", "x", "value"])
         for t, x, v in zip(t_meas, x_meas, data):
             writer.writerow([repr(float(t)), repr(float(x)), repr(float(v))])
-
-
-def load_measurements(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    t, x, v = [], [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["t", "x", "value"]:
-            raise ValueError(f"unexpected measurement header {header}")
-        for row in reader:
-            t.append(float(row[0]))
-            x.append(float(row[1]))
-            v.append(float(row[2]))
-    return np.asarray(t), np.asarray(x), np.asarray(v)

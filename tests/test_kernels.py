@@ -194,6 +194,47 @@ class TestChainKernel:
             for k, t in enumerate(factors):
                 assert_array_equal(steps[j * len(factors) + k], tt_right_interface(t, right[n]))
 
+    @pytest.mark.parametrize("max_rank", [1, 4])
+    def test_cold_cross_grows_its_first_right_sets(self, monkeypatch, max_rank):
+        """A cross with no guess draws its first right sets by the growth a
+        stalled sweep runs: min(2, cap) distinct random suffixes on every
+        bond, in ascending order, with one interface per bond and factor."""
+        rng = np.random.default_rng(57)
+        shape = (6, 5, 7, 4, 5)
+        d = len(shape)
+        factors = (oc.tt_random(shape, 2, rng), oc.tt_random(shape, 3, rng))
+        built = []
+
+        def spy(t, rows):
+            built.append((t, rows))
+            return tt_right_interface(t, rows)
+
+        class Started(Exception):
+            pass
+
+        blocks = []
+
+        def oracle(idx, a_vals, b_vals):
+            blocks.append(idx)
+            if len(blocks) == 2:          # the first block, after the validation set
+                raise Started
+            return a_vals * b_vals
+
+        monkeypatch.setattr(cross_module, "tt_right_interface", spy)
+        with pytest.raises(Started):
+            tt_cross(oracle, shape, CrossConfig(max_rank=max_rank), factors=factors,
+                     rng=np.random.default_rng(58))
+        size = min(2, max_rank)
+        assert len(built) == (d - 1) * len(factors)
+        for j, n in enumerate(range(1, d)):
+            for k, t in enumerate(factors):
+                got, rows = built[j * len(factors) + k]
+                assert got is t
+                assert rows.shape == (size, d - n)
+                assert len({tuple(r) for r in rows}) == size
+                assert np.all((rows >= 0) & (rows < shape[n:]))
+        assert_array_equal(np.unique(blocks[1][:, 1:], axis=0), np.unique(built[0][1], axis=0))
+
 
 class TestCrossFactors:
     def test_factor_oracle_matches_pointwise_oracle(self):
