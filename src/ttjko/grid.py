@@ -14,10 +14,10 @@ gradient.  Every contraction is ``tt.rank_step``, the step the TT
 chains at grid indices (``tt.tt_eval``) run too: the products are added
 in rank order, and a contraction over a rank of 1 (every axis of a
 rank-1 tensor train, and the outer rank of the first and last axes of
-any) is taken as its one term, with no sum.  It owns its gather
-scratch (``scratch_size`` gives its size) and the range check its
-clipping gather relies on.  ``interpolate_batch`` and the sampler drift
-both run it.
+any) is taken as its one term, with no sum.  It sizes its own gather
+scratch and owns the range check its clipping gather relies on.
+``interpolate_batch`` and the sampler drift both run it, the drift with
+its two potentials at one time as a batch of two fields.
 """
 
 from __future__ import annotations
@@ -169,45 +169,39 @@ def gradient_matrix(grid: Grid, axis: int) -> np.ndarray:
     return mat
 
 
-def scratch_size(tables, n_cols: int) -> int:
-    """Floats of scratch ``multilinear`` takes for ``tables`` at
-    ``n_cols = cols[0].size`` gathered columns per axis."""
-    sizes = [table.size // table.shape[-1] * n_cols for table in tables]
-    # the value cores of every V = 2 axis, kept for the gradient pass,
-    # then the largest axis's gather at the tail and its cores at the head
-    kept = sum(size // 4 for size, table in zip(sizes, tables) if len(table) == 2)
-    return kept + max(sizes) + max(sizes) // 2
-
-
-def multilinear(tables, cols, w, scratch=None):
+def multilinear(tables, cells, w, scratch=None):
     """Multilinear TT contraction at off-grid points, batch last.
 
     ``tables[n]`` holds axis n's cores with the ranks leading and the
     grid columns last, ``(V, r1, r2, *F, C)``: ``V = 1`` for values only,
     ``V = 2`` for values and derivative cores, and ``F`` any batch of
-    fields contracted alike.  ``cols``, ``(d, *G, 2, m)``, holds each
-    axis's columns of every point's lower and upper corner, where ``G``
-    adds further field axes, and ``w[n]`` the barycentric weights, ``(m,)``.
-    Each axis gathers both corners with one ``take`` and forms its cores
+    fields contracted alike.  ``cells``, ``(d, m)``, holds each axis's
+    column of every point's lower cell corner (``Grid.cells``, transposed),
+    and ``w[n]`` the barycentric weights, ``(m,)``.  Each axis gathers the
+    lower and upper corners with one ``take`` and forms its cores
     ``lo + w (hi - lo)``.
 
     Returns ``(value, grad, scratch)``: ``value`` and ``grad`` of shapes
-    ``(*F, *G, m)`` and ``(d, *F, *G, m)`` (``grad`` is None for a
-    value-only table), and the flat float64 scratch that took every
+    ``(*F, m)`` and ``(d, *F, m)`` (``grad`` is None for a value-only
+    table), and the flat float64 scratch that took every
     axis's gathered corners and cores.  A ``scratch`` that is None or too
     small is replaced, so a caller that passes back what it got allocates
     only when a batch outgrows it.  The gather runs with ``mode="clip"``
     (``"raise"`` gathers into a temporary and copies), so a negative
-    column (the cell of a NaN coordinate) raises ``IndexError`` here;
+    cell (that of a NaN coordinate) raises ``IndexError`` here;
     ``Grid.cells`` never gives one past the end.  Every reduction is a
     ``tt.rank_step`` over one rank axis in order, so each point's result
     depends on nothing but that point; a rank axis of length 1 is not
     summed at all, its one term being the sum bit for bit.
     """
-    if cols.min(initial=0) < 0:
+    if cells.min(initial=0) < 0:
         raise IndexError("a point maps outside the core tables")
+    cols = cells[:, None, :] + np.array([[0], [1]])        # (d, 2, m)
     sizes = [table.size // table.shape[-1] * cols[0].size for table in tables]
-    need = scratch_size(tables, cols[0].size)
+    # the value cores of every V = 2 axis, kept for the gradient pass,
+    # then the largest axis's gather at the tail and its cores at the head
+    need = (sum(size // 4 for size, table in zip(sizes, tables) if len(table) == 2)
+            + max(sizes) + max(sizes) // 2)
     if scratch is None or scratch.size < need:
         scratch = np.empty(need)
     out = scratch
@@ -258,6 +252,5 @@ def interpolate_batch(t: TTTensor, grid: Grid, x: np.ndarray):
         raise ValueError(f"point {bad[0]} is not finite: {x[bad[0]].tolist()}")
     cell, w = grid.cells(x)
     tables = [core.transpose(0, 2, 1)[None] for core in t.cores]     # (1, r1, r2, N)
-    corners = cell.T[:, None, :] + np.array([[0], [1]])               # (d, 2, M)
-    values, _, _ = multilinear(tables, corners, w.T)
+    values, _, _ = multilinear(tables, cell.T, w.T)
     return values, grid.outside(x)

@@ -5,9 +5,10 @@ dense eigendecompositions, transport uses assignment enumeration, and
 KL values come from quadrature or closed forms.  ``reference_maxvol``
 is the original maxvol built on the validating ``scipy.linalg``
 wrappers, kept to pin the pivots of the production version.
-``reference_log_grad`` is the original per-node sampler drift kernel
-(one gather and one reduction per axis, time node and potential), kept
-to pin the drift of the production single-pass kernel, and
+``reference_log_grad`` is the sampler drift at one time built the plain
+way (``HeatPropagator`` at that time, then one gather and one reduction
+per axis and potential), kept to pin the drift of the production
+single-pass kernel and its composed heat factors, and
 ``reference_rk4`` the RK4 loop run one particle at a time, kept to pin
 the positions of the production loop that steps the whole batch at
 once.  ``reference_interpolate_batch`` is the original row-wise
@@ -154,32 +155,26 @@ def reference_truncated_normal(mean, std, lower, upper, u: np.ndarray) -> np.nda
     return mean + std * scipy.special.ndtri(a + u * (b - a))
 
 
-def reference_stacks(tensors, grid):
-    """Per-axis value and finite-difference gradient cores of the time-node
-    tensors of one potential, stacked over the nodes: (K, r1, N, r2)."""
+def reference_log_grad(tensor, s, grid, x, floor=1e-300):
+    """grad log of ``exp(s L) tensor`` at the points ``x`` (M, d), (M, d):
+    the heat semigroup at the one diffusion time ``s`` by
+    ``HeatPropagator``, each axis's ``gradient_matrix`` difference cores,
+    and row-wise multilinear interpolation of both."""
     from ttjko.grid import gradient_matrix
-    vals, grads = [], []
-    for n in range(tensors[0].d):
-        stack = np.stack([t.cores[n] for t in tensors])
-        vals.append(stack)
-        grads.append(np.einsum("ij,kajb->kaib", gradient_matrix(grid, n), stack,
-                               optimize=True))
-    return vals, grads
-
-
-def _reference_field_at_node(stacks, node_idx, cell, w):
-    """Value and gradient of one potential at one time node per particle."""
-    val_cores, grad_cores = stacks
-    d = len(val_cores)
-    m = node_idx.shape[0]
+    from ttjko.heat import HeatPropagator
+    cores = HeatPropagator(grid, s).apply(tensor).cores
+    cell, w, _ = _reference_cell_weights(grid, x)
+    m, d = cell.shape
     slabs_v, slabs_g = [], []
-    for n in range(d):
-        lo = val_cores[n][node_idx, :, cell[:, n], :]
-        hi = val_cores[n][node_idx, :, cell[:, n] + 1, :]
-        slabs_v.append(lo + w[:, n][:, None, None] * (hi - lo))
-        lo = grad_cores[n][node_idx, :, cell[:, n], :]
-        hi = grad_cores[n][node_idx, :, cell[:, n] + 1, :]
-        slabs_g.append(lo + w[:, n][:, None, None] * (hi - lo))
+    for n, core in enumerate(cores):
+        r1, size, r2 = core.shape
+        # the difference matrix times the core's grid axis, as a matrix product
+        mixed = gradient_matrix(grid, n) @ core.transpose(1, 0, 2).reshape(size, r1 * r2)
+        diff = mixed.reshape(size, r1, r2).transpose(1, 0, 2)
+        for c, slabs in ((core, slabs_v), (diff, slabs_g)):
+            lo = c[:, cell[:, n], :].transpose(1, 0, 2)              # (M, r1, r2)
+            hi = c[:, cell[:, n] + 1, :].transpose(1, 0, 2)
+            slabs.append(lo + w[:, n][:, None, None] * (hi - lo))
     # multiply+sum (not matmul): the reduction pattern then depends only
     # on the rank axis, so results are bitwise independent of batch size
     prefix = [np.ones((m, 1))]
@@ -194,25 +189,6 @@ def _reference_field_at_node(stacks, node_idx, cell, w):
     for n in range(d):
         mid = np.sum(prefix[n][:, :, None] * slabs_g[n], axis=1)
         grad[:, n] = np.sum(mid * suffix[n + 1], axis=1)
-    return value, grad
-
-
-def reference_log_grad(stacks, tau, T, grid, t, x, floor=1e-300):
-    """grad log of one potential at (t, x), linear in time between the
-    nodes ``tau`` and multilinear in space; ``stacks`` from
-    ``reference_stacks``."""
-    t = np.minimum(np.maximum(t, 0.0), T)
-    k = np.searchsorted(tau, t, side="right") - 1
-    k = np.clip(k, 0, tau.size - 2)
-    lam = (t - tau[k]) / (tau[k + 1] - tau[k])
-    xc = np.clip(x, grid.lower, grid.upper)
-    pos = (xc - grid.lower) / grid.spacings
-    cell = np.minimum(pos.astype(np.intp), np.asarray(grid.nodes) - 2)
-    w = pos - cell
-    v0, g0 = _reference_field_at_node(stacks, k, cell, w)
-    v1, g1 = _reference_field_at_node(stacks, k + 1, cell, w)
-    value = v0 + lam * (v1 - v0)
-    grad = g0 + lam[:, None] * (g1 - g0)
     return grad / np.maximum(value, floor)[:, None]
 
 
@@ -253,7 +229,9 @@ def reference_rk4(dyn, x, t_end, steps):
     """Classical RK4 on ``dyn.ode_drift`` from time 0 to ``t_end``, one
     particle at a time and one scalar time per drift call: ``steps`` equal
     steps from each time node below ``t_end`` to the next node, or to
-    ``t_end`` past the last; returns the end positions."""
+    ``t_end`` past the last, each step's start, midpoint and end at the
+    ``2 steps + 1`` equally spaced times of its interval; returns the end
+    positions."""
     tau = dyn.tau
     out = np.empty_like(x)
     for i in range(x.shape[0]):
@@ -262,13 +240,13 @@ def reference_rk4(dyn, x, t_end, steps):
         while j < tau.size and tau[j] < t_end:
             a = tau[j]
             b = tau[j + 1] if j + 1 < tau.size and tau[j + 1] < t_end else t_end
+            times = np.linspace(a, b, 2 * steps + 1)
             for s in range(steps):
-                t0 = a + (b - a) * s / steps
-                t1 = b if s == steps - 1 else a + (b - a) * (s + 1) / steps
+                t0, tm, t1 = times[2 * s:2 * s + 3]
                 h = t1 - t0
                 k1 = dyn.ode_drift(t0, y)
-                k2 = dyn.ode_drift(t0 + 0.5 * h, y + (0.5 * h) * k1)
-                k3 = dyn.ode_drift(t0 + 0.5 * h, y + (0.5 * h) * k2)
+                k2 = dyn.ode_drift(tm, y + (0.5 * h) * k1)
+                k3 = dyn.ode_drift(tm, y + (0.5 * h) * k2)
                 k4 = dyn.ode_drift(t1, y + h * k3)
                 y = y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
             j += 1

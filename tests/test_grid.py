@@ -236,21 +236,23 @@ class TestGradients:
         state = StepState(eta_T=eta, eta_hat_0=hat, eta_hat_T=None,
                           T=1.0, beta=0.1, converged=True, iters=1)
         dyn = StepDynamics(state, g, SamplerConfig(n_time_nodes=6))
-        nodes = [HeatPropagator(g, dyn.beta * (dyn.T - t)).apply(eta) for t in dyn.tau]
+        t = 0.3
+        x = rng.uniform(0.0, 1.0, (4, 3))
+        dyn.ode_drift(t, x)
+        dyn.sde_drift(t, x)
+        eta_t = HeatPropagator(g, dyn.beta * (dyn.T - t)).apply(eta)
         for axis in range(g.d):
-            stack = np.stack([t.cores[axis] for t in nodes])           # (K, r1, N, r2)
-            _, r1, _, r2 = stack.shape
+            core = eta_t.cores[axis]                                 # (r1, N, r2)
+            r1, _, r2 = core.shape
             assert (r1, r2) == (eta.cores[axis].shape[0], eta.cores[axis].shape[2])
-            assert dyn._eta[axis].shape[1:3] == (r1, r2)
-            # eta_hat's half of the table: its own ranks, zero-padded
+            assert dyn._tables[1][axis].shape[1:3] == (r1, r2)
+            # eta_hat's half of the shared table: its own ranks, zero-padded
             a, b = hat.cores[axis].shape[0], hat.cores[axis].shape[2]
-            hat_half = dyn._tables[axis][:, :, :, 1]                  # (2, r1, r2, K*N)
+            hat_half = dyn._tables[2][axis][:, :, :, 1]               # (2, r1, r2, N)
             assert hat_half[0, :a, :b].all()
             assert not hat_half[:, a:].any() and not hat_half[:, :, b:].any()
-            grad = np.einsum("ij,kajb->kaib", gradient_matrix(g, axis), stack)
-            assert_allclose(dyn._eta[axis][1, :, :, 0],
-                            grad.transpose(1, 3, 0, 2).reshape(r1, r2, -1),
-                            rtol=1e-12, atol=1e-14)
+            grad = np.einsum("ij,ajb->abi", gradient_matrix(g, axis), core)
+            assert_allclose(dyn._tables[1][axis][1, :, :, 0], grad, rtol=1e-12, atol=1e-14)
 
     def test_needs_three_nodes(self):
         with pytest.raises(ValueError, match="3 nodes"):

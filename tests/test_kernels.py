@@ -13,7 +13,6 @@ from ttjko.cross import (VALIDATION_SIZE, CrossConfig, _block_indices, _right_se
                          maxvol, tt_cross, validation_indices)
 from ttjko.fixed_point import StepState
 from ttjko.grid import Grid, interpolate_batch
-from ttjko.heat import HeatPropagator
 from ttjko.sampler import SamplerConfig, StepDynamics
 from ttjko.targets import CachedDensity, DensityEvalError
 from ttjko.tt import (TTTensor, _partial_products, rank_step, tt_block_eval, tt_chain_step,
@@ -457,26 +456,21 @@ def _positive_tt(shape, rank, rng):
 
 
 def _drift_case(d, eta_rank, hat_rank, seed):
-    """StepDynamics on a random positive TT pair, with the per-node reference
-    stacks of both potentials."""
+    """StepDynamics on a random positive TT pair."""
     rng = np.random.default_rng(seed)
     grid = Grid.regular(-2.0, [3.0, 2.5, 4.0, 3.0, 2.0, 3.5][:d],
                         [5, 7, 6, 4, 8, 5][:d])
     state = StepState(eta_T=_positive_tt(grid.shape, eta_rank, rng),
                       eta_hat_0=_positive_tt(grid.shape, hat_rank, rng), eta_hat_T=None,
                       T=1.5, beta=0.3, converged=True, iters=1)
-    dyn = StepDynamics(state, grid, SamplerConfig(n_time_nodes=8))
-    eta = oc.reference_stacks([HeatPropagator(grid, state.beta * (state.T - t))
-                               .apply(state.eta_T) for t in dyn.tau], grid)
-    hat = oc.reference_stacks([HeatPropagator(grid, state.beta * t)
-                               .apply(state.eta_hat_0) for t in dyn.tau], grid)
-    return dyn, eta, hat, rng
+    return StepDynamics(state, grid, SamplerConfig(n_time_nodes=8)), rng
 
 
 def _drift_points(dyn, m, rng):
     """m >= 5 points and 6 times that hit every edge case the kernel guards:
     points clamped from outside the box, points on the upper and lower
-    faces, and t = 0, T, an interior node and values outside [0, T]."""
+    faces, and t = 0, T, an interior node and values outside [0, T], all
+    times the sampler evaluates, and last a random time, which it does not."""
     g = dyn.grid
     width = g.upper - g.lower
     x = rng.uniform(g.lower - 0.2 * width, g.upper + 0.2 * width, (m, g.d))
@@ -486,11 +480,12 @@ def _drift_points(dyn, m, rng):
     return t, x
 
 
-def _reference_drifts(dyn, eta, hat, t, x):
+def _reference_drifts(dyn, t, x):
     """Both drifts at the one time ``t`` of the batch ``x``."""
-    t = np.full(x.shape[0], t)
-    ref_eta = oc.reference_log_grad(eta, dyn.tau, dyn.T, dyn.grid, t, x)
-    ref_hat = oc.reference_log_grad(hat, dyn.tau, dyn.T, dyn.grid, t, x)
+    t = min(max(t, 0.0), dyn.T)
+    state = dyn.state
+    ref_eta = oc.reference_log_grad(state.eta_T, dyn.beta * (dyn.T - t), dyn.grid, x)
+    ref_hat = oc.reference_log_grad(state.eta_hat_0, dyn.beta * t, dyn.grid, x)
     return {"ode_drift": dyn.beta * (ref_eta - ref_hat),
             "sde_drift": 2.0 * dyn.beta * ref_eta}
 
@@ -499,20 +494,27 @@ class TestDriftKernel:
     @pytest.mark.parametrize("d", [1, 2, 6])
     @pytest.mark.parametrize("ranks", [(3, 2), (1, 1), (2, 3)])
     @pytest.mark.parametrize("m", [1, 257])
-    def test_bitwise_equal_to_per_node_reference(self, d, ranks, m):
-        dyn, eta, hat, rng = _drift_case(d, *ranks, seed=100 * d + 10 * ranks[0] + m)
+    def test_equal_to_the_exact_time_reference(self, d, ranks, m):
+        # at a time the sampler evaluates, the heat factors are products
+        # of heat_factor's and agree to rounding; at any other time they
+        # are heat_factor's own, and the drift is the reference's bit for bit
+        dyn, rng = _drift_case(d, *ranks, seed=100 * d + 10 * ranks[0] + m)
         times, x = _drift_points(dyn, max(m, 5), rng)
         rows = [x[i:i + 1] for i in range(5)] if m == 1 else [x]
         for t, x in ((t, x) for t in times for x in rows):
-            for name, ref in _reference_drifts(dyn, eta, hat, t, x).items():
+            for name, ref in _reference_drifts(dyn, t, x).items():
                 got = getattr(dyn, name)(t, x)
                 assert got.shape == (m, d) and got.flags.c_contiguous
-                assert_array_equal(got, ref, err_msg=name)
+                if t == times[-1]:
+                    assert_array_equal(got, ref, err_msg=name)
+                else:
+                    assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref)),
+                                    err_msg=name)
 
     def test_rows_independent_of_batch(self):
-        dyn, _, _, rng = _drift_case(6, 3, 2, seed=7)
+        dyn, rng = _drift_case(6, 3, 2, seed=7)
         times, x = _drift_points(dyn, 257, rng)
-        for t in times[2:4]:
+        for t in times[2:4] + times[-1:]:
             full = dyn.ode_drift(t, x)
             rows = np.concatenate([dyn.ode_drift(t, x[i:i + 1]) for i in range(257)])
             assert_array_equal(full, rows)
@@ -520,10 +522,10 @@ class TestDriftKernel:
     def test_rank_nine_within_summation_order(self):
         # numpy sums rank axes of 8 or more pairwise in the reference, in
         # order here: equal up to the reordering of the sums
-        dyn, eta, hat, rng = _drift_case(3, 9, 4, seed=9)
+        dyn, rng = _drift_case(3, 9, 4, seed=9)
         times, x = _drift_points(dyn, 257, rng)
         for t in times:
-            for name, ref in _reference_drifts(dyn, eta, hat, t, x).items():
+            for name, ref in _reference_drifts(dyn, t, x).items():
                 assert_allclose(getattr(dyn, name)(t, x), ref, rtol=1e-13,
                                 atol=1e-13 * np.max(np.abs(ref)), err_msg=name)
 
