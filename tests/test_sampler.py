@@ -426,6 +426,55 @@ class TestTrace:
         assert trace == {"ode_steps": steps, "drift_rows": 4 * steps * m}
         assert all(type(v) is int for v in trace.values())
 
+    def test_stages_of_a_step_stay_between_two_time_nodes(self):
+        # the steps tile each time-node interval, so a step's stage times
+        # are pieces of one interval's np.linspace
+        times = []
+        self._integrate(times=times)
+        tau = self._dynamics().tau
+        inner = tau[tau < 1.5]
+        bounds = np.append(inner, 1.5)
+        steps = np.array(times, dtype=float).reshape(-1, 4)      # one row per step
+        assert steps.shape[0] == sampler_module.RK4_STEPS * inner.size
+        k = np.repeat(np.arange(inner.size), sampler_module.RK4_STEPS)
+        assert np.all(bounds[k] <= steps.min(axis=1))
+        assert np.all(steps.max(axis=1) <= bounds[k + 1])
+        # each interval starts on its node and its last step ends on the next
+        first = steps[::sampler_module.RK4_STEPS]
+        last = steps[sampler_module.RK4_STEPS - 1::sampler_module.RK4_STEPS]
+        assert_array_equal(first[:, 0], inner)
+        assert_array_equal(last[:, 3], bounds[1:])
+
+    @pytest.mark.parametrize("node", [None, 5])
+    def test_tables_are_rebuilt_once_per_stage_time(self, node):
+        # k2 and k3 share the midpoint and a step ends where the next
+        # starts, bit for bit, so the tables are rebuilt once per distinct
+        # time, in place.  Up to a node every time is in the stage map;
+        # an interval cut at 1.5, which is not a node, takes heat_factor's
+        # own factors after its start
+        dyn = self._dynamics()
+        t_end = 1.5 if node is None else dyn.tau[node]
+        rebuilt = []
+
+        class Recorded(dict):
+            def get(self, t, default=None):
+                rebuilt.append(t)
+                return super().get(t, default)
+
+        dyn._stages = Recorded(dyn._stages)
+        tables = [list(ts) for ts in dyn._tables.values()]
+        x0 = np.random.default_rng(3).uniform(-2.5, 2.5, (13, 2))
+        _integrate_ode(dyn, x0, t_end)
+        intervals = list(sampler_module._intervals(dyn.tau, t_end))
+        pieces = 2 * sampler_module.RK4_STEPS
+        assert_array_equal(rebuilt, np.unique([t for a, b in intervals
+                                               for t in np.linspace(a, b, pieces + 1)]))
+        missing = [t for t in rebuilt if t not in dyn._stages]
+        assert len(missing) == (pieces if node is None else 0)
+        assert all(t > intervals[-1][0] for t in missing)
+        assert all(a is b for ts, new in zip(tables, dyn._tables.values())
+                   for a, b in zip(ts, new))
+
     def test_sample_trace_and_positions(self, fitted, monkeypatch, tmp_path):
         n = 40
         ens = sample(fitted, n, SamplerConfig(), seed=5)
