@@ -5,19 +5,21 @@ spacing is ``h_k = (R_k - L_k) / (N_k - 1)`` and node ``i`` sits at
 ``L_k + i * h_k``.  A ``Grid`` computes its spacings and top cell once,
 as read-only arrays.
 
-Off-grid points are evaluated by one kernel, ``multilinear``: each
-axis gathers the two corners of every point's cell (``Grid.cells``,
-after clamping into the box) with one ``take``, interpolates them
-linearly, and contracts the resulting cores with the ranks leading and
-the points last, for the value and, from derivative cores, the
-gradient.  Every contraction is ``tt.rank_step``, the step the TT
-chains at grid indices (``tt.tt_eval``) run too: the products are added
-in rank order, and a contraction over a rank of 1 (every axis of a
-rank-1 tensor train, and the outer rank of the first and last axes of
-any) is taken as its one term, with no sum.  It sizes its own gather
-scratch and owns the range check its clipping gather relies on.
-``interpolate_batch`` and the sampler drift both run it, the drift with
-its two potentials at one time as a batch of two fields.
+Off-grid points are evaluated by one kernel, ``multilinear``.  Its
+cores come in tables of runs of axes with equal node counts and equal
+ranks.  It gathers the two corners of every point's cell (``Grid.cells``,
+after clamping into the box) with one ``take`` per run of unit ranks,
+and one per axis otherwise, interpolates them linearly, and contracts
+the resulting cores axis by axis with the ranks leading and the points
+last, for the value and, from derivative cores, the gradient.  Every
+contraction is ``tt.rank_step``, the step the TT chains at grid indices
+(``tt.tt_eval``) run too: the products are added in rank order, and a
+contraction over a rank of 1 (every axis of a rank-1 tensor train, and
+the outer rank of the first and last axes of any) is taken as its one
+term, with no sum.  It sizes its own gather scratch and owns the range
+check its clipping gather relies on.  ``interpolate_batch`` (a run per
+axis) and the sampler drift (runs of like axes) both run it, the drift
+with its two potentials at one time as a batch of two fields.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ from typing import Sequence
 import numpy as np
 
 from .tt import TTTensor, rank_step
+
+_CORNERS = np.array([[0], [1]])       # a cell's lower and upper columns
 
 
 @dataclass(frozen=True)
@@ -172,14 +176,20 @@ def gradient_matrix(grid: Grid, axis: int) -> np.ndarray:
 def multilinear(tables, cells, w, scratch=None):
     """Multilinear TT contraction at off-grid points, batch last.
 
-    ``tables[n]`` holds axis n's cores with the ranks leading and the
-    grid columns last, ``(V, r1, r2, *F, C)``: ``V = 1`` for values only,
-    ``V = 2`` for values and derivative cores, and ``F`` any batch of
-    fields contracted alike.  ``cells``, ``(d, m)``, holds each axis's
-    column of every point's lower cell corner (``Grid.cells``, transposed),
-    and ``w[n]`` the barycentric weights, ``(m,)``.  Each axis gathers the
-    lower and upper corners with one ``take`` and forms its cores
-    ``lo + w (hi - lo)``.
+    ``tables`` cover the axes in order, a run of ``g`` consecutive axes
+    with ``C`` grid columns each per table, with the ranks leading and
+    the axes and columns last, ``(V, r1, r2, *F, g, C)``: ``V = 1`` for
+    values only, ``V = 2`` for values and derivative cores, and ``F`` any
+    batch of fields contracted alike.  ``cells``, ``(d, m)``, holds each
+    axis's column of every point's lower cell corner (``Grid.cells``,
+    transposed), and ``w[n]`` the barycentric weights, ``(m,)``.  The
+    lower and upper corners are gathered with one ``take`` along the
+    run's flattened ``(g C)`` axis, and the cores formed as ``lo + w (hi
+    - lo)``.  A run of unit ranks (``r1 = r2 = 1``) is gathered at once;
+    any other run axis by axis, because at rank 3 the rank contractions
+    over a whole run's strided cores cost more than the calls that one
+    gather saves.  Either way the cores and every product are the same,
+    bit for bit.
 
     Returns ``(value, grad, scratch)``: ``value`` and ``grad`` of shapes
     ``(*F, m)`` and ``(d, *F, m)`` (``grad`` is None for a value-only
@@ -196,36 +206,51 @@ def multilinear(tables, cells, w, scratch=None):
     """
     if cells.min(initial=0) < 0:
         raise IndexError("a point maps outside the core tables")
-    cols = cells[:, None, :] + np.array([[0], [1]])        # (d, 2, m)
-    sizes = [table.size // table.shape[-1] * cols[0].size for table in tables]
-    # the value cores of every V = 2 axis, kept for the gradient pass,
-    # then the largest axis's gather at the tail and its cores at the head
-    need = (sum(size // 4 for size, table in zip(sizes, tables) if len(table) == 2)
-            + max(sizes) + max(sizes) // 2)
+    m = cells.shape[1]
+    # one axis's gather per run, and the axes a take gathers: a run of unit
+    # ranks all at once, any other axis by axis
+    blocks = [table.size // (table.shape[-2] * table.shape[-1]) * 2 * m for table in tables]
+    steps = [table.shape[-2] if table.shape[1] * table.shape[2] == 1 else 1 for table in tables]
+    # the value cores of every V = 2 run, kept for the gradient pass,
+    # then the largest gather at the tail and its cores at the head
+    need = (sum(block // 4 * table.shape[-2]
+                for block, table in zip(blocks, tables) if len(table) == 2)
+            + max(block * step for block, step in zip(blocks, steps)) * 3 // 2)
     if scratch is None or scratch.size < need:
         scratch = np.empty(need)
+    # each axis's two corners, as columns of its run's flattened grid axes
+    offsets = [k * table.shape[-1] for table in tables for k in range(table.shape[-2])]
+    cols = cells[:, None, :] + (np.array(offsets)[:, None, None] + _CORNERS)   # (d, 2, m)
     out = scratch
     prefix = np.ones(1)
     slabs, mids = [], []          # value slabs and prefix . derivative slab per axis
-    for n, table in enumerate(tables):
-        gather = out[out.size - sizes[n]:].reshape(table.shape[:-1] + cols.shape[1:])
-        c = table.take(cols[n], axis=-1, mode="clip", out=gather)
-        lo = c[..., 0, :]
-        cores = np.subtract(c[..., 1, :], lo, out=out[:sizes[n] // 2].reshape(lo.shape))
-        cores *= w[n]
-        cores += lo
-        v, *g = cores
-        if g:
-            mids.append(rank_step(prefix, g[0]))
-            slabs.append(v)
-            out = out[v.size:]      # keep the value core for the gradient pass
-        prefix = rank_step(prefix, v)
+    start = 0
+    for table, block, step in zip(tables, blocks, steps):
+        *lead, g, n_cols = table.shape
+        flat = table.reshape(*lead, g * n_cols)
+        size = block * step
+        for n in range(start, start + g, step):
+            gather = out[out.size - size:].reshape(*lead, step, 2, m)
+            c = flat.take(cols[n:n + step], axis=-1, mode="clip", out=gather)
+            lo = c[..., 0, :]
+            cores = np.subtract(c[..., 1, :], lo, out=out[:size // 2].reshape(lo.shape))
+            cores *= w[n:n + step]
+            cores += lo
+            v, *d = cores
+            for j in range(step):
+                if d:
+                    mids.append(rank_step(prefix, d[0][..., j, :]))
+                    slabs.append(v[..., j, :])
+                prefix = rank_step(prefix, v[..., j, :])
+            if d:
+                out = out[v.size:]      # keep the value cores for the gradient pass
+        start += g
     value = prefix[0]
     if not mids:
         return value, None, scratch
-    grad = np.empty((len(tables),) + value.shape)
+    grad = np.empty((start,) + value.shape)
     suffix = np.ones(1)
-    for n in range(len(tables) - 1, -1, -1):
+    for n in range(start - 1, -1, -1):
         grad[n] = rank_step(suffix, mids[n])
         suffix = rank_step(suffix, slabs[n].swapaxes(0, 1))
     return value, grad, scratch
@@ -251,6 +276,6 @@ def interpolate_batch(t: TTTensor, grid: Grid, x: np.ndarray):
     if bad.size:
         raise ValueError(f"point {bad[0]} is not finite: {x[bad[0]].tolist()}")
     cell, w = grid.cells(x)
-    tables = [core.transpose(0, 2, 1)[None] for core in t.cores]     # (1, r1, r2, N)
+    tables = [core.transpose(0, 2, 1)[None, ..., None, :] for core in t.cores]  # (1, r1, r2, 1, N)
     values, _, _ = multilinear(tables, cell.T, w.T)
     return values, grid.outside(x)

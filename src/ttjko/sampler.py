@@ -14,6 +14,10 @@ step's stored tensors, ``eta(t) = exp(beta (T - t) L) eta_T`` and
 gradient cores at its exact time and contracts them in a single pass
 over the axes (``StepDynamics``); the contraction is the grid module's
 off-grid kernel, ``grid.multilinear``.  Nothing is interpolated in time.
+The cores are built and gathered a run of like axes at a time: the
+consecutive axes with the same node count and, per potential, the same
+ranks share one table, and one batched product per potential builds
+its cores.
 
 The ODE is integrated with ``RK4_STEPS`` classical Runge-Kutta steps per
 interval of a geometric time sub-grid (``n_time_nodes`` intervals,
@@ -42,7 +46,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, groupby
 from pathlib import Path
 
 import numpy as np
@@ -157,6 +161,13 @@ def _stage_factors(laps: dict, beta: float, pieces: list) -> dict:
             for j, t in enumerate(np.linspace(a, b, m + 1))}
 
 
+def _stacked(mats: list) -> np.ndarray:
+    """The one matrix of a run of axes that share it, else the run's stack
+    ``(g, N, N)``; a batched product takes either, with the same BLAS call
+    per axis as one axis's product."""
+    return mats[0] if all(m is mats[0] for m in mats) else np.stack(mats)
+
+
 class StepDynamics:
     """Drift evaluator for one proximal step.
 
@@ -164,13 +175,20 @@ class StepDynamics:
     eta_T`` (and, for ``ode_drift``, ``eta_hat(t) = exp(beta t L)
     eta_hat_0``) at that exact time.  Each axis's value cores are its heat
     factor times the step tensor's core, its gradient cores the difference
-    matrix times those.  They live in one table per axis, ``(2
-    value/grad, r1, r2, P potentials, N)``, the potential of smaller rank
-    zero-padded to the common rank, and are rebuilt only when the time
-    changes: k2 and k3 of an RK4 step share the midpoint, and one step's
-    end is the next step's start.  A drift evaluation is one
-    ``grid.multilinear`` pass over the axes; the evaluator keeps the one
-    scratch the kernel hands back.
+    matrix times those.  The axes fall into runs of consecutive axes with
+    the same node count and, per potential, the same ranks, and each run
+    keeps one table, ``(2 value/grad, r1, r2, P potentials, g axes, N)``,
+    the potential of smaller rank zero-padded to the common rank.  At a
+    new time a run's cores are one batched ``matmul`` per potential for
+    the values and one for the gradients, over the run's ``(g, N, r1
+    r2)`` modes, with the run's one factor when its axes share a spacing
+    and the stack of their factors when they do not; numpy makes the same
+    BLAS call per axis as a single axis's product, so the cores are those
+    of one product per axis, bit for bit.  The tables are rebuilt in
+    place and only when the time changes: k2 and k3 of an RK4 step share
+    the midpoint, and one step's end is the next step's start.  A drift
+    evaluation is one ``grid.multilinear`` pass over the runs; the
+    evaluator keeps the one scratch the kernel hands back.
 
     The heat factors come from ``heat.heat_factor`` and products of its
     factors, never from an eigenbasis, so no value of a potential rounds
@@ -199,16 +217,27 @@ class StepDynamics:
         pieces.append((self.t_switch, self.T, config.n_em_steps))
         self._kinds = list(zip(grid.nodes.tolist(), grid.spacings.tolist()))
         self._laps = {kind: laplacian_1d(grid, n) for n, kind in enumerate(self._kinds)}
-        self._diffs = {kind: gradient_matrix(grid, n) for n, kind in enumerate(self._kinds)}
+        diffs = {kind: gradient_matrix(grid, n) for n, kind in enumerate(self._kinds)}
         self._stages = _stage_factors(self._laps, self.beta, pieces)
-        # each core with its grid axis leading, as the factors multiply it,
-        # and its ranks
-        self._modes = [[(c.transpose(1, 0, 2).reshape(c.shape[1], -1), c.shape[0], c.shape[2])
-                        for c in t.cores] for t in (state.eta_T, state.eta_hat_0)]
-        # per count p of potentials, one table per axis at their larger ranks
-        self._tables = {p: [np.zeros((2, max(ms[n][1] for ms in self._modes[:p]),
-                                      max(ms[n][2] for ms in self._modes[:p]), p, size))
-                            for n, size in enumerate(grid.shape)] for p in (1, 2)}
+        # the runs of consecutive axes with equal node counts and, per
+        # potential, equal ranks
+        cores = (state.eta_T.cores, state.eta_hat_0.cores)
+        keys = [(size, *(c.shape[::2] for c in axis)) for size, axis in zip(grid.shape, zip(*cores))]
+        ends = list(accumulate((len(list(run)) for _, run in groupby(keys)), initial=0))
+        self._runs = list(zip(ends[:-1], ends[1:]))
+        # per run, each potential's cores with their grid axis leading, as
+        # the factors multiply them, (g, N, r1 r2), and their ranks; and the
+        # run's difference matrix
+        self._modes = [[(np.stack([c.transpose(1, 0, 2).reshape(c.shape[1], -1)
+                                   for c in t[a:b]]), *t[a].shape[::2])
+                        for a, b in self._runs] for t in cores]
+        self._diffs = [_stacked([diffs[kind] for kind in self._kinds[a:b]])
+                       for a, b in self._runs]
+        # per count p of potentials, one table per run at their larger ranks
+        self._tables = {p: [np.zeros((2, max(ms[k][1] for ms in self._modes[:p]),
+                                      max(ms[k][2] for ms in self._modes[:p]), p, b - a,
+                                      grid.shape[a]))
+                            for k, (a, b) in enumerate(self._runs)] for p in (1, 2)}
         self._built = {1: None, 2: None}        # the time each table set holds
         self._scratch = None                    # grid.multilinear's
 
@@ -226,12 +255,12 @@ class StepDynamics:
             factors = {kind: [end @ np.linalg.matrix_power(step, k)
                               for end, k in zip(ends[:p], powers)]
                        for kind, (step, *ends) in interval.items()}
-            for n, (kind, table) in enumerate(zip(self._kinds, tables)):
+            for k, ((a, b), diff, table) in enumerate(zip(self._runs, self._diffs, tables)):
                 for q in range(p):
-                    mode, r1, r2 = self._modes[q][n]
-                    value = factors[kind][q] @ mode             # (N, r1 r2)
-                    table[0, :r1, :r2, q] = value.T.reshape(r1, r2, -1)
-                    table[1, :r1, :r2, q] = (self._diffs[kind] @ value).T.reshape(r1, r2, -1)
+                    modes, r1, r2 = self._modes[q][k]
+                    value = _stacked([factors[kind][q] for kind in self._kinds[a:b]]) @ modes
+                    for i, cores in enumerate((value, diff @ value)):     # (g, N, r1 r2)
+                        table[i, :r1, :r2, q] = cores.transpose(2, 0, 1).reshape(r1, r2, b - a, -1)
             self._built[p] = t
         cell, w = self.grid.cells(x)
         value, grad, self._scratch = multilinear(tables, cell.T, w.T.copy(), self._scratch)

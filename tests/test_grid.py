@@ -226,33 +226,35 @@ class TestGradients:
         assert err <= 1.5 * (g.spacings[0] ** 2) / 6 * 10
 
     def test_ranks_unchanged(self):
-        # the sampler's per-axis gradient cores keep each potential's ranks,
-        # also where the two potentials' cores share a table padded to the
-        # larger rank
+        # the sampler's gradient cores keep each potential's ranks, also
+        # where the two potentials' cores share a run's table padded to the
+        # larger rank; the ranks cut the four like axes into runs of 1, 2, 1
         rng = np.random.default_rng(3)
-        g = Grid.regular(0.0, 1.0, 6, d=3)
+        g = Grid.regular(0.0, 1.0, 6, d=4)
         eta, hat = (TTTensor([np.abs(c) + 0.05 for c in tt_random(g.shape, r, rng).cores])
                     for r in (3, 1))
         state = StepState(eta_T=eta, eta_hat_0=hat, eta_hat_T=None,
                           T=1.0, beta=0.1, converged=True, iters=1)
         dyn = StepDynamics(state, g, SamplerConfig(n_time_nodes=6))
         t = 0.3
-        x = rng.uniform(0.0, 1.0, (4, 3))
+        x = rng.uniform(0.0, 1.0, (4, 4))
         dyn.ode_drift(t, x)
         dyn.sde_drift(t, x)
         eta_t = HeatPropagator(g, dyn.beta * (dyn.T - t)).apply(eta)
-        for axis in range(g.d):
-            core = eta_t.cores[axis]                                 # (r1, N, r2)
-            r1, _, r2 = core.shape
-            assert (r1, r2) == (eta.cores[axis].shape[0], eta.cores[axis].shape[2])
-            assert dyn._tables[1][axis].shape[1:3] == (r1, r2)
-            # eta_hat's half of the shared table: its own ranks, zero-padded
-            a, b = hat.cores[axis].shape[0], hat.cores[axis].shape[2]
-            hat_half = dyn._tables[2][axis][:, :, :, 1]               # (2, r1, r2, N)
-            assert hat_half[0, :a, :b].all()
-            assert not hat_half[:, a:].any() and not hat_half[:, :, b:].any()
-            grad = np.einsum("ij,ajb->abi", gradient_matrix(g, axis), core)
-            assert_allclose(dyn._tables[1][axis][1, :, :, 0], grad, rtol=1e-12, atol=1e-14)
+        assert dyn._runs == [(0, 1), (1, 3), (3, 4)]
+        for (start, stop), table, shared in zip(dyn._runs, dyn._tables[1], dyn._tables[2]):
+            for j, axis in enumerate(range(start, stop)):
+                core = eta_t.cores[axis]                             # (r1, N, r2)
+                r1, _, r2 = core.shape
+                assert (r1, r2) == (eta.cores[axis].shape[0], eta.cores[axis].shape[2])
+                assert table.shape[1:3] == (r1, r2)
+                # eta_hat's half of the shared table: its own ranks, zero-padded
+                a, b = hat.cores[axis].shape[0], hat.cores[axis].shape[2]
+                hat_half = shared[:, :, :, 1, j]                     # (2, r1, r2, N)
+                assert hat_half[0, :a, :b].all()
+                assert not hat_half[:, a:].any() and not hat_half[:, :, b:].any()
+                grad = np.einsum("ij,ajb->abi", gradient_matrix(g, axis), core)
+                assert_allclose(table[1, :, :, 0, j], grad, rtol=1e-12, atol=1e-14)
 
     def test_needs_three_nodes(self):
         with pytest.raises(ValueError, match="3 nodes"):

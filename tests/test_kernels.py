@@ -452,14 +452,30 @@ class TestMaxvol:
 
 
 def _positive_tt(shape, rank, rng):
-    return TTTensor([np.abs(c) + 0.05 for c in tt_random(shape, rank, rng).cores])
+    """A random TT with entries above 0.05; ``rank`` is its one inner rank
+    or a tuple of its inner ranks, of which the first ``d - 1`` are used."""
+    if isinstance(rank, tuple):
+        ranks = (1, *rank[:len(shape) - 1], 1)
+        cores = [rng.standard_normal((ranks[n], size, ranks[n + 1]))
+                 for n, size in enumerate(shape)]
+    else:
+        cores = tt_random(shape, rank, rng).cores
+    return TTTensor([np.abs(c) + 0.05 for c in cores])
 
 
-def _drift_case(d, eta_rank, hat_rank, seed):
+# upper box corners (the lower are -2) and node counts of the drift cases
+_DRIFT_GRIDS = {
+    "mixed": ([3.0, 2.5, 4.0, 3.0, 2.0, 3.5], [5, 7, 6, 4, 8, 5]),   # runs of one axis
+    "like": (3.0, 6),                                   # one spacing for every run
+    "spacings": ([3.0, 2.5, 4.0, 3.0, 2.0, 3.5], 6),    # a stack of factors per run
+}
+
+
+def _drift_case(d, eta_rank, hat_rank, seed, grid="mixed"):
     """StepDynamics on a random positive TT pair."""
     rng = np.random.default_rng(seed)
-    grid = Grid.regular(-2.0, [3.0, 2.5, 4.0, 3.0, 2.0, 3.5][:d],
-                        [5, 7, 6, 4, 8, 5][:d])
+    upper, nodes = (np.broadcast_to(v, (6,))[:d] for v in _DRIFT_GRIDS[grid])
+    grid = Grid.regular(-2.0, upper, nodes)
     state = StepState(eta_T=_positive_tt(grid.shape, eta_rank, rng),
                       eta_hat_0=_positive_tt(grid.shape, hat_rank, rng), eta_hat_T=None,
                       T=1.5, beta=0.3, converged=True, iters=1)
@@ -491,14 +507,23 @@ def _reference_drifts(dyn, t, x):
 
 
 class TestDriftKernel:
-    @pytest.mark.parametrize("d", [1, 2, 6])
-    @pytest.mark.parametrize("ranks", [(3, 2), (1, 1), (2, 3)])
+    @pytest.mark.parametrize("d, grid", [(1, "mixed"), (2, "mixed"), (6, "mixed"),
+                                         (6, "like"), (6, "spacings")],
+                             ids=["1", "2", "6", "6-like", "6-spacings"])
+    @pytest.mark.parametrize("ranks", [(3, 2), (1, 1), (2, 3), (2, (1, 1, 2, 2, 2))])
     @pytest.mark.parametrize("m", [1, 257])
-    def test_equal_to_the_exact_time_reference(self, d, ranks, m):
+    def test_equal_to_the_exact_time_reference(self, d, grid, ranks, m):
         # at a time the sampler evaluates, the heat factors are products
         # of heat_factor's and agree to rounding; at any other time they
-        # are heat_factor's own, and the drift is the reference's bit for bit
-        dyn, rng = _drift_case(d, *ranks, seed=100 * d + 10 * ranks[0] + m)
+        # are heat_factor's own, and the drift is the reference's bit for
+        # bit.  The 6-axis grids of 6 nodes make runs of like axes longer
+        # than one: a unit-rank run of six gathered at once, inner runs of
+        # four at ranks 3 and 2, and a run that eta_hat's rank change at
+        # the second bond splits
+        dyn, rng = _drift_case(d, *ranks, seed=100 * d + 10 * ranks[0] + m, grid=grid)
+        runs = {("like", (1, 1)): [(0, 6)], ("spacings", (3, 2)): [(0, 1), (1, 5), (5, 6)],
+                ("like", (2, (1, 1, 2, 2, 2))): [(0, 1), (1, 2), (2, 3), (3, 5), (5, 6)]}
+        assert dyn._runs == runs.get((grid, ranks), dyn._runs)
         times, x = _drift_points(dyn, max(m, 5), rng)
         rows = [x[i:i + 1] for i in range(5)] if m == 1 else [x]
         for t, x in ((t, x) for t in times for x in rows):

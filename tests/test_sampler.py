@@ -462,6 +462,7 @@ class TestTrace:
                 return super().get(t, default)
 
         dyn._stages = Recorded(dyn._stages)
+        assert dyn._runs == [(0, 2)]            # the two like axes share one table
         tables = [list(ts) for ts in dyn._tables.values()]
         x0 = np.random.default_rng(3).uniform(-2.5, 2.5, (13, 2))
         _integrate_ode(dyn, x0, t_end)
@@ -530,18 +531,30 @@ class TestPinnedPositions:
     def test_rank_three_potentials(self):
         # ranks 3 and 2 inside, 1 at the two ends: both the summed and the
         # unit-rank reductions of the drift kernel
-        rng = np.random.default_rng(23)
-        grid = Grid.regular(-3.0, 3.0, [9, 7, 8])
-
-        def positive(rank):
-            return TTTensor([np.abs(c) + 0.05
-                             for c in oc.tt_random(grid.shape, rank, rng).cores])
-
-        eta, hat = positive(3), positive(2)
-        state = StepState(eta_T=eta, eta_hat_0=hat, eta_hat_T=hat, T=1.5, beta=0.3,
-                          converged=True, iters=1)
-        model = FlowModel(grid=grid, initial=GaussianInitial.standard(3),
-                          steps=[state], rho_tt=eta)
-        x = sample(model, 40, SamplerConfig(), seed=5).positions
+        x = _sample_random_step(Grid.regular(-3.0, 3.0, [9, 7, 8]), 23).positions
         assert _sha256(x) == ("dd7fb515ac49151e78938848ecb95e19"
                               "5189155aa7a84ec99aa3309cfee2a6eb")
+
+    def test_runs_of_like_axes(self):
+        # five axes of 7 nodes and two spacings: the ranks cut them into
+        # runs of 1, 3 and 1 axes, the inner run with a spacing per axis
+        grid = Grid.regular(-3.0, [3.0, 2.0, 3.0, 2.0, 3.0], 7)
+        x = _sample_random_step(grid, 29).positions
+        assert _sha256(x) == ("9a03eb6278f57b778a425ff28fd8a6aa"
+                              "e6b6976650d7a3a722ec14e16417b85a")
+
+
+def _sample_random_step(grid, seed):
+    """40 particles sampled from one step of random positive potentials,
+    eta of rank 3 and eta_hat of rank 2."""
+    rng = np.random.default_rng(seed)
+
+    def positive(rank):
+        return TTTensor([np.abs(c) + 0.05 for c in oc.tt_random(grid.shape, rank, rng).cores])
+
+    eta, hat = positive(3), positive(2)
+    state = StepState(eta_T=eta, eta_hat_0=hat, eta_hat_T=hat, T=1.5, beta=0.3,
+                      converged=True, iters=1)
+    model = FlowModel(grid=grid, initial=GaussianInitial.standard(grid.d),
+                      steps=[state], rho_tt=eta)
+    return sample(model, 40, SamplerConfig(), seed=5)
