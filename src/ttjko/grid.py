@@ -9,17 +9,24 @@ Off-grid points are evaluated by one kernel, ``multilinear``.  Its
 cores come in tables of runs of axes with equal node counts and equal
 ranks.  It gathers the two corners of every point's cell (``Grid.cells``,
 after clamping into the box) with one ``take`` per run of unit ranks,
-and one per axis otherwise, interpolates them linearly, and contracts
-the resulting cores axis by axis with the ranks leading and the points
-last, for the value and, from derivative cores, the gradient.  Every
-contraction is ``tt.rank_step``, the step the TT chains at grid indices
+and one per axis otherwise, and interpolates them linearly.  From value
+cores alone it contracts the value, axis by axis with the ranks leading
+and the points last.  From value and derivative cores it returns the
+log-gradient, block by block between the bonds of rank 1: a run of unit
+ranks is one division of its derivative cores by its value cores, and
+any other block a prefix and suffix contraction over its own value.  No
+product of the blocks is formed, so the log-gradient of a tensor train
+whose value underflows is exact.  A divisor below ``_VALUE_FLOOR`` in
+magnitude is taken as the floor with its own sign, so a block of
+negative value divides as it is.  Every contraction is
+``tt.rank_step``, the step the TT chains at grid indices
 (``tt.tt_eval``) run too: the products are added in rank order, and a
-contraction over a rank of 1 (every axis of a rank-1 tensor train, and
-the outer rank of the first and last axes of any) is taken as its one
-term, with no sum.  It sizes its own gather scratch and owns the range
-check its clipping gather relies on.  ``interpolate_batch`` (a run per
-axis) and the sampler drift (runs of like axes) both run it, the drift
-with its two potentials at one time as a batch of two fields.
+contraction over a rank of 1 (the outer rank of a block's first and
+last axes) is taken as its one term, with no sum.  It sizes its own
+gather scratch and owns the range check its clipping gather relies on.
+``interpolate_batch`` (a run per axis, values) and the sampler drift
+(runs of like axes, log-gradients) both run it, the drift with its two
+potentials at one time as a batch of two fields.
 """
 
 from __future__ import annotations
@@ -32,6 +39,8 @@ import numpy as np
 from .tt import TTTensor, rank_step
 
 _CORNERS = np.array([[0], [1]])       # a cell's lower and upper columns
+# the smallest divisor magnitude of a log-gradient
+_VALUE_FLOOR = 1e-300
 
 
 @dataclass(frozen=True)
@@ -173,13 +182,23 @@ def gradient_matrix(grid: Grid, axis: int) -> np.ndarray:
     return mat
 
 
+def _floored(value: np.ndarray) -> np.ndarray:
+    """``value`` in place, with every entry of magnitude below
+    ``_VALUE_FLOOR`` set to the floor with the entry's sign: a divisor
+    equal to ``value`` wherever ``|value| >= _VALUE_FLOOR``, and finite
+    and of the right sign where a value underflows."""
+    magnitude = np.abs(value)
+    np.maximum(magnitude, _VALUE_FLOOR, out=magnitude)
+    return np.copysign(magnitude, value, out=value)
+
+
 def multilinear(tables, cells, w, scratch=None):
     """Multilinear TT contraction at off-grid points, batch last.
 
     ``tables`` cover the axes in order, a run of ``g`` consecutive axes
     with ``C`` grid columns each per table, with the ranks leading and
     the axes and columns last, ``(V, r1, r2, *F, g, C)``: ``V = 1`` for
-    values only, ``V = 2`` for values and derivative cores, and ``F`` any
+    values, ``V = 2`` for values and derivative cores, and ``F`` any
     batch of fields contracted alike.  ``cells``, ``(d, m)``, holds each
     axis's column of every point's lower cell corner (``Grid.cells``,
     transposed), and ``w[n]`` the barycentric weights, ``(m,)``.  The
@@ -188,72 +207,101 @@ def multilinear(tables, cells, w, scratch=None):
     - lo)``.  A run of unit ranks (``r1 = r2 = 1``) is gathered at once;
     any other run axis by axis, because at rank 3 the rank contractions
     over a whole run's strided cores cost more than the calls that one
-    gather saves.  Either way the cores and every product are the same,
-    bit for bit.
+    gather saves.  Either way the cores are the same, bit for bit.
 
-    Returns ``(value, grad, scratch)``: ``value`` and ``grad`` of shapes
-    ``(*F, m)`` and ``(d, *F, m)`` (``grad`` is None for a value-only
-    table), and the flat float64 scratch that took every
-    axis's gathered corners and cores.  A ``scratch`` that is None or too
-    small is replaced, so a caller that passes back what it got allocates
-    only when a batch outgrows it.  The gather runs with ``mode="clip"``
-    (``"raise"`` gathers into a temporary and copies), so a negative
-    cell (that of a NaN coordinate) raises ``IndexError`` here;
-    ``Grid.cells`` never gives one past the end.  Every reduction is a
-    ``tt.rank_step`` over one rank axis in order, so each point's result
-    depends on nothing but that point; a rank axis of length 1 is not
-    summed at all, its one term being the sum bit for bit.
+    Returns ``(out, scratch)``.  For ``V = 1``, ``out`` is the value,
+    ``(*F, m)``, contracted over every axis.  For ``V = 2`` it is the
+    log-gradient, ``(d, *F, m)``: the gradient over the value, taken
+    block by block.  The bonds of rank 1 cut the axes into blocks, and
+    the tensor train is the product of its blocks, so an axis's
+    log-gradient is that of its own block.  A run of unit ranks is a run
+    of one-axis blocks: its log-gradient is its derivative cores over its
+    value cores, one division for the whole run.  Any other block is
+    contracted by prefix and suffix passes, its derivative's chain over
+    its value.  A product over many blocks, which can underflow, is never
+    formed.  Every division is plain where the divisor's magnitude is at
+    least ``_VALUE_FLOOR`` and takes the floor with the divisor's sign
+    where it is below (``_floored``), so a negative block or value core
+    divides as it is.
+
+    ``scratch`` is the flat float64 array that took every axis's gathered
+    corners and cores.  A ``scratch`` that is None or too small is
+    replaced, so a caller that passes back what it got allocates only
+    when a batch outgrows it.  The gather runs with ``mode="clip"``
+    (``"raise"`` gathers into a temporary and copies), so a negative cell
+    (that of a NaN coordinate) raises ``IndexError`` here; ``Grid.cells``
+    never gives one past the end.  Every reduction is a ``tt.rank_step``
+    over one rank axis in order, so each point's result depends on
+    nothing but that point; a rank axis of length 1 is not summed at
+    all, its one term being the sum bit for bit.
     """
     if cells.min(initial=0) < 0:
         raise IndexError("a point maps outside the core tables")
-    m = cells.shape[1]
-    # one axis's gather per run, and the axes a take gathers: a run of unit
-    # ranks all at once, any other axis by axis
-    blocks = [table.size // (table.shape[-2] * table.shape[-1]) * 2 * m for table in tables]
-    steps = [table.shape[-2] if table.shape[1] * table.shape[2] == 1 else 1 for table in tables]
-    # the value cores of every V = 2 run, kept for the gradient pass,
-    # then the largest gather at the tail and its cores at the head
-    need = (sum(block // 4 * table.shape[-2]
-                for block, table in zip(blocks, tables) if len(table) == 2)
-            + max(block * step for block, step in zip(blocks, steps)) * 3 // 2)
+    d, m = cells.shape
+    log = len(tables[0]) == 2
+    # the size of one axis's gather per run, whether the run has unit
+    # ranks, and the axes a take gathers: a run of unit ranks all at once,
+    # any other axis by axis
+    gathers = [table.size // (table.shape[-2] * table.shape[-1]) * 2 * m for table in tables]
+    units = [table.shape[1] * table.shape[2] == 1 for table in tables]
+    steps = [table.shape[-2] if unit else 1 for table, unit in zip(tables, units)]
+    # for V = 2 the value cores of the axes of every run not of unit
+    # ranks, kept for their block's suffix pass, then the largest gather
+    # at the tail and its cores at the head
+    need = (sum(gather // 4 * table.shape[-2]
+                for gather, table, unit in zip(gathers, tables, units) if log and not unit)
+            + max(gather * step for gather, step in zip(gathers, steps)) * 3 // 2)
     if scratch is None or scratch.size < need:
         scratch = np.empty(need)
     # each axis's two corners, as columns of its run's flattened grid axes
     offsets = [k * table.shape[-1] for table in tables for k in range(table.shape[-2])]
     cols = cells[:, None, :] + (np.array(offsets)[:, None, None] + _CORNERS)   # (d, 2, m)
     out = scratch
+    grad = np.empty((d, *tables[0].shape[3:-2], m)) if log else None
     prefix = np.ones(1)
-    slabs, mids = [], []          # value slabs and prefix . derivative slab per axis
+    slabs, mids = [], []          # the open block's value slabs and prefix . derivative slabs
     start = 0
-    for table, block, step in zip(tables, blocks, steps):
+    for table, gather, unit, step in zip(tables, gathers, units, steps):
         *lead, g, n_cols = table.shape
         flat = table.reshape(*lead, g * n_cols)
-        size = block * step
+        size = gather * step
         for n in range(start, start + g, step):
-            gather = out[out.size - size:].reshape(*lead, step, 2, m)
-            c = flat.take(cols[n:n + step], axis=-1, mode="clip", out=gather)
+            c = flat.take(cols[n:n + step], axis=-1, mode="clip",
+                          out=out[out.size - size:].reshape(*lead, step, 2, m))
             lo = c[..., 0, :]
             cores = np.subtract(c[..., 1, :], lo, out=out[:size // 2].reshape(lo.shape))
             cores *= w[n:n + step]
             cores += lo
-            v, *d = cores
-            for j in range(step):
-                if d:
-                    mids.append(rank_step(prefix, d[0][..., j, :]))
-                    slabs.append(v[..., j, :])
-                prefix = rank_step(prefix, v[..., j, :])
-            if d:
-                out = out[v.size:]      # keep the value cores for the gradient pass
+            if not log:
+                for j in range(step):
+                    prefix = rank_step(prefix, cores[0][..., j, :])
+                continue
+            v, dv = cores
+            if unit:
+                # one-axis blocks, (*F, g, m), written into grad's (g, *F, m)
+                np.divide(dv[0, 0], _floored(v[0, 0]), out=np.moveaxis(grad[n:n + g], 0, -2))
+                continue
+            mids.append(rank_step(prefix, dv[..., 0, :]))
+            slabs.append(v[..., 0, :])
+            prefix = rank_step(prefix, v[..., 0, :])
+            out = out[v.size:]          # keep the value cores for the suffix pass
+            if table.shape[2] == 1:     # a unit bond closes the block
+                _block_log_grad(grad[n + 1 - len(mids):n + 1], mids, slabs, prefix[0])
+                prefix = np.ones(1)
+                slabs, mids = [], []
         start += g
-    value = prefix[0]
-    if not mids:
-        return value, None, scratch
-    grad = np.empty((start,) + value.shape)
+    return (grad if log else prefix[0]), scratch
+
+
+def _block_log_grad(grad, mids, slabs, value):
+    """The log-gradient of a block into ``grad``, ``(k, *F, m)``: each
+    axis's prefix chain through its derivative slab (``mids``), carried
+    through the suffix of value ``slabs``, over the block's ``value``."""
     suffix = np.ones(1)
-    for n in range(start - 1, -1, -1):
+    for n in range(len(mids) - 1, -1, -1):
         grad[n] = rank_step(suffix, mids[n])
         suffix = rank_step(suffix, slabs[n].swapaxes(0, 1))
-    return value, grad, scratch
+    np.divide(grad, _floored(value), out=grad)
 
 
 def interpolate_batch(t: TTTensor, grid: Grid, x: np.ndarray):
@@ -277,5 +325,5 @@ def interpolate_batch(t: TTTensor, grid: Grid, x: np.ndarray):
         raise ValueError(f"point {bad[0]} is not finite: {x[bad[0]].tolist()}")
     cell, w = grid.cells(x)
     tables = [core.transpose(0, 2, 1)[None, ..., None, :] for core in t.cores]  # (1, r1, r2, 1, N)
-    values, _, _ = multilinear(tables, cell.T, w.T)
+    values, _ = multilinear(tables, cell.T, w.T)
     return values, grid.outside(x)

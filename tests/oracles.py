@@ -8,12 +8,15 @@ wrappers, kept to pin the pivots of the production version.
 ``reference_log_grad`` is the sampler drift at one time built the plain
 way (``HeatPropagator`` at that time, then one gather and one reduction
 per axis and potential), kept to pin the drift of the production
-single-pass kernel and its composed heat factors, and
-``reference_rk4`` the RK4 loop run one particle at a time, kept to pin
-the positions of the production loop that steps the whole batch at
-once.  ``reference_interpolate_batch`` is the original row-wise
-interpolation (one ``matmul`` chain step per axis), kept to pin the
-shared off-grid kernel, and ``reference_partial_products`` the original
+single-pass kernel and its composed heat factors;
+``reference_axis_log_grad`` is the same for a rank-1 tensor train one
+axis at a time, each axis's derivative over its own value, kept to pin
+the drift where the whole product underflows; and ``reference_rk4``
+the RK4 loop run one particle at a time, kept to pin the positions of
+the production loop that steps the whole batch at once.
+``reference_interpolate_batch`` is the original row-wise interpolation
+(one ``matmul`` chain step per axis), kept to pin the shared off-grid
+kernel, and ``reference_partial_products`` the original
 rows-first chain at grid indices (one batched ``(M, 1, r1) @ (M, r1,
 r2)`` matmul per core), kept to pin the ranks-first one.  ``reference_entropic_ot``
 is the original log-domain Sinkhorn (two full-matrix logsumexps per
@@ -190,6 +193,29 @@ def reference_log_grad(tensor, s, grid, x, floor=1e-300):
         mid = np.sum(prefix[n][:, :, None] * slabs_g[n], axis=1)
         grad[:, n] = np.sum(mid * suffix[n + 1], axis=1)
     return grad / np.maximum(value, floor)[:, None]
+
+
+def reference_axis_log_grad(tensor, s, grid, x):
+    """grad log of ``exp(s L) tensor`` at the points ``x`` (M, d), (M, d),
+    for a rank-1 ``tensor``: the product of its axes' vectors, so that
+    axis ``n``'s log-gradient is the derivative of the ``n``-th vector's
+    interpolant over that interpolant.  Each vector takes its own
+    ``HeatPropagator`` factor and ``gradient_matrix``; nothing is
+    multiplied across axes, so nothing underflows however many there are."""
+    from ttjko.grid import gradient_matrix
+    from ttjko.heat import HeatPropagator
+    factors = HeatPropagator(grid, s).factors
+    cell, w, _ = _reference_cell_weights(grid, x)
+    grad = np.empty(cell.shape)
+    for n, core in enumerate(tensor.cores):
+        if core.shape[::2] != (1, 1):
+            raise ValueError("the tensor train must have rank 1")
+        vec = factors[n] @ core[0, :, 0]
+        diff = gradient_matrix(grid, n) @ vec
+        lo, hi = cell[:, n], cell[:, n] + 1
+        value = vec[lo] + w[:, n] * (vec[hi] - vec[lo])
+        grad[:, n] = (diff[lo] + w[:, n] * (diff[hi] - diff[lo])) / value
+    return grad
 
 
 def _reference_cell_weights(grid, x):

@@ -2,6 +2,8 @@
 array-keyed density cache, maxvol, the sampler's single-pass drift and
 off-grid interpolation, each against a plain reference."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -516,10 +518,13 @@ class TestDriftKernel:
         # at a time the sampler evaluates, the heat factors are products
         # of heat_factor's and agree to rounding; at any other time they
         # are heat_factor's own, and the drift is the reference's bit for
-        # bit.  The 6-axis grids of 6 nodes make runs of like axes longer
-        # than one: a unit-rank run of six gathered at once, inner runs of
-        # four at ranks 3 and 2, and a run that eta_hat's rank change at
-        # the second bond splits
+        # bit where the tensor train is one block.  Unit ranks on more
+        # than one axis make one-axis blocks, each axis's derivative over
+        # its own value, which agree with the reference's whole product
+        # to rounding.  The 6-axis grids of 6 nodes make runs of like
+        # axes longer than one: a unit-rank run of six gathered at once,
+        # inner runs of four at ranks 3 and 2, and a run that eta_hat's
+        # rank change at the second bond splits
         dyn, rng = _drift_case(d, *ranks, seed=100 * d + 10 * ranks[0] + m, grid=grid)
         runs = {("like", (1, 1)): [(0, 6)], ("spacings", (3, 2)): [(0, 1), (1, 5), (5, 6)],
                 ("like", (2, (1, 1, 2, 2, 2))): [(0, 1), (1, 2), (2, 3), (3, 5), (5, 6)]}
@@ -530,11 +535,55 @@ class TestDriftKernel:
             for name, ref in _reference_drifts(dyn, t, x).items():
                 got = getattr(dyn, name)(t, x)
                 assert got.shape == (m, d) and got.flags.c_contiguous
-                if t == times[-1]:
+                if t == times[-1] and (ranks != (1, 1) or d == 1):
                     assert_array_equal(got, ref, err_msg=name)
                 else:
                     assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref)),
                                     err_msg=name)
+
+    def test_rank_one_log_gradient_where_the_product_underflows(self):
+        # 64 axes of cores near 1e-5: the product of the axes' values is
+        # near 1e-320, below the divisor floor, but each axis's
+        # log-gradient is its own factor's and stays exact
+        rng = np.random.default_rng(64)
+        grid = Grid.regular(-2.0, 3.0, 6, d=64)
+
+        def small():
+            return TTTensor([1e-5 * (1.0 + rng.random((1, 6, 1))) for _ in range(64)])
+
+        state = StepState(eta_T=small(), eta_hat_0=small(), eta_hat_T=None, T=1.5,
+                          beta=0.3, converged=True, iters=1)
+        dyn = StepDynamics(state, grid, SamplerConfig(n_time_nodes=8))
+        times, x = _drift_points(dyn, 257, rng)
+        for t in times:
+            s = min(max(t, 0.0), dyn.T)
+            ref = np.stack([oc.reference_axis_log_grad(state.eta_T, dyn.beta * (dyn.T - s), grid, x),
+                            oc.reference_axis_log_grad(state.eta_hat_0, dyn.beta * s, grid, x)])
+            got = dyn._log_grad(2, t, x)                  # (d, 2, m)
+            assert_allclose(got, ref.transpose(2, 0, 1), rtol=1e-13,
+                            atol=1e-13 * np.max(np.abs(ref)))
+            assert_allclose(dyn._log_grad(1, t, x)[:, 0], ref[0].T, rtol=1e-13,
+                            atol=1e-13 * np.max(np.abs(ref[0])))
+
+    @pytest.mark.parametrize("grid", ["mixed", "like"])
+    def test_blocks_between_unit_bonds_inside_higher_ranks(self, grid):
+        # both potentials have rank 1 at the bond between axes 1 and 2 and
+        # ranks 2 and 3 at every other inner bond, so each is the product
+        # of two blocks, axes 0-1 and 2-5; on the like grid axes 3 and 4
+        # are one run.  One core of each block is negated: every block's
+        # value is negative everywhere, and each potential positive
+        dyn, rng = _drift_case(6, (2, 1, 3, 3, 3), (3, 1, 2, 2, 2), seed=61, grid=grid)
+        assert dyn._runs == {"mixed": [(n, n + 1) for n in range(6)],
+                             "like": [(0, 1), (1, 2), (2, 3), (3, 5), (5, 6)]}[grid]
+        negated = [TTTensor([-c if n in (1, 4) else c for n, c in enumerate(t.cores)])
+                   for t in (dyn.state.eta_T, dyn.state.eta_hat_0)]
+        state = replace(dyn.state, eta_T=negated[0], eta_hat_0=negated[1])
+        dyn = StepDynamics(state, dyn.grid, SamplerConfig(n_time_nodes=8))
+        times, x = _drift_points(dyn, 257, rng)
+        for t in times:
+            for name, ref in _reference_drifts(dyn, t, x).items():
+                assert_allclose(getattr(dyn, name)(t, x), ref, rtol=1e-12,
+                                atol=1e-12 * np.max(np.abs(ref)), err_msg=name)
 
     def test_rows_independent_of_batch(self):
         dyn, rng = _drift_case(6, 3, 2, seed=7)
