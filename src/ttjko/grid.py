@@ -186,7 +186,10 @@ def _floored(value: np.ndarray) -> np.ndarray:
     """``value`` in place, with every entry of magnitude below
     ``_VALUE_FLOOR`` set to the floor with the entry's sign: a divisor
     equal to ``value`` wherever ``|value| >= _VALUE_FLOOR``, and finite
-    and of the right sign where a value underflows."""
+    and of the right sign where a value underflows.  A block value that
+    rounds negative therefore gives the log-gradient of its magnitude,
+    pointing against the gradient, where a floor of ``+_VALUE_FLOOR``
+    would give a step of ``1 / _VALUE_FLOOR`` along it."""
     magnitude = np.abs(value)
     np.maximum(magnitude, _VALUE_FLOOR, out=magnitude)
     return np.copysign(magnitude, value, out=value)

@@ -142,42 +142,33 @@ def _stage_factors(laps: dict, beta: float, pieces: list) -> dict:
     ``(a, b, m)``, each cut into ``m`` equal pieces at
     ``np.linspace(a, b, m + 1)``.
 
-    ``laps`` maps a node count to the stack ``(K, N, N)`` of the
-    Laplacians of the ``K`` axis kinds (node count and spacing) with that
-    count.  Maps the time ``j`` of an interval to ``(interval, (m - j,
-    j))``, where ``interval`` holds, per node count of ``laps``, the
-    stacks ``(step, eta_end, hat_start)``: per kind, the factor of one
-    piece, ``exp(beta (T - b) L)`` and ``exp(beta a L)``.  ``eta``'s
-    factor at the time is ``eta_end step**(m - j)`` and ``eta_hat``'s
-    ``hat_start step**j``.  A time that ends one interval and starts the
-    next is filed under the next.  The end factors are products of the
-    pieces' factors, so one ``heat_factor`` call per interval and kind
-    gives them all, and every factor is entrywise nonnegative.  Every
-    power and product is taken over a whole stack at once; numpy makes
-    the same BLAS calls per kind as for one kind's matrix, so each kind's
-    factors are those of its own products, bit for bit.
+    Maps the time ``j`` of an interval to ``(interval, (m - j, j))``,
+    where ``interval`` holds, per axis kind of ``laps``, ``(step, eta_end,
+    hat_start)``: the factor of one piece, ``exp(beta (T - b) L)`` and
+    ``exp(beta a L)``.  ``eta``'s factor at the time is ``eta_end
+    step**(m - j)`` and ``eta_hat``'s ``hat_start step**j``.  A time that
+    ends one interval and starts the next is filed under the next.  The
+    end factors are products of the pieces' factors, so one
+    ``heat_factor`` call per interval and kind gives them all, and every
+    factor is entrywise nonnegative.
     """
     intervals = [{} for _ in pieces]
-    for size, lap in laps.items():
-        steps = [np.stack([heat_factor(one, beta * (b - a) / m) for one in lap])
-                 for a, b, m in pieces]
+    for kind, lap in laps.items():
+        steps = [heat_factor(lap, beta * (b - a) / m) for a, b, m in pieces]
         spans = [np.linalg.matrix_power(step, m) for step, (_, _, m) in zip(steps, pieces)]
-        eye = np.zeros_like(lap) + np.eye(size)
-        hat = accumulate(spans[:-1], np.matmul, initial=eye)
-        eta = list(accumulate(spans[:0:-1], np.matmul, initial=eye))
+        hat = accumulate(spans[:-1], np.matmul, initial=np.eye(len(lap)))
+        eta = list(accumulate(spans[:0:-1], np.matmul, initial=np.eye(len(lap))))
         for interval, step, eta_end, hat_start in zip(intervals, steps, eta[::-1], hat):
-            interval[size] = (step, eta_end, hat_start)
+            interval[kind] = (step, eta_end, hat_start)
     return {t: (interval, (m - j, j)) for (a, b, m), interval in zip(pieces, intervals)
             for j, t in enumerate(np.linspace(a, b, m + 1))}
 
 
-def _pick(positions: list):
-    """Index of a run's axes into the stack of their node count's kinds:
-    the one kind's position when they share it, which picks its matrix,
-    else every axis's, which gathers the run's stack ``(g, N, N)``; a
-    batched product takes either, with the same BLAS call per axis as one
-    axis's product."""
-    return positions[0] if len(set(positions)) == 1 else np.array(positions)
+def _stacked(mats: list) -> np.ndarray:
+    """The one matrix of a run of axes that share it, else the run's stack
+    ``(g, N, N)``; a batched product takes either, with the same BLAS call
+    per axis as one axis's product."""
+    return mats[0] if all(m is mats[0] for m in mats) else np.stack(mats)
 
 
 class StepDynamics:
@@ -213,12 +204,10 @@ class StepDynamics:
     ``t_switch``, then one per Euler-Maruyama step.  Each distinct axis
     (node count and spacing) takes one ``heat_factor`` call per interval,
     for its piece, and reaches every time of the tiling as a product of
-    pieces' factors (``_stage_factors``).  The kinds of one node count
-    form one stack, so at a new time each potential's factors for all of
-    them are one ``matrix_power`` and one ``matmul``.  Any other time
-    ``t`` is the start of the tiling ``[0, t], [t, T]``, whose factors
-    are ``heat_factor``'s own at ``t``, bit for bit.  Every reduction of
-    the contraction runs over a rank axis in order, so each row's result
+    pieces' factors (``_stage_factors``).  Any other time ``t`` is the
+    start of the tiling ``[0, t], [t, T]``, whose factors are
+    ``heat_factor``'s own at ``t``, bit for bit.  Every reduction of the
+    contraction runs over a rank axis in order, so each row's result
     depends on nothing but that row.
     """
 
@@ -233,18 +222,9 @@ class StepDynamics:
         # epsilon_sde = 0)
         pieces = [(a, b, 2 * RK4_STEPS) for a, b in _intervals(self.tau, self.t_switch)]
         pieces.append((self.t_switch, self.T, config.n_em_steps))
-        # the axis kinds (node count and spacing) with their first axes,
-        # and per node count its kinds in order and their matrices' stacks
         self._kinds = list(zip(grid.nodes.tolist(), grid.spacings.tolist()))
-        first = {kind: self._kinds.index(kind) for kind in self._kinds}
-        groups = {}
-        for kind in first:
-            groups.setdefault(kind[0], []).append(kind)
-        self._laps = {size: np.stack([laplacian_1d(grid, first[kind]) for kind in kinds])
-                      for size, kinds in groups.items()}
-        diffs = {size: np.stack([gradient_matrix(grid, first[kind]) for kind in kinds])
-                 for size, kinds in groups.items()}
-        position = {kind: i for kinds in groups.values() for i, kind in enumerate(kinds)}
+        self._laps = {kind: laplacian_1d(grid, n) for n, kind in enumerate(self._kinds)}
+        diffs = {kind: gradient_matrix(grid, n) for n, kind in enumerate(self._kinds)}
         self._stages = _stage_factors(self._laps, self.beta, pieces)
         # the runs of consecutive axes with equal node counts and, per
         # potential, equal ranks
@@ -258,9 +238,8 @@ class StepDynamics:
         self._modes = [[(np.stack([c.transpose(1, 0, 2).reshape(c.shape[1], -1)
                                    for c in t[a:b]]), *t[a].shape[::2])
                         for a, b in self._runs] for t in cores]
-        self._picks = [(grid.shape[a], _pick([position[kind] for kind in self._kinds[a:b]]))
+        self._diffs = [_stacked([diffs[kind] for kind in self._kinds[a:b]])
                        for a, b in self._runs]
-        self._diffs = [diffs[size][pick] for size, pick in self._picks]
         # per count p of potentials, one table per run at their larger ranks
         self._tables = {p: [np.zeros((2, max(ms[k][1] for ms in self._modes[:p]),
                                       max(ms[k][2] for ms in self._modes[:p]), p, b - a,
@@ -281,14 +260,13 @@ class StepDynamics:
             # the tiling [0, t], [t, T]
             interval, powers = self._stages.get(t) or _stage_factors(
                 self._laps, self.beta, [(0.0, t, 1), (t, self.T, 1)])[t]
-            factors = {size: [end @ np.linalg.matrix_power(step, k)
+            factors = {kind: [end @ np.linalg.matrix_power(step, k)
                               for end, k in zip(ends[:p], powers)]
-                       for size, (step, *ends) in interval.items()}
-            for k, ((a, b), (size, pick), diff, table) in enumerate(
-                    zip(self._runs, self._picks, self._diffs, tables)):
+                       for kind, (step, *ends) in interval.items()}
+            for k, ((a, b), diff, table) in enumerate(zip(self._runs, self._diffs, tables)):
                 for q in range(p):
                     modes, r1, r2 = self._modes[q][k]
-                    value = factors[size][q][pick] @ modes
+                    value = _stacked([factors[kind][q] for kind in self._kinds[a:b]]) @ modes
                     for i, cores in enumerate((value, diff @ value)):     # (g, N, r1 r2)
                         table[i, :r1, :r2, q] = cores.transpose(2, 0, 1).reshape(r1, r2, b - a, -1)
             self._built[p] = t

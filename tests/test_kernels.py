@@ -15,6 +15,7 @@ from ttjko.cross import (VALIDATION_SIZE, CrossConfig, _block_indices, _right_se
                          maxvol, tt_cross, validation_indices)
 from ttjko.fixed_point import StepState
 from ttjko.grid import Grid, interpolate_batch
+from ttjko.heat import HeatPropagator
 from ttjko.sampler import SamplerConfig, StepDynamics
 from ttjko.targets import CachedDensity, DensityEvalError
 from ttjko.tt import (TTTensor, _partial_products, rank_step, tt_block_eval, tt_chain_step,
@@ -584,6 +585,44 @@ class TestDriftKernel:
             for name, ref in _reference_drifts(dyn, t, x).items():
                 assert_allclose(getattr(dyn, name)(t, x), ref, rtol=1e-12,
                                 atol=1e-12 * np.max(np.abs(ref)), err_msg=name)
+
+    def test_one_block_whose_value_rounds_negative(self):
+        # eta = P - Q at ranks 2 is one block over all three axes; Q is
+        # 1.01 P on each axis's first two nodes and 0 elsewhere, so the
+        # value dips slightly below zero in the first cell, as a TT fit of
+        # a positive potential can.  The drift divides by the signed
+        # value: where it is negative it is the log-gradient of |eta|,
+        # that of the negated train, and not a floor-sized step along
+        # the gradient
+        rng = np.random.default_rng(3)
+        grid = Grid.regular(-2.0, 3.0, 6, d=3)
+        p = [1.0 + 0.1 * rng.random(6) for _ in range(3)]
+        q = [np.where(np.arange(6) < 2, 1.01, 0.0) * pn for pn in p]
+        eta = TTTensor([np.stack([p[0], q[0]], axis=-1)[None],
+                        np.stack([np.diag([a, -b]) for a, b in zip(p[1], q[1])], axis=1),
+                        np.stack([p[2], q[2]])[..., None]])
+        negated = TTTensor([-eta.cores[0], *eta.cores[1:]])
+        state = StepState(eta_T=eta, eta_hat_0=eta, eta_hat_T=None, T=1.5, beta=0.3,
+                          converged=True, iters=1)
+        dyn = StepDynamics(state, grid, SamplerConfig(n_time_nodes=8))
+        times, x = _drift_points(dyn, 60, rng)
+        x = np.concatenate([rng.uniform(-2.0, -1.0, (200, 3)), x])
+        negative = 0
+        for t in times:
+            got = dyn._log_grad(2, t, x)                      # (d, 2, m)
+            s = min(max(t, 0.0), dyn.T)
+            for q, diffusion in enumerate((dyn.beta * (dyn.T - s), dyn.beta * s)):
+                value, _ = interpolate_batch(HeatPropagator(grid, diffusion).apply(eta), grid, x)
+                ref = np.where(value[:, None] < 0.0,
+                               oc.reference_log_grad(negated, diffusion, grid, x),
+                               oc.reference_log_grad(eta, diffusion, grid, x))
+                # away from the zero crossing, where the log-gradient is
+                # ill-conditioned
+                keep = np.abs(value) > 1e-3 * np.abs(value).max()
+                negative += np.count_nonzero(keep & (value < 0.0))
+                assert_allclose(got[:, q].T[keep], ref[keep], rtol=1e-12,
+                                atol=1e-12 * np.max(np.abs(ref[keep])))
+        assert negative > 0
 
     def test_rows_independent_of_batch(self):
         dyn, rng = _drift_case(6, 3, 2, seed=7)
